@@ -1,8 +1,8 @@
 """Number-operator bounds on the quadratic operators, verified spectrally.
 
-Each bound compares Q*Q against a function of the number operator, diagonal
-in the occupation basis, so the right-hand side is assembled directly from
-sector occupation numbers.
+Each bound compares Q*Q against a function rhs(N) of the number operator.  Q
+shifts particle number by a fixed amount, so the check splits exactly into
+Q_n* Q_n <= rhs(n) Id per sector n, with Q_n the block of Q from sector n.
 
 Note on the r = inf comparison bound from the literature: it is implemented
 with the squared norm, |B|_inf^2 N^2, which is the dimensionally consistent
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace
-from .quadratics import d_gamma, delta, delta_plus
+from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
+from .quadratics import one_body
 from .rng import complex_matrix, skew_matrix, trial_rng
 from .spectral import BoundVerdict, loewner_leq, schatten_norm
 
@@ -44,6 +44,15 @@ class BoundSpec:
             raise ValueError(f"{self.which} bound requires 1 <= r <= 2, got r={self.r}")
         if self.which == "improved_r2" and self.r != 2:
             raise ValueError(f"improved_r2 bound is stated for r = 2, got r={self.r}")
+
+    @property
+    def operator(self) -> str:
+        """The operator Q whose Q*Q the bound controls, a key of fock.LADDERS."""
+        if self.which == "basic":
+            raise ValueError("use basic_estimate_check for the diagonal basic bound")
+        if self.which == "improved_r2":
+            return "DeltaPlus"
+        return self.which.removeprefix("literature_")
 
     @property
     def s(self) -> float:
@@ -99,7 +108,6 @@ def rhs_operator(space: FockSpace, spec: BoundSpec, norms: dict):
     `norms` maps norm labels to values: "r" (Schatten-r norm of the argument),
     "2" (Hilbert-Schmidt), "inf" (operator norm), "p" (Lambda_p for `basic`).
     """
-    from .fock import FockOperator
     diag = _profile(spec, norms, space.occupations)
     return FockOperator(space, np.diag(diag.astype(complex)), grading_shift=0)
 
@@ -116,21 +124,30 @@ def _norms_for(spec: BoundSpec, X) -> dict:
     return norms
 
 
+def _sector_verdict(space: FockSpace, spec: BoundSpec, X,
+                    tol: float | None) -> tuple[BoundVerdict, float]:
+    """verify_bound's verdict, and the saturation ratio max_n lambda_max(Q_n* Q_n) / rhs(n).
+
+    The least slack and the largest tolerance over the sectors equal the
+    whole-space values, because the slack is block diagonal.
+    """
+    coeffs = one_body(space, spec.operator, X)
+    profile = _profile(spec, _norms_for(spec, X), np.arange(space.m + 1))
+    slack, tolerance, ratio = math.inf, 0.0, 0.0
+    for n, rhs_n in enumerate(profile):
+        q = ladder_matrix(space, spec.operator, coeffs, sector=n)
+        v = loewner_leq(q.conj().T @ q, rhs_n * np.eye(q.shape[1]), tol=tol)
+        slack, tolerance = min(slack, v.slack_min), max(tolerance, v.tolerance)
+        if rhs_n > 0:
+            ratio = max(ratio, (rhs_n - v.slack_min) / rhs_n)
+    return BoundVerdict(f"{spec.which}_lhs", f"{spec.which}_rhs(r={spec.r})",
+                        slack, tolerance), ratio
+
+
 def verify_bound(space: FockSpace, spec: BoundSpec, X,
                  tol: float | None = None) -> BoundVerdict:
-    """Loewner verdict on Q*Q <= rhs_operator for Q built from X per spec."""
-    if spec.which == "basic":
-        raise ValueError("use basic_estimate_check for the diagonal basic bound")
-    if spec.which in ("dGamma", "literature_dGamma"):
-        q = d_gamma(space, X)
-    elif spec.which in ("Delta", "literature_Delta"):
-        q = delta(space, X)
-    else:
-        q = delta_plus(space, X)
-    lhs = (q.dagger() @ q).matrix
-    rhs = rhs_operator(space, spec, _norms_for(spec, X)).matrix
-    return loewner_leq(lhs, rhs, tol=tol,
-                       lhs_id=f"{spec.which}_lhs", rhs_id=f"{spec.which}_rhs(r={spec.r})")
+    """Loewner verdict on Q*Q <= rhs_operator for Q built from X per spec, sector by sector."""
+    return _sector_verdict(space, spec, X, tol)[0]
 
 
 def basic_estimate_check(space: FockSpace, lam, p: float,
@@ -196,32 +213,13 @@ def bound_sweep(ms, spec: BoundSpec, trials: int, seed: int) -> list[SweepRow]:
     sectors; values approaching 1 indicate the bound is nearly attained.
     """
     rows: list[SweepRow] = []
-    from .fock import make_space
     for m in ms:
         space = make_space(m)
+        skew = LADDERS[spec.operator][1] != 0
         for t in range(trials):
             rng = trial_rng(seed, m, t)
-            if spec.which in ("dGamma", "literature_dGamma"):
-                X = complex_matrix(rng, m)
-            else:
-                X = skew_matrix(rng, m)
-            verdict = verify_bound(space, spec, X)
-            if spec.which in ("dGamma", "literature_dGamma"):
-                q = d_gamma(space, X)
-            elif spec.which in ("Delta", "literature_Delta"):
-                q = delta(space, X)
-            else:
-                q = delta_plus(space, X)
-            lhs = (q.dagger() @ q).matrix
-            profile = _profile(spec, _norms_for(spec, X), space.occupations)
-            ratio = 0.0
-            for n in range(m + 1):
-                idx = np.nonzero(space.occupations == n)[0]
-                block = lhs[np.ix_(idx, idx)]
-                lmax = float(np.linalg.eigvalsh(block).max())
-                rhs_n = float(profile[idx[0]])
-                if rhs_n > 0:
-                    ratio = max(ratio, lmax / rhs_n)
+            X = skew_matrix(rng, m) if skew else complex_matrix(rng, m)
+            verdict, ratio = _sector_verdict(space, spec, X, None)
             rows.append(SweepRow(m=m, r=spec.r, trial=t,
                                  slack_min=verdict.slack_min, max_ratio=ratio))
     return rows

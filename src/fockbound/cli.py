@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, converse, gaussian, quadratics
-from .fock import ResourceError, make_space, verify_car
+from .fock import ALGEBRA_TOL, LADDERS, NORM_TOL, ResourceError, make_space, verify_car
 from .rng import complex_matrix, skew_matrix, trial_rng
 
 OUTPUT_DIR_ENV = "FOCKBOUND_OUTPUT_DIR"
@@ -82,6 +82,8 @@ def _load_matrix(path: str) -> np.ndarray:
     arr = np.asarray(raw, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ValueError(f"matrix file {path} must hold an n x n array of [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"matrix file {path} has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -107,7 +109,7 @@ def run_verify_car(cfg: RunConfig) -> list[dict]:
     for key, residual in sorted(report.residuals.items()):
         # pass/fail is decided inside verify_car with per-trial scale factors;
         # the tolerance column shows the unscaled base
-        tol = 1e-10 if key == "norm_identity" else 1e-12
+        tol = NORM_TOL if key == "norm_identity" else ALGEBRA_TOL
         checks.append(_check(
             f"car/m={cfg.m}/{key}",
             f"anticommutation-relation residual: {key}",
@@ -119,10 +121,10 @@ def run_verify_bounds(cfg: RunConfig) -> list[dict]:
     which = cfg.extra["which"]
     space = make_space(cfg.m)
     explicit = cfg.extra.get("diag") is not None or cfg.extra.get("matrix_file") is not None
-    skew = which not in ("dGamma", "literature_dGamma")
     checks = []
     for r in cfg.r_list:
         spec = bounds.BoundSpec(which, r)
+        skew = LADDERS[spec.operator][1] != 0
         n_trials = 1 if explicit else cfg.trials
         for t in range(n_trials):
             rng = trial_rng(cfg.seed, t)
@@ -160,7 +162,7 @@ def run_verify_algebra(cfg: RunConfig) -> list[dict]:
         for op in (dg, da, quadratics.delta_plus(space, C)):
             grading_ok = grading_ok and quadratics.check_grading(op)
     inputs = {"m": cfg.m, "trials": cfg.trials, "seed": cfg.seed}
-    tols = {"commutator": 1e-10, "adjoint_dgamma": 1e-13 * (1 + 4 * cfg.m),
+    tols = {"commutator": quadratics.COMMUTATOR_TOL, "adjoint_dgamma": 1e-13 * (1 + 4 * cfg.m),
             "adjoint_delta": 1e-13 * (1 + 4 * cfg.m)}
     checks = [
         _check(f"algebra/m={cfg.m}/{key}", f"quadratic-operator identity: {key}",
@@ -190,7 +192,7 @@ def run_gaussian_check(cfg: RunConfig) -> list[dict]:
     checks = [
         _check(f"gaussian/m={cfg.m}/series_vs_determinant",
                "overlap series equals calibrated determinant formula",
-               inputs, worst_diff, 1e-10, worst_diff <= 1e-10),
+               inputs, worst_diff, gaussian.SERIES_TOL, worst_diff <= gaussian.SERIES_TOL),
         _check(f"gaussian/m={cfg.m}/zeros",
                "formula zeros match companion-matrix polynomial roots",
                inputs, 0.0 if zeros_ok else 1.0, 0.5, zeros_ok),
@@ -230,11 +232,22 @@ def run_sweep_sharpness(cfg: RunConfig) -> list[dict]:
 
 
 def run_report_merge(cfg: RunConfig) -> list[dict]:
-    checks = []
+    checks, seen = [], set()
     for path in cfg.extra["inputs"]:
         with open(path) as fh:
             body = json.load(fh)
-        checks.extend(body.get("checks", []))
+        rows = body.get("checks") if isinstance(body, dict) else None
+        if not isinstance(rows, list):
+            raise ValueError(f"report {path} has no list of checks at its top level")
+        for row in rows:
+            if not isinstance(row, dict) or not isinstance(row.get("check_id"), str) \
+                    or not isinstance(row.get("pass"), bool):
+                raise ValueError(f"report {path} has a check that is not an object "
+                                 "with a string check_id and a boolean pass")
+            if row["check_id"] in seen:
+                raise ValueError(f"duplicate check_id {row['check_id']!r} in {path}")
+            seen.add(row["check_id"])
+        checks.extend(rows)
     return checks
 
 
@@ -343,6 +356,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for key in ("which", "diag", "matrix_file", "s", "n_max", "inputs"):
         if getattr(args, key, None) is not None:
             extra[key] = getattr(args, key)
+    if getattr(args, "trials", 1) <= 0:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
+    if not np.isfinite(getattr(args, "diag", None) or []).all():
+        raise ValueError(f"--diag entries must be finite, got {args.diag}")
     return RunConfig(
         command=args.command,
         m=getattr(args, "m", None),

@@ -2,9 +2,10 @@
 
 Modes are labelled 1..m.  Basis states are subsets S of {1..m}, encoded as
 bitmasks (bit j-1 set iff mode j occupied) and ordered canonically by
-(particle number, bitmask ascending).  Creation operators carry the
-Jordan-Wigner sign (-1)^{#occupied modes below j}, which makes the
-anticommutation relations hold exactly.
+(particle number, bitmask ascending).  a+_j and a_j carry the Jordan-Wigner
+sign (-1)^{#occupied modes below j}, which makes the anticommutation
+relations hold exactly.  `ladder_matrix` builds every operator straight from
+the bitmasks, in full or one particle-number sector block at a time.
 """
 
 from __future__ import annotations
@@ -131,37 +132,63 @@ def _check_mode(space: FockSpace, j: int) -> None:
         raise ValueError(f"mode index {j} out of range [1, {space.m}]")
 
 
-@lru_cache(maxsize=None)
-def _creation_matrix(m: int, j: int) -> np.ndarray:
-    space = _space(m)
-    bit = np.int64(1 << (j - 1))
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    cols = np.nonzero((space.masks & bit) == 0)[0]
-    below = np.bitwise_count(space.masks[cols] & (bit - 1))
-    signs = 1.0 - 2.0 * (below % 2)
-    rows = space.index_of[space.masks[cols] | bit]
-    mat[rows, cols] = signs
-    mat.setflags(write=False)
-    return mat
+# name -> (factor kinds of each term, leftmost first, '+' for a+ and '-' for a;
+#          particle-number shift)
+LADDERS = {"creation": ("+", 1), "annihilation": ("-", -1), "dGamma": ("+-", 0),
+           "Delta": ("--", -2), "DeltaPlus": ("++", 2)}
 
 
-@lru_cache(maxsize=None)
-def _annihilation_matrix(m: int, j: int) -> np.ndarray:
-    mat = _creation_matrix(m, j).conj().T.copy()
-    mat.setflags(write=False)
-    return mat
+def ladder_matrix(space: FockSpace, name: str, coeffs,
+                  sector: int | None = None) -> np.ndarray:
+    """Matrix of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1] for the kinds LADDERS[name].
+
+    Each term is applied to every basis bitmask at once, rightmost factor
+    first, so no operator matrix is ever multiplied.  With `sector=n` only
+    the block from the n-particle sector to the (n + shift)-particle sector
+    is built.  Terms are summed in index order, as the sum is written.
+    """
+    kinds, shift = LADDERS[name]
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (space.m,) * len(kinds):
+        raise ValueError(f"{name} needs {len(kinds)}-index coefficients over {space.m} modes")
+    terms = np.nonzero(coeffs)
+    if sector is None:
+        cols, row0, nrows = space.masks, 0, space.dim
+    else:  # sectors are contiguous in the canonical order; out of range ones empty
+        c0, c1, row0, r1 = np.searchsorted(
+            space.occupations, [sector, sector + 1, sector + shift, sector + shift + 1])
+        cols, nrows = space.masks[c0:c1], r1 - row0
+    masks = np.repeat(cols[None, :], terms[0].size, axis=0)
+    alive = np.ones(masks.shape, dtype=bool)
+    parity = np.zeros(masks.shape, dtype=np.int64)
+    for kind, modes in zip(kinds[::-1], terms[::-1]):
+        bit = (np.int64(1) << modes.astype(np.int64))[:, None]
+        occupied = (masks & bit) != 0
+        alive &= occupied if kind == "-" else ~occupied
+        parity += np.bitwise_count(masks & (bit - 1))
+        masks ^= bit
+    term, col = np.nonzero(alive)
+    out = np.zeros((nrows, cols.size), dtype=complex)
+    np.add.at(out, (space.index_of[masks[term, col]] - row0, col),
+              coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)))
+    return out
+
+
+def ladder_operator(space: FockSpace, name: str, coeffs) -> FockOperator:
+    """`ladder_matrix` on the whole space, tagged with the shift of LADDERS[name]."""
+    return FockOperator(space, ladder_matrix(space, name, coeffs), LADDERS[name][1])
 
 
 def creation(space: FockSpace, j: int) -> FockOperator:
     """a^dagger_j on the occupation basis, Jordan-Wigner signs over modes below j."""
     _check_mode(space, j)
-    return FockOperator(space, _creation_matrix(space.m, j), grading_shift=+1)
+    return ladder_operator(space, "creation", np.eye(space.m)[j - 1])
 
 
 def annihilation(space: FockSpace, j: int) -> FockOperator:
     """a_j, the adjoint of creation(space, j)."""
     _check_mode(space, j)
-    return FockOperator(space, _annihilation_matrix(space.m, j), grading_shift=-1)
+    return ladder_operator(space, "annihilation", np.eye(space.m)[j - 1])
 
 
 def _check_vector(space: FockSpace, f) -> np.ndarray:
@@ -173,22 +200,12 @@ def _check_vector(space: FockSpace, f) -> np.ndarray:
 
 def op_a(space: FockSpace, f) -> FockOperator:
     """a(f) = sum_j f_j a_j; linear (not antilinear) in f."""
-    f = _check_vector(space, f)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(space.m):
-        if f[j] != 0:
-            mat += f[j] * _annihilation_matrix(space.m, j + 1)
-    return FockOperator(space, mat, grading_shift=-1)
+    return ladder_operator(space, "annihilation", _check_vector(space, f))
 
 
 def op_adag(space: FockSpace, f) -> FockOperator:
     """a^dagger(f) = sum_j f_j a^dagger_j; satisfies op_a(f).dagger() == op_adag(conj(f))."""
-    f = _check_vector(space, f)
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for j in range(space.m):
-        if f[j] != 0:
-            mat += f[j] * _creation_matrix(space.m, j + 1)
-    return FockOperator(space, mat, grading_shift=+1)
+    return ladder_operator(space, "creation", _check_vector(space, f))
 
 
 def vacuum(space: FockSpace) -> FockVector:

@@ -20,6 +20,7 @@ from .quadratics import delta_plus, require_skew
 
 DEFAULT_CONVENTION = 0.5
 PAIR_TOL = 1e-10
+SERIES_TOL = 1e-10
 ZERO_MATCH_TOL = 1e-8
 
 
@@ -190,7 +191,7 @@ def default_z_grid(extent: float = 2.0, points_per_axis: int = 5) -> np.ndarray:
 
 
 def gaussian_report(space: FockSpace, C, z_grid=None,
-                    rel_tol: float = 1e-10) -> GaussianReport:
+                    rel_tol: float = SERIES_TOL) -> GaussianReport:
     C = require_skew(C, "C")
     if z_grid is None:
         z_grid = default_z_grid()

@@ -4,6 +4,8 @@ d_gamma(B)   = sum_{j,k} B[k,j] a+_k a_j      (number preserving, shift 0)
 delta(A)     = sum_{j,k} A[k,j] a_k  a_j      (pair annihilation, shift -2)
 delta_plus(C)= sum_{j,k} C[k,j] a+_k a+_j     (pair creation,     shift +2)
 
+Each is one fock.ladder_matrix call with the one-body matrix as coefficients.
+
 delta and delta_plus require skew arguments (A^T = -A with the entrywise
 transpose); symmetric parts would cancel identically, so non-skew input is
 rejected rather than silently projected.  Use skew_part for intentional
@@ -16,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (FockOperator, FockSpace, _annihilation_matrix,
-                   _creation_matrix, slater_state)
+from .fock import LADDERS, FockOperator, FockSpace, ladder_operator, slater_state
 
 SKEW_TOL = 1e-13
 SELF_ADJOINT_TOL = 1e-13
@@ -59,46 +60,25 @@ def require_skew(A, name: str = "operator") -> np.ndarray:
     return A
 
 
+def one_body(space: FockSpace, name: str, X) -> np.ndarray:
+    """X checked as the one-body matrix of LADDERS[name]; pair operators take only skew X."""
+    X = _as_one_body(space, X, f"{name} argument")
+    return X if LADDERS[name][1] == 0 else require_skew(X, f"{name} argument")
+
+
 def d_gamma(space: FockSpace, B) -> FockOperator:
     """Second quantization of B; d_gamma(Id) is the number operator."""
-    B = _as_one_body(space, B, "B")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(space.m):
-        acc = np.zeros_like(mat)
-        for j in range(space.m):
-            if B[k, j] != 0:
-                acc += B[k, j] * _annihilation_matrix(space.m, j + 1)
-        if acc.any():
-            mat += _creation_matrix(space.m, k + 1) @ acc
-    return FockOperator(space, mat, grading_shift=0)
+    return ladder_operator(space, "dGamma", one_body(space, "dGamma", B))
 
 
 def delta(space: FockSpace, A) -> FockOperator:
     """Quadratic annihilation operator of a skew A; lowers particle number by 2."""
-    A = require_skew(_as_one_body(space, A, "A"), "A")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(space.m):
-        acc = np.zeros_like(mat)
-        for j in range(space.m):
-            if A[k, j] != 0:
-                acc += A[k, j] * _annihilation_matrix(space.m, j + 1)
-        if acc.any():
-            mat += _annihilation_matrix(space.m, k + 1) @ acc
-    return FockOperator(space, mat, grading_shift=-2)
+    return ladder_operator(space, "Delta", one_body(space, "Delta", A))
 
 
 def delta_plus(space: FockSpace, C) -> FockOperator:
     """Quadratic creation operator of a skew C; raises particle number by 2."""
-    C = require_skew(_as_one_body(space, C, "C"), "C")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(space.m):
-        acc = np.zeros_like(mat)
-        for j in range(space.m):
-            if C[k, j] != 0:
-                acc += C[k, j] * _creation_matrix(space.m, j + 1)
-        if acc.any():
-            mat += _creation_matrix(space.m, k + 1) @ acc
-    return FockOperator(space, mat, grading_shift=+2)
+    return ladder_operator(space, "DeltaPlus", one_body(space, "DeltaPlus", C))
 
 
 @dataclass(frozen=True)

@@ -75,10 +75,12 @@ def loewner_leq(X, Y, tol: float | None = None,
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
     diff = Y - X
-    slack = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2).min())
+    eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
     if tol is None:
-        tol = DEFAULT_PSD_TOL * (1.0 + np.linalg.norm(diff, 2))
-    return BoundVerdict(lhs_id=lhs_id, rhs_id=rhs_id, slack_min=slack, tolerance=tol)
+        # the 2-norm of a self-adjoint matrix is its largest |eigenvalue|
+        tol = DEFAULT_PSD_TOL * (1.0 + float(np.abs(eigs).max()))
+    return BoundVerdict(lhs_id=lhs_id, rhs_id=rhs_id, slack_min=float(eigs.min()),
+                        tolerance=tol)
 
 
 def psd_power(X, p: float) -> np.ndarray:

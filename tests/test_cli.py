@@ -140,3 +140,62 @@ def test_parse_r():
     assert cli.parse_r("4/3") == pytest.approx(4 / 3)
     with pytest.raises(ValueError):
         cli.parse_r("abc")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-car", "--m", "3", "--trials", "0"],
+    ["verify-car", "--m", "3", "--trials", "-5"],
+    ["verify-bounds", "--which", "dGamma", "--r", "2", "--m", "3", "--trials", "0"],
+    ["verify-algebra", "--m", "3", "--trials", "0"],
+    ["gaussian-check", "--m", "3", "--trials", "0"],
+])
+def test_nonpositive_trials_rejected(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials" in captured.err
+
+
+@pytest.mark.parametrize("diag", [["nan", "1"], ["inf", "1"], ["1", "nan"]])
+def test_nonfinite_diag_rejected(diag, capsys, monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("operator built from non-finite input")
+
+    monkeypatch.setattr(cli.bounds, "verify_bound", must_not_build)
+    code = cli.main(["verify-bounds", "--which", "dGamma", "--r", "2",
+                     "--m", "2", "--diag", *diag])
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_nonfinite_matrix_file_rejected(bad, tmp_path, capsys):
+    payload = [[[0.0, 0.0], [-0.5, 0.0]], [[0.5, bad], [0.0, 0.0]]]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["verify-bounds", "--which", "DeltaPlus", "--r", "2",
+                     "--m", "2", "--matrix-file", str(path)])
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    [],
+    {"header": {}},
+    {"checks": {"car": True}},
+    {"checks": ["car"]},
+    {"checks": [{"statement": "no id", "pass": True}]},
+    {"checks": [{"check_id": "x", "pass": "yes"}]},
+])
+def test_report_merge_rejects_malformed(body, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert cli.main(["report", str(path)]) == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "bad.json" in captured.err
+
+
+def test_report_merge_rejects_duplicate_check_id(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    cli.main(["verify-car", "--m", "2", "--trials", "2", "--output", str(path)])
+    assert cli.main(["report", str(path), str(path)]) == cli.EXIT_VALIDATION_ERROR
+    assert "duplicate check_id" in capsys.readouterr().err

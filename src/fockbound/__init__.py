@@ -16,8 +16,8 @@ from .gaussian import (GaussianReport, OrderEstimate, exp_order_estimate,
                        omega_polynomial_roots, omega_series, omega_zeros,
                        pair_coefficients)
 from .quadratics import (check_commutator, check_grading, d_gamma, delta,
-                         delta_plus, is_self_adjoint, is_skew, require_skew,
-                         skew_part, slater_expectation)
+                         delta_plus, is_skew, require_skew, skew_part,
+                         slater_expectation)
 from .spectral import (BoundVerdict, CauchySchwarzResult, SingularDecomposition,
                        cauchy_schwarz_check, hoelder_check, jensen_check,
                        loewner_leq, psd_power, schatten_norm, svd)

@@ -20,12 +20,11 @@ from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
 from .quadratics import one_body
 from .rng import complex_matrix, skew_matrix, trial_rng
 from .spectral import BoundVerdict, loewner_leq, schatten_norm
+from .tolerances import IDENTITY_TOL
 
 WHICH = ("dGamma", "Delta", "DeltaPlus", "basic",
          "literature_dGamma", "literature_Delta", "literature_DeltaPlus",
          "improved_r2")
-
-EXACT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def basic_estimate_check(space: FockSpace, lam, p: float,
     rhs = big * np.ones_like(n) if inv_q == 0.0 else big * n**inv_q
     slack = float((rhs - top).min())
     if tol is None:
-        tol = EXACT_TOL * (1.0 + big * max(1.0, space.m))
+        tol = IDENTITY_TOL * (1.0 + big * max(1.0, space.m))
     return BoundVerdict(lhs_id="basic_lhs", rhs_id=f"basic_rhs(p={p})",
                         slack_min=slack, tolerance=tol)
 

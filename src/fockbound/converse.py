@@ -17,8 +17,7 @@ import numpy as np
 from .bounds import BoundSpec, verify_bound
 from .fock import FockSpace
 from .spectral import schatten_norm
-
-SLOPE_TOL = 0.02
+from .tolerances import NORM_TOL, SLOPE_TOL
 
 
 def decay_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
@@ -74,7 +73,7 @@ def sharpness_sweep(s: float, n_max: int = 100_000,
     """Fit the growth exponent of sector norms for the power_decay(s) family.
 
     The partial sums of j^(s/2-1) grow like n^(s/2); the fit runs over the top
-    decade of the grid and passes iff |slope - s/2| <= 0.02.
+    decade of the grid and passes iff |slope - s/2| <= SLOPE_TOL.
     """
     lam = decay_values("power_decay", n_max, s)
     cumulative = np.cumsum(lam)  # lam already sorted descending
@@ -137,8 +136,8 @@ def trace_bound_check(space: FockSpace, B, n_max: int, r: float) -> TraceBoundRe
         # hence the factor 2 in front of the n^(s/2) envelope
         sv_bound += 2.0 * (math.sqrt(gamma) + math.sqrt(delta_c)) \
             * n.astype(float)**(spec.s / 2)
-    passed = bool(np.all(trace_sums <= trace_bound + 1e-10)
-                  and np.all(sv_sums <= sv_bound + 1e-10))
+    passed = bool(np.all(trace_sums <= trace_bound + NORM_TOL)
+                  and np.all(sv_sums <= sv_bound + NORM_TOL))
     return TraceBoundResult(r=r, n=n, trace_sums=trace_sums, sv_sums=sv_sums,
                             trace_bound=trace_bound, sv_bound=sv_bound, passed=passed)
 

@@ -17,11 +17,9 @@ import numpy as np
 
 from .fock import FockSpace, FockVector, vacuum
 from .quadratics import delta_plus, require_skew
+from .tolerances import EIGEN_TOL, NORM_TOL
 
 DEFAULT_CONVENTION = 0.5
-PAIR_TOL = 1e-10
-SERIES_TOL = 1e-10
-ZERO_MATCH_TOL = 1e-8
 
 
 def pair_coefficients(space: FockSpace, C) -> np.ndarray:
@@ -48,7 +46,11 @@ def gaussian_state(space: FockSpace, C, z: complex) -> FockVector:
 
 def omega_series(space: FockSpace, C, z: complex) -> complex:
     """Overlap by the exact Fock-space series; polynomial in z^2."""
-    coeffs = pair_coefficients(space, C)
+    return _series(pair_coefficients(space, C), z)
+
+
+def _series(coeffs: np.ndarray, z: complex) -> complex:
+    """sum_n coeffs[n] z^(2n) / (n!)^2 for coeffs from pair_coefficients."""
     total = 0.0 + 0.0j
     for n, c in enumerate(coeffs):
         total += c * z ** (2 * n) / math.factorial(n) ** 2
@@ -79,11 +81,15 @@ def omega_determinant(C, z: complex,
 
 def calibrate_convention(space: FockSpace, C, z_samples) -> float:
     """Exponent convention (1 or 1/2) matching the exact series on z_samples."""
+    return _calibrate(pair_coefficients(space, C), C, z_samples)
+
+
+def _calibrate(coeffs: np.ndarray, C, z_samples) -> float:
     best, best_err = None, math.inf
     for conv in (0.5, 1.0):
         err = 0.0
         for z in z_samples:
-            series = omega_series(space, C, z)
+            series = _series(coeffs, z)
             det = omega_determinant(C, z, conv)
             err = max(err, abs(series - det) / (1.0 + abs(series)))
         if err < best_err:
@@ -99,7 +105,7 @@ def omega_zeros(C, exponent_convention: float = DEFAULT_CONVENTION) -> np.ndarra
     evals = _paired_gram_eigs(C)
     # filter before the square root: eigensolver noise on a rank-deficient
     # Gram matrix sits at eps * ||C*C|| and would inflate under sqrt
-    evals = evals[evals > PAIR_TOL * (1.0 + evals.max(initial=0.0))]
+    evals = evals[evals > NORM_TOL * (1.0 + evals.max(initial=0.0))]
     mu = np.sqrt(evals)
     zeros = []
     reps = 1 if exponent_convention == 0.5 else 2
@@ -110,7 +116,10 @@ def omega_zeros(C, exponent_convention: float = DEFAULT_CONVENTION) -> np.ndarra
 
 def omega_polynomial_roots(space: FockSpace, C) -> np.ndarray:
     """Zeros of the exact series polynomial, via companion-matrix roots in z^2."""
-    coeffs = pair_coefficients(space, C)
+    return _polynomial_roots(pair_coefficients(space, C))
+
+
+def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     poly = np.array([c / math.factorial(n) ** 2 for n, c in enumerate(coeffs)])
     # strip trailing zero coefficients (rank-deficient C)
     nz = np.nonzero(poly > 0)[0]
@@ -130,7 +139,7 @@ def _sorted_zeros(zs: np.ndarray) -> np.ndarray:
 
 
 def zeros_match(formula: np.ndarray, roots: np.ndarray,
-                tol: float = ZERO_MATCH_TOL) -> bool:
+                tol: float = EIGEN_TOL) -> bool:
     """Set equality of the two zero lists up to tol, multiplicities included."""
     if formula.size != roots.size:
         return False
@@ -191,19 +200,19 @@ def default_z_grid(extent: float = 2.0, points_per_axis: int = 5) -> np.ndarray:
 
 
 def gaussian_report(space: FockSpace, C, z_grid=None,
-                    rel_tol: float = SERIES_TOL) -> GaussianReport:
+                    rel_tol: float = NORM_TOL) -> GaussianReport:
     C = require_skew(C, "C")
     if z_grid is None:
         z_grid = default_z_grid()
     z_grid = np.asarray(z_grid, dtype=complex)
-    convention = calibrate_convention(space, C, z_grid[: min(5, z_grid.size)])
-    series = np.array([omega_series(space, C, z) for z in z_grid])
+    coeffs = pair_coefficients(space, C)
+    convention = _calibrate(coeffs, C, z_grid[: min(5, z_grid.size)])
+    series = np.array([_series(coeffs, z) for z in z_grid])
     det = np.array([omega_determinant(C, z, convention) for z in z_grid])
     diffs = np.abs(series - det)
     rel_ok = bool(np.all(diffs <= rel_tol * (1.0 + np.abs(series))))
     zeros = omega_zeros(C, convention)
-    matched = zeros_match(zeros, omega_polynomial_roots(space, C)) if C.any() else True
-    coeffs = pair_coefficients(space, C)
+    matched = zeros_match(zeros, _polynomial_roots(coeffs)) if C.any() else True
     try:
         order = exp_order_estimate(coeffs, degree_step=2).order
     except ValueError:

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import LADDERS, FockOperator, FockSpace, ladder_operator, slater_state
-
-SKEW_TOL = 1e-13
-SELF_ADJOINT_TOL = 1e-13
-GRADING_TOL = 1e-13
-COMMUTATOR_TOL = 1e-10
-EXPECTATION_TOL = 1e-12
+from .tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
 
 
 def _as_one_body(space: FockSpace, X, name: str = "operator") -> np.ndarray:
@@ -40,16 +35,10 @@ def skew_part(A) -> np.ndarray:
     return (A - A.T) / 2
 
 
-def is_skew(A, tol: float = SKEW_TOL) -> bool:
+def is_skew(A, tol: float = ENTRY_TOL) -> bool:
     A = np.asarray(A, dtype=complex)
     scale = 1.0 + np.abs(A).max(initial=0.0)
     return bool(np.abs(A + A.T).max(initial=0.0) <= tol * scale)
-
-
-def is_self_adjoint(B, tol: float = SELF_ADJOINT_TOL) -> bool:
-    B = np.asarray(B, dtype=complex)
-    scale = 1.0 + np.abs(B).max(initial=0.0)
-    return bool(np.abs(B - B.conj().T).max(initial=0.0) <= tol * scale)
 
 
 def require_skew(A, name: str = "operator") -> np.ndarray:
@@ -100,7 +89,7 @@ def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
     residual = float(np.abs(comm - target).max(initial=0.0))
     scale = 1.0 + float(np.abs(comm).max(initial=0.0) + np.abs(target).max(initial=0.0))
     return CommutatorReport(residual=residual, scale=scale,
-                            passed=residual <= COMMUTATOR_TOL * scale)
+                            passed=residual <= NORM_TOL * scale)
 
 
 def check_grading(op: FockOperator) -> bool:
@@ -111,7 +100,7 @@ def check_grading(op: FockOperator) -> bool:
     forbidden = occ[:, None] != occ[None, :] + op.grading_shift
     scale = 1.0 + float(np.abs(op.matrix).max(initial=0.0))
     leak = float(np.abs(op.matrix[forbidden]).max(initial=0.0))
-    return leak <= GRADING_TOL * scale
+    return leak <= ENTRY_TOL * scale
 
 
 def slater_expectation(space: FockSpace, B, modes) -> complex:
@@ -120,7 +109,7 @@ def slater_expectation(space: FockSpace, B, modes) -> complex:
     phi = slater_state(space, modes)
     value = phi.inner(d_gamma(space, B) @ phi)
     diagonal_sum = complex(sum(B[j - 1, j - 1] for j in modes))
-    if abs(value - diagonal_sum) > EXPECTATION_TOL * (1.0 + abs(diagonal_sum)):
+    if abs(value - diagonal_sum) > IDENTITY_TOL * (1.0 + abs(diagonal_sum)):
         raise AssertionError(
             f"slater expectation {value} disagrees with diagonal sum {diagonal_sum}")
     return value

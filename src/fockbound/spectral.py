@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SELF_ADJOINT_TOL = 1e-12
-DEFAULT_PSD_TOL = 1e-8
-IDENTITY_TOL = 1e-12
+from .tolerances import EIGEN_TOL, IDENTITY_TOL
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,8 @@ def schatten_norm(B, r) -> float:
 def _require_self_adjoint(X, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     scale = 1.0 + np.abs(X).max(initial=0.0)
-    if np.abs(X - X.conj().T).max(initial=0.0) > SELF_ADJOINT_TOL * scale:
-        raise ValueError(f"{name} is not self-adjoint to within {SELF_ADJOINT_TOL}*scale")
+    if np.abs(X - X.conj().T).max(initial=0.0) > IDENTITY_TOL * scale:
+        raise ValueError(f"{name} is not self-adjoint to within {IDENTITY_TOL}*scale")
     return X
 
 
@@ -78,17 +76,17 @@ def loewner_leq(X, Y, tol: float | None = None,
     eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
     if tol is None:
         # the 2-norm of a self-adjoint matrix is its largest |eigenvalue|
-        tol = DEFAULT_PSD_TOL * (1.0 + float(np.abs(eigs).max()))
+        tol = EIGEN_TOL * (1.0 + float(np.abs(eigs).max()))
     return BoundVerdict(lhs_id=lhs_id, rhs_id=rhs_id, slack_min=float(eigs.min()),
                         tolerance=tol)
 
 
 def psd_power(X, p: float) -> np.ndarray:
-    """X^p for PSD X via spectral calculus; eigenvalues in [-1e-12*scale, 0) clamp to 0."""
+    """X^p for PSD X via spectral calculus; eigenvalues in [-IDENTITY_TOL*scale, 0) clamp to 0."""
     X = _require_self_adjoint(X, "operand")
     w, v = np.linalg.eigh((X + X.conj().T) / 2)
     scale = 1.0 + float(np.abs(w).max(initial=0.0))
-    if w.min(initial=0.0) < -1e-12 * scale:
+    if w.min(initial=0.0) < -IDENTITY_TOL * scale:
         raise ValueError(f"matrix power of non-PSD operand (lambda_min = {w.min()})")
     w = np.clip(w, 0.0, None)
     return (v * w**p) @ v.conj().T
@@ -111,7 +109,7 @@ def jensen_check(weights, ops, p: float, q: float,
 
 def _conj_exponents(p: float, q: float) -> None:
     inv = (0.0 if math.isinf(p) else 1.0 / p) + (0.0 if math.isinf(q) else 1.0 / q)
-    if p < 1 or q < 1 or abs(inv - 1.0) > 1e-12:
+    if p < 1 or q < 1 or abs(inv - 1.0) > IDENTITY_TOL:
         raise ValueError(f"exponents must be conjugate (1/p + 1/q = 1), got p={p}, q={q}")
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_sweep_sharpness(capsys):
     assert code == 0
     body = json.loads(out)
     slope = next(c for c in body["checks"] if c["check_id"].startswith("sweep/power"))
-    assert abs(slope["metric"] - 0.5) <= 0.02
+    assert slope["metric"] <= 0.02 and slope["pass"]
 
 
 def test_matrix_file_input(tmp_path, capsys):
@@ -199,3 +200,65 @@ def test_report_merge_rejects_duplicate_check_id(tmp_path, capsys):
     cli.main(["verify-car", "--m", "2", "--trials", "2", "--output", str(path)])
     assert cli.main(["report", str(path), str(path)]) == cli.EXIT_VALIDATION_ERROR
     assert "duplicate check_id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["verify-car", "verify-algebra", "gaussian-check"])
+def test_tolerance_only_on_verify_bounds(subcommand, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main([subcommand, "--m", "2", "--trials", "1", "--tolerance", "-1"])
+    assert err.value.code == 2
+    assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_verify_bounds_rejects_bad_tolerance(tolerance, capsys):
+    code = cli.main(["verify-bounds", "--which", "dGamma", "--r", "2", "--m", "2",
+                     "--tolerance", tolerance])
+    assert code == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tolerance" in captured.err
+
+
+def test_verify_bounds_does_not_offer_basic(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify-bounds", "--which", "basic", "--r", "2", "--m", "2"])
+    assert err.value.code == 2
+    assert "invalid choice: 'basic'" in capsys.readouterr().err
+
+
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+CAR_ARGV = ["verify-car", "--m", "3", "--trials", "3"]
+FAILING_SWEEP_ARGV = ["sweep-sharpness", "--s", "0.5", "--n-max", "5000"]
+ROW_RULE_CASES = [
+    CAR_ARGV,
+    *(["verify-bounds", "--which", which, "--r", "2", "--m", "4", "--trials", "2"]
+      for which in cli.bounds.WHICH if which != "basic"),
+    ["verify-bounds", "--which", "dGamma", "--r", "inf", "--m", "1", "--diag", "1",
+     "--tolerance", "0"],
+    ["verify-algebra", "--m", "3", "--trials", "2"],
+    ["gaussian-check", "--m", "4", "--trials", "2"],
+    ["sweep-sharpness", "--s", "1.0", "--n-max", "20000"],
+    FAILING_SWEEP_ARGV,
+    ["report"],
+]
+
+
+@pytest.mark.parametrize("argv", ROW_RULE_CASES, ids=lambda argv: " ".join(argv[:5]))
+def test_every_row_passes_iff_metric_within_tolerance(argv, tmp_path, capsys):
+    if argv == ["report"]:
+        parts = [tmp_path / "car.json", tmp_path / "sweep.json"]
+        for part, part_argv in zip(parts, [CAR_ARGV, FAILING_SWEEP_ARGV]):
+            cli.main(part_argv + ["--output", str(part)])
+        argv = ["report", *map(str, parts)]
+    code, out = run(argv, capsys)
+    body = strict_json(out)
+    assert body["checks"]
+    for row in body["checks"]:
+        assert math.isfinite(row["metric"]) and math.isfinite(row["tolerance"]), row
+        assert row["pass"] == (row["metric"] <= row["tolerance"]), row
+    assert code == (cli.EXIT_OK if body["all_pass"] else cli.EXIT_VERIFICATION_FAILURE)

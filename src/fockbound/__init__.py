@@ -2,7 +2,7 @@
 
 from .bounds import (BoundSpec, SweepRow, basic_estimate_bruteforce,
                      basic_estimate_check, bound_sweep, rhs_operator,
-                     verify_bound)
+                     verify_bound, verify_bounds)
 from .converse import (ConvergenceCertificate, RecoveryReport, SweepResult,
                        TraceBoundResult, decay_family, decay_values,
                        schatten_recovery_check, sector_norm_diagonal,

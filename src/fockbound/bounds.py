@@ -19,8 +19,8 @@ import numpy as np
 from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
 from .quadratics import one_body
 from .rng import complex_matrix, skew_matrix, trial_rng
-from .spectral import BoundVerdict, loewner_leq, schatten_norm
-from .tolerances import IDENTITY_TOL
+from .spectral import BoundVerdict, _require_self_adjoint, schatten_norm
+from .tolerances import EIGEN_TOL, IDENTITY_TOL
 
 WHICH = ("dGamma", "Delta", "DeltaPlus", "basic",
          "literature_dGamma", "literature_Delta", "literature_DeltaPlus",
@@ -123,30 +123,60 @@ def _norms_for(spec: BoundSpec, X) -> dict:
     return norms
 
 
-def _sector_verdict(space: FockSpace, spec: BoundSpec, X,
-                    tol: float | None) -> tuple[BoundVerdict, float]:
-    """verify_bound's verdict, and the saturation ratio max_n lambda_max(Q_n* Q_n) / rhs(n).
+def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
+    """(lambda_min, lambda_max) of Q_n* Q_n for each sector n, Q = `operator` built from X.
 
-    The least slack and the largest tolerance over the sectors equal the
-    whole-space values, because the slack is block diagonal.
+    The left side of every bound on Q*Q; no exponent r enters it.
     """
-    coeffs = one_body(space, spec.operator, X)
-    profile = _profile(spec, _norms_for(spec, X), np.arange(space.m + 1))
-    slack, tolerance, ratio = math.inf, 0.0, 0.0
-    for n, rhs_n in enumerate(profile):
-        q = ladder_matrix(space, spec.operator, coeffs, sector=n)
-        v = loewner_leq(q.conj().T @ q, rhs_n * np.eye(q.shape[1]), tol=tol)
-        slack, tolerance = min(slack, v.slack_min), max(tolerance, v.tolerance)
-        if rhs_n > 0:
-            ratio = max(ratio, (rhs_n - v.slack_min) / rhs_n)
+    coeffs = one_body(space, operator, X)
+    extremes = np.empty((space.m + 1, 2))
+    for n in range(space.m + 1):
+        q = ladder_matrix(space, operator, coeffs, sector=n)
+        gram = _require_self_adjoint(q.conj().T @ q, "lhs")
+        extremes[n] = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[[0, -1]]
+    return extremes
+
+
+def _sector_verdict(spec: BoundSpec, X, extremes: np.ndarray,
+                    tol: float | None) -> tuple[BoundVerdict, float]:
+    """The verdict on Q*Q <= rhs(N), and the saturation ratio max_n lambda_max(Q_n* Q_n) / rhs(n).
+
+    In sector n the slack rhs(n) Id - Q_n* Q_n has extreme eigenvalues
+    rhs(n) - lambda_max and rhs(n) - lambda_min, so the least slack and the
+    largest tolerance over the sectors equal the whole-space values, because
+    the slack is block diagonal.
+    """
+    rhs = _profile(spec, _norms_for(spec, X), np.arange(len(extremes)))
+    slack = rhs[:, None] - extremes  # per sector: rhs(n) - lambda_min, rhs(n) - lambda_max
+    if tol is None:
+        # the 2-norm of a self-adjoint matrix is its largest |eigenvalue|
+        tol = EIGEN_TOL * (1.0 + float(np.abs(slack).max()))
+    positive = rhs > 0
+    ratio = float((extremes[positive, 1] / rhs[positive]).max(initial=0.0))
     return BoundVerdict(f"{spec.which}_lhs", f"{spec.which}_rhs(r={spec.r})",
-                        slack, tolerance), ratio
+                        float(slack[:, 1].min()), tol), ratio
+
+
+def verify_bounds(space: FockSpace, specs, X,
+                  tol: float | None = None) -> list[BoundVerdict]:
+    """Loewner verdicts on Q*Q <= rhs_operator for every spec, all bounds on one Q.
+
+    One eigensolve of Q_n* Q_n per sector n serves every spec: only the
+    right-hand side depends on the bound and its exponent r.
+    """
+    specs = list(specs)
+    if len({spec.operator for spec in specs}) != 1:
+        raise ValueError("verify_bounds needs one or more specs that share one operator")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    extremes = _gram_extremes(space, specs[0].operator, X)
+    return [_sector_verdict(spec, X, extremes, tol)[0] for spec in specs]
 
 
 def verify_bound(space: FockSpace, spec: BoundSpec, X,
                  tol: float | None = None) -> BoundVerdict:
     """Loewner verdict on Q*Q <= rhs_operator for Q built from X per spec, sector by sector."""
-    return _sector_verdict(space, spec, X, tol)[0]
+    return verify_bounds(space, [spec], X, tol)[0]
 
 
 def basic_estimate_check(space: FockSpace, lam, p: float,
@@ -218,7 +248,8 @@ def bound_sweep(ms, spec: BoundSpec, trials: int, seed: int) -> list[SweepRow]:
         for t in range(trials):
             rng = trial_rng(seed, m, t)
             X = skew_matrix(rng, m) if skew else complex_matrix(rng, m)
-            verdict, ratio = _sector_verdict(space, spec, X, None)
+            verdict, ratio = _sector_verdict(
+                spec, X, _gram_extremes(space, spec.operator, X), None)
             rows.append(SweepRow(m=m, r=spec.r, trial=t,
                                  slack_min=verdict.slack_min, max_ratio=ratio))
     return rows

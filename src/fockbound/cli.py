@@ -118,23 +118,22 @@ def run_verify_car(cfg: RunConfig) -> list[dict]:
 
 def run_verify_bounds(cfg: RunConfig) -> list[dict]:
     which = cfg.extra["which"]
+    specs = [bounds.BoundSpec(which, r) for r in cfg.r_list]
     space = make_space(cfg.m)
+    skew = LADDERS[specs[0].operator][1] != 0
     explicit = cfg.extra.get("diag") is not None or cfg.extra.get("matrix_file") is not None
     checks = []
-    for r in cfg.r_list:
-        spec = bounds.BoundSpec(which, r)
-        skew = LADDERS[spec.operator][1] != 0
-        n_trials = 1 if explicit else cfg.trials
-        for t in range(n_trials):
-            rng = trial_rng(cfg.seed, t)
-            X = _resolve_operator(cfg, skew, rng)
-            if skew:
-                X = quadratics.require_skew(X, "operator")
-            verdict = bounds.verify_bound(space, spec, X, tol=cfg.tolerance)
+    for t in range(1 if explicit else cfg.trials):
+        rng = trial_rng(cfg.seed, t)
+        X = _resolve_operator(cfg, skew, rng)
+        if skew:
+            X = quadratics.require_skew(X, "operator")
+        verdicts = bounds.verify_bounds(space, specs, X, tol=cfg.tolerance)
+        for spec, verdict in zip(specs, verdicts):
             checks.append(_check(
-                f"bounds/{which}/m={cfg.m}/r={r}/trial={t:03d}",
-                f"{which} bound at r={r}: lambda_max of Q*Q - RHS",
-                {"which": which, "m": cfg.m, "r": str(r), "trial": t,
+                f"bounds/{which}/m={cfg.m}/r={spec.r}/trial={t:03d}",
+                f"{which} bound at r={spec.r}: lambda_max of Q*Q - RHS",
+                {"which": which, "m": cfg.m, "r": str(spec.r), "trial": t,
                  "seed": cfg.seed, "explicit": explicit},
                 0.0 - verdict.slack_min, verdict.tolerance))
     return checks
@@ -361,10 +360,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"--diag entries must be finite, got {args.diag}")
     if not 0.0 <= (getattr(args, "tolerance", None) or 0.0) < math.inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    r_list = tuple(parse_r(r) for r in getattr(args, "r", []) or ())
+    if len(set(r_list)) != len(r_list):
+        raise ValueError(f"--r values must be distinct, got {args.r}")
     return RunConfig(
         command=args.command,
         m=getattr(args, "m", None),
-        r_list=tuple(parse_r(r) for r in getattr(args, "r", []) or ()),
+        r_list=r_list,
         trials=getattr(args, "trials", 25),
         seed=getattr(args, "seed", 0),
         tolerance=getattr(args, "tolerance", None),

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockbound as fb
-from fockbound.bounds import basic_estimate_bruteforce
+from fockbound.bounds import WHICH, basic_estimate_bruteforce
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng
 
 
@@ -98,6 +100,61 @@ def test_verify_bound_rejects_basic():
     sp = fb.make_space(2)
     with pytest.raises(ValueError):
         fb.verify_bound(sp, fb.BoundSpec("basic", 2), np.eye(2))
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_verify_bounds_rejects_bad_tolerance(tol):
+    sp = fb.make_space(3)
+    spec = fb.BoundSpec("dGamma", 2)
+    with pytest.raises(ValueError, match="tolerance"):
+        fb.verify_bound(sp, spec, np.diag([1.0, 2.0, 3.0]), tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        fb.verify_bounds(sp, [spec], np.diag([1.0, 2.0, 3.0]), tol=tol)
+
+
+def test_verify_bounds_keeps_a_valid_tolerance():
+    sp = fb.make_space(3)
+    verdicts = fb.verify_bounds(sp, [fb.BoundSpec("dGamma", r) for r in (1, 2)],
+                                np.diag([1.0, 2.0, 3.0]), tol=0.0)
+    assert [v.tolerance for v in verdicts] == [0.0, 0.0]
+
+
+def _valid_specs():
+    specs = {}
+    for which in WHICH:
+        for r in (1, 4 / 3, 1.5, 2, 3, math.inf):
+            try:
+                spec = fb.BoundSpec(which, r)
+                specs.setdefault(spec.operator, []).append(spec)
+            except ValueError:  # r out of range for this bound, or `basic`
+                pass
+    return specs
+
+
+SPECS_BY_OPERATOR = _valid_specs()
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_verify_bounds_equals_verify_bound_per_spec(m, seed, data):
+    operator = data.draw(st.sampled_from(sorted(SPECS_BY_OPERATOR)))
+    specs = data.draw(st.lists(st.sampled_from(SPECS_BY_OPERATOR[operator]),
+                               min_size=1, max_size=5))
+    tol = data.draw(st.none() | st.floats(0.0, 1.0))
+    rng = trial_rng(seed, m)
+    X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
+    sp = fb.make_space(m)
+    assert fb.verify_bounds(sp, specs, X, tol) == [
+        fb.verify_bound(sp, spec, X, tol) for spec in specs]
+
+
+def test_verify_bounds_needs_one_operator():
+    sp = fb.make_space(3)
+    A = skew_matrix(trial_rng(5, 3), 3)
+    with pytest.raises(ValueError, match="one operator"):
+        fb.verify_bounds(sp, [], A)
+    with pytest.raises(ValueError, match="one operator"):
+        fb.verify_bounds(sp, [fb.BoundSpec("Delta", 2), fb.BoundSpec("DeltaPlus", 2)], A)
 
 
 def test_basic_estimate_saturation():

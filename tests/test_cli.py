@@ -161,11 +161,51 @@ def test_nonfinite_diag_rejected(diag, capsys, monkeypatch):
     def must_not_build(*args, **kwargs):
         raise AssertionError("operator built from non-finite input")
 
-    monkeypatch.setattr(cli.bounds, "verify_bound", must_not_build)
+    monkeypatch.setattr(cli.bounds, "verify_bounds", must_not_build)
     code = cli.main(["verify-bounds", "--which", "dGamma", "--r", "2",
                      "--m", "2", "--diag", *diag])
     assert code == cli.EXIT_VALIDATION_ERROR
     assert "finite" in capsys.readouterr().err
+
+
+def test_duplicate_r_rejected(capsys, monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("space built for duplicate exponents")
+
+    monkeypatch.setattr(cli, "make_space", must_not_build)
+    code = cli.main(["verify-bounds", "--which", "dGamma", "--r", "2", "2.0", "4/2",
+                     "--m", "3"])
+    assert code == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "distinct" in captured.err
+
+
+def test_every_exponent_validated_before_building(capsys, monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("operator built before every exponent was validated")
+
+    monkeypatch.setattr(cli.bounds, "ladder_matrix", must_not_build)
+    code = cli.main(["verify-bounds", "--which", "Delta", "--r", "1", "3", "--m", "4"])
+    assert code == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "r <= 2" in captured.err
+
+
+@pytest.mark.parametrize("rs", [["2"], ["1", "4/3", "2", "inf"]])
+def test_one_sector_build_per_trial_for_every_r(rs, capsys, monkeypatch):
+    calls = []
+    build = cli.bounds.ladder_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["sector"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli.bounds, "ladder_matrix", counting)
+    code, out = run(["verify-bounds", "--which", "dGamma", "--r", *rs, "--m", "3",
+                     "--trials", "2"], capsys)
+    assert code == cli.EXIT_OK
+    assert len(json.loads(out)["checks"]) == 2 * len(rs)
+    assert calls == [0, 1, 2, 3] * 2
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

@@ -74,16 +74,34 @@ def dense_verdict(sp, spec, X):
 @pytest.mark.parametrize("m", MODES)
 def test_sector_verdict_equals_dense(m, which):
     sp = fb.make_space(m)
-    for r in R_VALUES[which]:
-        spec = fb.BoundSpec(which, r)
-        for t in range(2):
-            rng = trial_rng(33, m, t)
-            X = complex_matrix(rng, m) if spec.operator == "dGamma" else skew_matrix(rng, m)
+    specs = [fb.BoundSpec(which, r) for r in R_VALUES[which]]
+    for t in range(2):
+        rng = trial_rng(33, m, t)
+        X = complex_matrix(rng, m) if specs[0].operator == "dGamma" else skew_matrix(rng, m)
+        shared = fb.verify_bounds(sp, specs, X)
+        for spec, one_r in zip(specs, shared):
             _, _, dense = dense_verdict(sp, spec, X)
-            sector = fb.verify_bound(sp, spec, X)
-            assert sector.passed == dense.passed
-            assert abs(sector.slack_min - dense.slack_min) <= 1e-6 * dense.tolerance
-            assert sector.tolerance == pytest.approx(dense.tolerance, rel=1e-9)
+            for sector in (fb.verify_bound(sp, spec, X), one_r):
+                assert sector.passed == dense.passed
+                assert abs(sector.slack_min - dense.slack_min) <= 1e-6 * dense.tolerance
+                assert sector.tolerance == pytest.approx(dense.tolerance, rel=1e-9)
+
+
+@pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])
+@pytest.mark.parametrize("m", MODES)
+def test_shared_gram_verdicts_equal_dense(m, operator):
+    # every bound on one Q in one call, so the sector spectra serve several
+    # bounds and several exponents at once
+    sp = fb.make_space(m)
+    specs = [fb.BoundSpec(which, r) for which, rs in sorted(R_VALUES.items())
+             for r in rs if fb.BoundSpec(which, r).operator == operator]
+    rng = trial_rng(36, m)
+    X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
+    for spec, verdict in zip(specs, fb.verify_bounds(sp, specs, X), strict=True):
+        _, _, dense = dense_verdict(sp, spec, X)
+        assert verdict.passed == dense.passed
+        assert abs(verdict.slack_min - dense.slack_min) <= 1e-6 * dense.tolerance
+        assert verdict.tolerance == pytest.approx(dense.tolerance, rel=1e-9)
 
 
 @pytest.mark.parametrize("which", ["dGamma", "DeltaPlus", "literature_Delta"])

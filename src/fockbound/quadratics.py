@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LADDERS, FockOperator, FockSpace, ladder_operator, slater_state
+from .fock import (LADDERS, FockOperator, FockSpace, ladder_operator, sector_blocks,
+                   slater_state)
 from .tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
 
 
@@ -80,14 +81,21 @@ class CommutatorReport:
 
 
 def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
+    """The identity sector by sector: on the n-particle sector the commutator is
+    Delta_{n+2->n} Delta+_{n->n+2} - Delta+_{n-2->n} Delta_{n->n-2}, and every
+    entry of the whole-space residual outside these blocks vanishes exactly."""
     A = require_skew(_as_one_body(space, A, "A"), "A")
     C = require_skew(_as_one_body(space, C, "C"), "C")
-    da, dpc = delta(space, A), delta_plus(space, C)
-    comm = (da @ dpc - dpc @ da).matrix
-    target = -4.0 * d_gamma(space, C @ A).matrix \
-        + 2.0 * np.trace(A @ C) * np.eye(space.dim)
-    residual = float(np.abs(comm - target).max(initial=0.0))
-    scale = 1.0 + float(np.abs(comm).max(initial=0.0) + np.abs(target).max(initial=0.0))
+    da, dpc = sector_blocks(space, "Delta", A), sector_blocks(space, "DeltaPlus", C)
+    dg, trace = sector_blocks(space, "dGamma", C @ A), np.trace(A @ C)
+    residual = comm_max = target_max = 0.0
+    for n in range(space.m + 1):
+        comm = da[n + 2] @ dpc[n] - dpc[n - 2] @ da[n]
+        target = -4.0 * dg[n] + 2.0 * trace * np.eye(len(comm))
+        residual = max(residual, float(np.abs(comm - target).max()))
+        comm_max = max(comm_max, np.abs(comm).max())
+        target_max = max(target_max, np.abs(target).max())
+    scale = 1.0 + float(comm_max + target_max)
     return CommutatorReport(residual=residual, scale=scale,
                             passed=residual <= NORM_TOL * scale)
 

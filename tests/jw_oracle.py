@@ -5,6 +5,10 @@ Each a+_j is a dense 2^m x 2^m matrix with the Jordan-Wigner sign
 operators are sums of scaled copies and dense products of these.  This is the
 construction the package used before its bitmask builder, kept unchanged as
 the oracle the builder is compared against at small m.
+
+verify_car and check_commutator are the whole-space versions of the CAR suite
+and the commutator identity that the package used before it checked them
+sector by sector, with the dense operators of this module.
 """
 
 from __future__ import annotations
@@ -13,8 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from fockbound.fock import FockOperator, FockSpace, _check_mode, _check_vector, _space
-from fockbound.quadratics import _as_one_body, require_skew
+from fockbound.fock import (CAR_TOL, CarReport, FockOperator, FockSpace, _check_mode,
+                            _check_vector, _space, anticommutator)
+from fockbound.quadratics import CommutatorReport, _as_one_body, require_skew
+from fockbound.rng import complex_vector, trial_rng
+from fockbound.tolerances import NORM_TOL
 
 
 @lru_cache(maxsize=None)
@@ -103,3 +110,47 @@ def delta_plus(space: FockSpace, C) -> FockOperator:
         if acc.any():
             mat += _creation_matrix(space.m, k + 1) @ acc
     return FockOperator(space, mat, grading_shift=+2)
+
+
+def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> CarReport:
+    worst = dict.fromkeys(CAR_TOL, 0.0)
+    eye = np.eye(space.dim)
+    for t in range(trials):
+        rng = trial_rng(seed, t)
+        f = complex_vector(rng, space.m)
+        g = complex_vector(rng, space.m)
+        af, ag = op_a(space, f), op_a(space, g)
+        adf, adg = op_adag(space, f), op_adag(space, g)
+        pairing = complex(np.sum(f * g))  # (fbar, g) with the antilinear-first inner product
+        proj = adf @ op_a(space, f.conj())
+        res = {
+            "anticommutator_aa": np.abs(anticommutator(af, ag).matrix).max(),
+            "anticommutator_adad": np.abs(anticommutator(adf, adg).matrix).max(),
+            "anticommutator_mixed": np.abs(
+                anticommutator(af, adg).matrix - pairing * eye).max(),
+            "adjoint_relation": np.abs(
+                af.dagger().matrix - op_adag(space, f.conj()).matrix).max(),
+            "projection_identity": np.abs(
+                (proj @ proj).matrix
+                - float(np.linalg.norm(f))**2 * proj.matrix).max(),
+            "norm_identity": abs(np.linalg.norm(af.matrix, 2) - np.linalg.norm(f)),
+        }
+        scale = 1.0 + np.linalg.norm(f) * np.linalg.norm(g)
+        for key, val in res.items():
+            key_scale = 1.0 + np.linalg.norm(f) if key == "norm_identity" else scale
+            worst[key] = max(worst[key], float(val / key_scale))
+    return CarReport(m=space.m, trials=trials, seed=seed, residuals=worst,
+                     passed=all(worst[key] <= tol for key, tol in CAR_TOL.items()))
+
+
+def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
+    A = require_skew(_as_one_body(space, A, "A"), "A")
+    C = require_skew(_as_one_body(space, C, "C"), "C")
+    da, dpc = delta(space, A), delta_plus(space, C)
+    comm = (da @ dpc - dpc @ da).matrix
+    target = -4.0 * d_gamma(space, C @ A).matrix \
+        + 2.0 * np.trace(A @ C) * np.eye(space.dim)
+    residual = float(np.abs(comm - target).max(initial=0.0))
+    scale = 1.0 + float(np.abs(comm).max(initial=0.0) + np.abs(target).max(initial=0.0))
+    return CommutatorReport(residual=residual, scale=scale,
+                            passed=residual <= NORM_TOL * scale)

@@ -39,6 +39,18 @@ def test_verify_bounds_saturation(capsys):
     assert body["checks"][0]["metric"] == 0.0
 
 
+def test_saturated_sector_passes_with_default_tolerance(capsys):
+    # the one-particle block of dGamma(B) is B itself, so at r = inf sector
+    # n = 1 meets |B|_inf^2 n^2 exactly and its slack is rounding noise; the
+    # default tolerance absorbs it, where --tolerance 0 leaves it to chance
+    code, out = run(["verify-bounds", "--which", "dGamma", "--r", "inf", "2",
+                     "--m", "5", "--trials", "2"], capsys)
+    assert code == 0
+    rows = json.loads(out)["checks"]
+    assert len(rows) == 4 and all(row["pass"] for row in rows)
+    assert all(row["tolerance"] > 0 for row in rows)
+
+
 def test_verify_bounds_r_parsing(capsys):
     code, out = run(["verify-bounds", "--which", "dGamma", "--r", "4/3", "2",
                      "--m", "3", "--trials", "2", "--seed", "7"], capsys)

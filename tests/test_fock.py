@@ -199,6 +199,28 @@ def test_verify_car_deterministic():
     assert a.residuals == b.residuals
 
 
+@pytest.mark.parametrize("trials", [0, -2])
+def test_verify_car_rejects_vacuous_runs(trials):
+    with pytest.raises(ValueError):
+        fb.verify_car(fb.make_space(3), trials=trials)
+
+
+@pytest.mark.parametrize("edge", ["lowest", "highest"])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_verify_car_sees_one_corrupt_creation_block(m, edge, corrupt_block):
+    # creation maps sector n to n + 1, so its lowest block leaves the vacuum
+    # and its highest one reaches the filled sector n = m
+    flips = corrupt_block("creation", 0 if edge == "lowest" else m - 1)
+    report = fb.verify_car(fb.make_space(m), trials=2, seed=5)
+    assert flips
+    assert not report.passed
+    # every residual with a creation factor sees it; {a+, a+} needs two modes
+    touched = ["anticommutator_mixed", "adjoint_relation", "projection_identity"]
+    touched += ["anticommutator_adad"] if m > 1 else []
+    for key in touched:
+        assert report.residuals[key] > 1e-3, key
+
+
 def test_fock_vector_inner_antilinear_first():
     sp = fb.make_space(1)
     u = fb.FockVector(sp, np.array([1j, 0.0]))

@@ -1,6 +1,8 @@
-"""The bitmask builder and the sector-by-sector bound verdict against the
-dense Jordan-Wigner construction in jw_oracle.py."""
+"""The bitmask builder, the sector-by-sector bound verdict, and the
+sector-blocked CAR suite and commutator identity against the dense
+Jordan-Wigner construction in jw_oracle.py."""
 
+import itertools
 import math
 
 import numpy as np
@@ -133,3 +135,60 @@ def test_verify_bound_m12():
     verdict = fb.verify_bound(sp, fb.BoundSpec("DeltaPlus", 2), C)
     assert verdict.passed
     assert verdict.slack_min > 0
+
+
+def assert_same_car(new, old):
+    assert new.passed == old.passed
+    assert new.residuals.keys() == old.residuals.keys()
+    for key, value in old.residuals.items():
+        assert abs(new.residuals[key] - value) <= 1e-13, key
+
+
+def assert_same_commutator(new, old):
+    assert new.passed == old.passed
+    assert abs(new.residual - old.residual) <= 1e-13
+    assert new.scale == pytest.approx(old.scale, rel=1e-13)
+
+
+@pytest.mark.parametrize("m", MODES)
+def test_blocked_car_suite_equals_dense(m):
+    sp = fb.make_space(m)
+    for seed in (0, 7, 2024):
+        assert_same_car(fb.verify_car(sp, trials=3, seed=seed),
+                        jw.verify_car(sp, trials=3, seed=seed))
+
+
+@pytest.mark.parametrize("zeroed", ["f", "f and g"])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_blocked_car_suite_equals_dense_for_zero_f(m, zeroed, monkeypatch):
+    # f is the first draw of each trial and g the second
+    for module in (fb.fock, jw):
+        draws = itertools.count()
+
+        def vector(rng, n, draws=draws):
+            v = complex_vector(rng, n)
+            return 0 * v if zeroed == "f and g" or next(draws) % 2 == 0 else v
+
+        monkeypatch.setattr(module, "complex_vector", vector)
+    sp = fb.make_space(m)
+    new, old = fb.verify_car(sp, trials=2, seed=3), jw.verify_car(sp, trials=2, seed=3)
+    assert_same_car(new, old)
+    assert new.passed
+
+
+def rank_two_skew(rng, m):
+    u, v = complex_vector(rng, m), complex_vector(rng, m)
+    return np.outer(u, v) - np.outer(v, u)
+
+
+@pytest.mark.parametrize("m", MODES)
+def test_blocked_commutator_equals_dense(m):
+    sp = fb.make_space(m)
+    zero = np.zeros((m, m))
+    for seed in (0, 7, 2024):
+        rng = trial_rng(37, seed, m)
+        A, C = skew_matrix(rng, m), skew_matrix(rng, m)
+        for a, c in ((A, C), (zero, C), (A, zero), (zero, zero),
+                     (A, rank_two_skew(rng, m))):
+            assert_same_commutator(fb.check_commutator(sp, a, c),
+                                   jw.check_commutator(sp, a, c))

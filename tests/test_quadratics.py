@@ -131,6 +131,21 @@ def test_commutator_random(m):
         assert rep.passed, rep
 
 
+@pytest.mark.parametrize("name, edge", [("Delta", "lowest"), ("Delta", "highest"),
+                                        ("dGamma", "highest")])
+@pytest.mark.parametrize("m", [2, 4])
+def test_check_commutator_sees_one_corrupt_block(m, name, edge, corrupt_block):
+    # Delta maps sector n to n - 2: its lowest block reaches the vacuum and
+    # its highest one leaves the filled sector n = m.  The dGamma(CA) block of
+    # sector m enters the residual of that sector alone.  At m = 1 every pair
+    # operator vanishes, so m = 2 is the smallest case with a block to corrupt.
+    flips = corrupt_block(name, 2 if edge == "lowest" else m)
+    rng = trial_rng(9, m)
+    rep = fb.check_commutator(fb.make_space(m), skew_matrix(rng, m), skew_matrix(rng, m))
+    assert flips
+    assert not rep.passed
+
+
 def test_check_grading():
     sp = fb.make_space(4)
     rng = trial_rng(5, 0)

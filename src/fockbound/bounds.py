@@ -22,9 +22,8 @@ from .rng import complex_matrix, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _require_self_adjoint, schatten_norm
 from .tolerances import EIGEN_TOL, IDENTITY_TOL
 
-WHICH = ("dGamma", "Delta", "DeltaPlus", "basic",
-         "literature_dGamma", "literature_Delta", "literature_DeltaPlus",
-         "improved_r2")
+WHICH = ("dGamma", "Delta", "DeltaPlus", "literature_dGamma", "literature_Delta",
+         "literature_DeltaPlus", "improved_r2")
 
 
 @dataclass(frozen=True)
@@ -47,8 +46,6 @@ class BoundSpec:
     @property
     def operator(self) -> str:
         """The operator Q whose Q*Q the bound controls, a key of fock.LADDERS."""
-        if self.which == "basic":
-            raise ValueError("use basic_estimate_check for the diagonal basic bound")
         if self.which == "improved_r2":
             return "DeltaPlus"
         return self.which.removeprefix("literature_")
@@ -95,9 +92,6 @@ def _profile(spec: BoundSpec, norms: dict, n: np.ndarray) -> np.ndarray:
         return need("2")**2 * nf**2
     if w == "literature_DeltaPlus":
         return need("2")**2 * (nf + 2.0)**2
-    if w == "basic":
-        # r plays the role of the Hoelder exponent p; 1/q = s/2
-        return need("p") * npow(s / 2.0)
     raise AssertionError(w)
 
 
@@ -105,7 +99,7 @@ def rhs_operator(space: FockSpace, spec: BoundSpec, norms: dict):
     """Diagonal Fock operator gamma_r N^s + delta_r Id for the given bound.
 
     `norms` maps norm labels to values: "r" (Schatten-r norm of the argument),
-    "2" (Hilbert-Schmidt), "inf" (operator norm), "p" (Lambda_p for `basic`).
+    "2" (Hilbert-Schmidt) and "inf" (operator norm).
     """
     diag = _profile(spec, norms, space.occupations)
     return FockOperator(space, np.diag(diag.astype(complex)), grading_shift=0)

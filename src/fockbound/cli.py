@@ -25,7 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, converse, gaussian, quadratics
-from .fock import CAR_TOL, LADDERS, ResourceError, make_space, verify_car
+from .fock import (CAR_TOL, LADDERS, ResourceError, ladder_entries, make_space,
+                   sector_blocks, verify_car)
 from .rng import complex_matrix, skew_matrix, trial_rng
 from .tolerances import ENTRY_TOL, NORM_TOL, ORDER_TOL, SLOPE_TOL
 
@@ -142,7 +143,7 @@ def run_verify_bounds(cfg: RunConfig) -> list[dict]:
 def run_verify_algebra(cfg: RunConfig) -> list[dict]:
     space = make_space(cfg.m)
     worst = {"commutator": 0.0, "adjoint_dgamma": 0.0, "adjoint_delta": 0.0}
-    grading_failures = 0
+    grading_failures, occ = 0, space.occupations
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         B = complex_matrix(rng, cfg.m)
@@ -150,15 +151,19 @@ def run_verify_algebra(cfg: RunConfig) -> list[dict]:
         C = skew_matrix(rng, cfg.m)
         rep = quadratics.check_commutator(space, A, C)
         worst["commutator"] = max(worst["commutator"], rep.residual / rep.scale)
-        dg = quadratics.d_gamma(space, B)
-        worst["adjoint_dgamma"] = max(worst["adjoint_dgamma"], float(np.abs(
-            dg.dagger().matrix - quadratics.d_gamma(space, B.conj().T).matrix).max()))
-        da = quadratics.delta(space, A)
-        worst["adjoint_delta"] = max(worst["adjoint_delta"], float(np.abs(
-            da.dagger().matrix
-            - quadratics.delta_plus(space, A.conj().T).matrix).max()))
-        ops = (dg, da, quadratics.delta_plus(space, C))
-        grading_failures += not all(quadratics.check_grading(op) for op in ops)
+        # Q(X)[n]^H and Q'(X^H)[n + shift] map sector n + shift to n; all else is 0
+        for key, name, X, adjoint in (("adjoint_dgamma", "dGamma", B, "dGamma"),
+                                      ("adjoint_delta", "Delta", A, "DeltaPlus")):
+            q, qa = sector_blocks(space, name, X), sector_blocks(space, adjoint, X.conj().T)
+            worst[key] = max(worst[key], *(
+                np.abs(q[n].conj().T - qa[n + LADDERS[name][1]]).max(initial=0.0)
+                for n in range(cfg.m + 1)))
+        # whole-space entries, not blocks, which are graded by construction
+        misgraded = False
+        for name, X in (("dGamma", B), ("Delta", A), ("DeltaPlus", C)):
+            (rows, cols), _, _ = ladder_entries(space, name, X)
+            misgraded |= bool(np.any(occ[rows] - occ[cols] != LADDERS[name][1]))
+        grading_failures += misgraded
     inputs = {"m": cfg.m, "trials": cfg.trials, "seed": cfg.seed}
     tols = {"commutator": NORM_TOL, "adjoint_dgamma": ENTRY_TOL * (1 + 4 * cfg.m),
             "adjoint_delta": ENTRY_TOL * (1 + 4 * cfg.m)}
@@ -181,8 +186,7 @@ def run_gaussian_check(cfg: RunConfig) -> list[dict]:
         rng = trial_rng(cfg.seed, t)
         C = skew_matrix(rng, cfg.m)
         rep = gaussian.gaussian_report(space, C)
-        rel = rep.max_abs_diff / (1.0 + float(np.abs(rep.series_values).max()))
-        worst_diff = max(worst_diff, rel)
+        worst_diff = max(worst_diff, rep.max_rel_diff)
         zeros_failures += not rep.zeros_matched
         convention_failures += rep.convention != gaussian.DEFAULT_CONVENTION
     inputs = {"m": cfg.m, "trials": cfg.trials, "seed": cfg.seed}
@@ -321,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-bounds", help="number-operator bound suite")
     common(p)
     p.add_argument("--tolerance", type=float, default=None)
-    # the diagonal basic estimate has its own check, basic_estimate_check
-    p.add_argument("--which", required=True,
-                   choices=[w for w in bounds.WHICH if w != "basic"])
+    p.add_argument("--which", required=True, choices=bounds.WHICH)
     p.add_argument("--r", nargs="+", required=True,
                    help="Schatten exponents, e.g. 1 4/3 2 inf")
     p.add_argument("--diag", nargs="+", type=float, default=None,
@@ -383,8 +385,8 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
         report = build_report(cfg)
         text = render(report, cfg.fmt)
-    except ResourceError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
+    except (ResourceError, MemoryError) as exc:
+        print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
     except (ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)

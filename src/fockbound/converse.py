@@ -54,7 +54,6 @@ class SweepResult:
     s: float
     n: np.ndarray
     partial_sums: np.ndarray
-    sector_norms: np.ndarray
     slope: float
     fit_window: tuple
     slope_target: float
@@ -84,7 +83,7 @@ def sharpness_sweep(s: float, n_max: int = 100_000,
     window = n_grid >= n_max / 10
     slope = _loglog_slope(n_grid[window], sums[window])
     return SweepResult(
-        s=s, n=n_grid, partial_sums=sums, sector_norms=sums, slope=slope,
+        s=s, n=n_grid, partial_sums=sums, slope=slope,
         fit_window=(int(n_grid[window][0]), int(n_grid[window][-1])),
         slope_target=s / 2.0, passed=abs(slope - s / 2.0) <= SLOPE_TOL)
 

@@ -136,14 +136,13 @@ LADDERS = {"creation": ("+", 1), "annihilation": ("-", -1), "dGamma": ("+-", 0),
            "Delta": ("--", -2), "DeltaPlus": ("++", 2)}
 
 
-def ladder_matrix(space: FockSpace, name: str, coeffs,
-                  sector: int | None = None) -> np.ndarray:
-    """Matrix of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1] for the kinds LADDERS[name].
+def ladder_entries(space: FockSpace, name: str, coeffs, sector: int | None = None):
+    """Entries ((rows, cols), values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1].
 
     Each term is applied to every basis bitmask at once, rightmost factor
     first, so no operator matrix is ever multiplied.  With `sector=n` only
     the block from the n-particle sector to the (n + shift)-particle sector
-    is built.  Terms are summed in index order, as the sum is written.
+    is built.  A position recurs once for each term that reaches it.
     """
     kinds, shift = LADDERS[name]
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -166,9 +165,16 @@ def ladder_matrix(space: FockSpace, name: str, coeffs,
         parity += np.bitwise_count(masks & (bit - 1))
         masks ^= bit
     term, col = np.nonzero(alive)
-    out = np.zeros((nrows, cols.size), dtype=complex)
-    np.add.at(out, (space.index_of[masks[term, col]] - row0, col),
-              coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)))
+    return ((space.index_of[masks[term, col]] - row0, col),
+            coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)), (nrows, cols.size))
+
+
+def ladder_matrix(space: FockSpace, name: str, coeffs,
+                  sector: int | None = None) -> np.ndarray:
+    """The `ladder_entries` summed into a dense matrix in term order, as the sum is written."""
+    positions, values, shape = ladder_entries(space, name, coeffs, sector)
+    out = np.zeros(shape, dtype=complex)
+    np.add.at(out, positions, values)
     return out
 
 

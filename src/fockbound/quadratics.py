@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (LADDERS, FockOperator, FockSpace, ladder_operator, sector_blocks,
-                   slater_state)
+from .fock import (LADDERS, FockOperator, FockSpace, ladder_matrix, ladder_operator,
+                   sector_blocks, slater_state)
 from .tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
 
 
@@ -112,10 +112,12 @@ def check_grading(op: FockOperator) -> bool:
 
 
 def slater_expectation(space: FockSpace, B, modes) -> complex:
-    """<slater(S), d_gamma(B) slater(S)>; cross-checked against sum_{j in S} B_jj."""
+    """<slater(S), d_gamma(B) slater(S)> on the dGamma block of sector |S|, where
+    slater(S) lies; cross-checked against sum_{j in S} B_jj."""
     B = _as_one_body(space, B, "B")
-    phi = slater_state(space, modes)
-    value = phi.inner(d_gamma(space, B) @ phi)
+    n = len(modes)
+    phi = slater_state(space, modes).amplitudes[space.occupations == n]
+    value = complex(np.vdot(phi, ladder_matrix(space, "dGamma", B, sector=n) @ phi))
     diagonal_sum = complex(sum(B[j - 1, j - 1] for j in modes))
     if abs(value - diagonal_sum) > IDENTITY_TOL * (1.0 + abs(diagonal_sum)):
         raise AssertionError(

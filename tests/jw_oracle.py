@@ -9,6 +9,11 @@ the oracle the builder is compared against at small m.
 verify_car and check_commutator are the whole-space versions of the CAR suite
 and the commutator identity that the package used before it checked them
 sector by sector, with the dense operators of this module.
+
+run_verify_algebra, pair_coefficients, gaussian_state and slater_expectation
+are the package's whole-space versions from before those too read sector
+blocks: they apply the package's own whole-space operators (d_gamma, delta,
+delta_plus and check_grading) to whole-space vectors.
 """
 
 from __future__ import annotations
@@ -17,11 +22,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from fockbound.fock import (CAR_TOL, CarReport, FockOperator, FockSpace, _check_mode,
-                            _check_vector, _space, anticommutator)
+from fockbound import quadratics
+from fockbound.cli import RunConfig, _check
+from fockbound.fock import (CAR_TOL, CarReport, FockOperator, FockSpace, FockVector,
+                            _check_mode, _check_vector, _space, anticommutator,
+                            make_space, slater_state, vacuum)
 from fockbound.quadratics import CommutatorReport, _as_one_body, require_skew
-from fockbound.rng import complex_vector, trial_rng
-from fockbound.tolerances import NORM_TOL
+from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
+from fockbound.tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
 
 
 @lru_cache(maxsize=None)
@@ -154,3 +162,68 @@ def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
     scale = 1.0 + float(np.abs(comm).max(initial=0.0) + np.abs(target).max(initial=0.0))
     return CommutatorReport(residual=residual, scale=scale,
                             passed=residual <= NORM_TOL * scale)
+
+
+def run_verify_algebra(cfg: RunConfig) -> list[dict]:
+    space = make_space(cfg.m)
+    worst = {"commutator": 0.0, "adjoint_dgamma": 0.0, "adjoint_delta": 0.0}
+    grading_failures = 0
+    for t in range(cfg.trials):
+        rng = trial_rng(cfg.seed, t)
+        B = complex_matrix(rng, cfg.m)
+        A = skew_matrix(rng, cfg.m)
+        C = skew_matrix(rng, cfg.m)
+        rep = quadratics.check_commutator(space, A, C)
+        worst["commutator"] = max(worst["commutator"], rep.residual / rep.scale)
+        dg = quadratics.d_gamma(space, B)
+        worst["adjoint_dgamma"] = max(worst["adjoint_dgamma"], float(np.abs(
+            dg.dagger().matrix - quadratics.d_gamma(space, B.conj().T).matrix).max()))
+        da = quadratics.delta(space, A)
+        worst["adjoint_delta"] = max(worst["adjoint_delta"], float(np.abs(
+            da.dagger().matrix
+            - quadratics.delta_plus(space, A.conj().T).matrix).max()))
+        ops = (dg, da, quadratics.delta_plus(space, C))
+        grading_failures += not all(quadratics.check_grading(op) for op in ops)
+    inputs = {"m": cfg.m, "trials": cfg.trials, "seed": cfg.seed}
+    tols = {"commutator": NORM_TOL, "adjoint_dgamma": ENTRY_TOL * (1 + 4 * cfg.m),
+            "adjoint_delta": ENTRY_TOL * (1 + 4 * cfg.m)}
+    checks = [
+        _check(f"algebra/m={cfg.m}/{key}", f"quadratic-operator identity: {key}",
+               {**inputs, "identity": key}, val, tols[key])
+        for key, val in sorted(worst.items())
+    ]
+    checks.append(_check(
+        f"algebra/m={cfg.m}/grading", "trials whose declared sector shifts fail entrywise",
+        {**inputs, "identity": "grading"}, grading_failures, 0))
+    return checks
+
+
+def pair_coefficients(space: FockSpace, C) -> np.ndarray:
+    dp = quadratics.delta_plus(space, C).matrix
+    v = vacuum(space).amplitudes
+    coeffs = [1.0]
+    for _ in range(space.m // 2):
+        v = dp @ v
+        coeffs.append(float(np.real(np.vdot(v, v))))
+    return np.array(coeffs)
+
+
+def gaussian_state(space: FockSpace, C, z: complex) -> FockVector:
+    dp = quadratics.delta_plus(space, C).matrix
+    term = vacuum(space).amplitudes
+    total = term.copy()
+    for n in range(1, space.m // 2 + 1):
+        term = (z / n) * (dp @ term)
+        total += term
+    return FockVector(space, total)
+
+
+def slater_expectation(space: FockSpace, B, modes) -> complex:
+    B = _as_one_body(space, B, "B")
+    phi = slater_state(space, modes)
+    value = phi.inner(quadratics.d_gamma(space, B) @ phi)
+    diagonal_sum = complex(sum(B[j - 1, j - 1] for j in modes))
+    if abs(value - diagonal_sum) > IDENTITY_TOL * (1.0 + abs(diagonal_sum)):
+        raise AssertionError(
+            f"slater expectation {value} disagrees with diagonal sum {diagonal_sum}")
+    return value

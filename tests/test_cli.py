@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fockbound import cli
+from fockbound import cli, fock, gaussian
 
 
 def run(argv, capsys):
@@ -314,3 +314,72 @@ def test_every_row_passes_iff_metric_within_tolerance(argv, tmp_path, capsys):
         assert math.isfinite(row["metric"]) and math.isfinite(row["tolerance"]), row
         assert row["pass"] == (row["metric"] <= row["tolerance"]), row
     assert code == (cli.EXIT_OK if body["all_pass"] else cli.EXIT_VERIFICATION_FAILURE)
+
+
+def algebra_rows(m, trials=1, seed=9):
+    rows = cli.run_verify_algebra(cli.RunConfig("verify-algebra", m=m, trials=trials,
+                                                seed=seed))
+    return {row["check_id"].rsplit("/", 1)[1]: row for row in rows}
+
+
+@pytest.mark.parametrize("m, name, target", [
+    (1, "dGamma", 1), (2, "dGamma", 1), (2, "dGamma", 2), (4, "dGamma", 1), (4, "dGamma", 4),
+    (2, "Delta", 2), (4, "Delta", 2), (4, "Delta", 4)])
+def test_algebra_adjoint_row_sees_one_corrupt_block(m, name, target, corrupt_block):
+    # the lowest sector with an entry and the top sector; dGamma(B) and
+    # dGamma(B*) are both corrupted, so a phase is used in place of a sign
+    flips = corrupt_block(name, target, factor=1j if name == "dGamma" else -1)
+    row = algebra_rows(m)["adjoint_dgamma" if name == "dGamma" else "adjoint_delta"]
+    assert flips
+    assert not row["pass"] and row["metric"] > 1e-3
+
+
+@pytest.mark.parametrize("name", ["dGamma", "Delta", "DeltaPlus"])
+def test_algebra_grading_counts_a_misplaced_entry(name, monkeypatch):
+    entries, moved = cli.ladder_entries, []
+
+    def misplaced(space, kind, coeffs, sector=None):
+        (rows, cols), values, shape = entries(space, kind, coeffs, sector)
+        if kind == name and not moved:  # the first trial's build only
+            occ = space.occupations
+            rows[0] = np.flatnonzero(occ != occ[rows[0]])[0]
+            moved.append(kind)
+        return (rows, cols), values, shape
+
+    monkeypatch.setattr(cli, "ladder_entries", misplaced)
+    row = algebra_rows(3, trials=2)["grading"]
+    assert moved
+    assert row["metric"] == 1 and not row["pass"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify-car", "--m", "3", "--trials", "1"], MemoryError("Unable to allocate 4 GiB")),
+    (["verify-algebra", "--m", "3", "--trials", "1"], MemoryError())])
+def test_out_of_memory_is_a_resource_error(argv, error, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(fock, "ladder_matrix", exhausted)
+    assert cli.main(argv) == cli.EXIT_RESOURCE_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource error: ") and "Traceback" not in captured.err
+    assert (str(error) or "out of memory") in captured.err
+
+
+def test_gaussian_row_reports_the_pointwise_worst(monkeypatch):
+    # an error of 1e-9 at z = 0, where series = det = 1, is 5e-10 relative to
+    # that point but only ~1e-12 relative to the largest |series| on the grid
+    determinant = gaussian.omega_determinant
+
+    def outlier(C, z, exponent_convention=gaussian.DEFAULT_CONVENTION):
+        return determinant(C, z, exponent_convention) + (1e-9 if z == 0 else 0.0)
+
+    monkeypatch.setattr(gaussian, "omega_determinant", outlier)
+    rows = cli.run_gaussian_check(cli.RunConfig("gaussian-check", m=4, trials=1))
+    row = next(r for r in rows if r["check_id"] == "gaussian/m=4/series_vs_determinant")
+    assert row["metric"] == pytest.approx(5e-10, rel=1e-3)
+    assert not row["pass"]
+    C = cli.skew_matrix(cli.trial_rng(0, 0), 4)
+    report = gaussian.gaussian_report(fock.make_space(4), C)
+    assert report.max_rel_diff == row["metric"] and not report.passed

@@ -1,6 +1,7 @@
 """The bitmask builder, the sector-by-sector bound verdict, and the
-sector-blocked CAR suite and commutator identity against the dense
-Jordan-Wigner construction in jw_oracle.py."""
+sector-blocked CAR suite, commutator identity, verify-algebra rows, pair
+powers and Slater expectation against the whole-space construction in
+jw_oracle.py."""
 
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 
 import fockbound as fb
 import jw_oracle as jw
+from fockbound import cli
 from fockbound.bounds import _norms_for
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 
@@ -192,3 +194,70 @@ def test_blocked_commutator_equals_dense(m):
                      (A, rank_two_skew(rng, m))):
             assert_same_commutator(fb.check_commutator(sp, a, c),
                                    jw.check_commutator(sp, a, c))
+
+
+# B is each verify-algebra trial's complex_matrix draw; A and C are its two
+# skew_matrix draws, in that order
+ALGEBRA_CASES = {"random": (), "zero B": ("B",), "zero A": ("A",), "zero C": ("C",),
+                 "all zero": ("B", "A", "C"), "rank-2 C": ("rank-2 C",)}
+
+
+@pytest.mark.parametrize("case", sorted(ALGEBRA_CASES))
+@pytest.mark.parametrize("m", MODES)
+def test_blocked_algebra_rows_equal_dense(m, case, monkeypatch):
+    zeroed = ALGEBRA_CASES[case]
+    for module in (cli, jw):
+        skews = itertools.count()
+
+        def complex_draw(rng, n):
+            B = complex_matrix(rng, n)
+            return 0 * B if "B" in zeroed else B
+
+        def skew_draw(rng, n, skews=skews):
+            X, name = skew_matrix(rng, n), "AC"[next(skews) % 2]
+            if name == "C" and "rank-2 C" in zeroed:
+                return rank_two_skew(rng, n)
+            return 0 * X if name in zeroed else X
+
+        monkeypatch.setattr(module, "complex_matrix", complex_draw)
+        monkeypatch.setattr(module, "skew_matrix", skew_draw)
+    for seed in (0, 7, 2024):
+        cfg = cli.RunConfig("verify-algebra", m=m, trials=2, seed=seed)
+        new, old = cli.run_verify_algebra(cfg), jw.run_verify_algebra(cfg)
+        assert [row["check_id"] for row in new] == [row["check_id"] for row in old]
+        for a, b in zip(new, old):
+            assert a["pass"] == b["pass"] and a["tolerance"] == b["tolerance"]
+            if a["check_id"].endswith("/grading"):
+                assert a["metric"] == b["metric"] == 0  # failed trials
+            else:
+                assert abs(a["metric"] - b["metric"]) <= 1e-13, a["check_id"]
+
+
+@pytest.mark.parametrize("m", MODES)
+def test_blocked_pair_powers_equal_dense(m):
+    sp = fb.make_space(m)
+    for seed in (0, 7, 2024):
+        rng = trial_rng(38, seed, m)
+        for C in (skew_matrix(rng, m), np.zeros((m, m)), rank_two_skew(rng, m)):
+            new, old = fb.pair_coefficients(sp, C), jw.pair_coefficients(sp, C)
+            assert new.shape == old.shape == (m // 2 + 1,)
+            # a coefficient that vanishes exactly (n >= 2 for a rank-2 C) is
+            # rounding noise on both sides
+            noise = np.finfo(float).eps * old.max()
+            assert np.all((np.abs(new - old) <= 1e-13 * old) | (np.maximum(new, old) <= noise))
+            for z in (0.0, 0.7, 1.1 - 0.4j):
+                new_state = fb.gaussian_state(sp, C, z).amplitudes
+                old_state = jw.gaussian_state(sp, C, z).amplitudes
+                assert np.abs(new_state - old_state).max() \
+                    <= 1e-13 * (1.0 + np.abs(old_state).max())
+
+
+@pytest.mark.parametrize("m", MODES)
+def test_blocked_slater_expectation_equals_dense(m):
+    sp = fb.make_space(m)
+    B = complex_matrix(trial_rng(39, m), m)
+    for n in range(m + 1):
+        subsets = list(itertools.combinations(range(1, m + 1), n))
+        for modes in {subsets[0], subsets[-1], subsets[len(subsets) // 2][::-1]}:
+            new = fb.slater_expectation(sp, B, list(modes))
+            assert abs(new - jw.slater_expectation(sp, B, list(modes))) <= 1e-13

@@ -117,17 +117,49 @@ def _norms_for(spec: BoundSpec, X) -> dict:
     return norms
 
 
+def _require_representable(space: FockSpace, X) -> None:
+    """Reject X if Q_n* Q_n or a right-hand side built from it could overflow.
+
+    Each term of Q is a product of two ladder operators of norm <= 1, so
+    |Q| <= sum |X_jk| <= m |X|_F bounds every Gram entry by m^2 |X|_F^2.
+    Every right-hand side is at most (m^3 + 3) |X|_F^2 or (m + 2)^2 |X|_F^2,
+    since |X|_r <= |X|_1 <= sqrt(m) |X|_F.  Both stay below (m + 2)^3 |X|_F^2;
+    the factor 8 leaves room for G + G^H and for the slack rhs(n) - lambda.
+    |X|_F is formed from X scaled to entries of at most sqrt(2), so the check
+    itself cannot overflow.
+    """
+    part = float(np.maximum(np.abs(X.real), np.abs(X.imag)).max(initial=0.0))
+    size = part * float(np.linalg.norm(X / part)) if 0.0 < part < math.inf else part
+    limit = math.sqrt(np.finfo(float).max / 8.0 / (space.m + 2)**3)
+    if not size <= limit:
+        raise ValueError(f"a bound check on {space.m} modes needs a finite |X|_F <= "
+                         f"{limit:.3g}, got {size:.3g}: Q*Q or its bound would overflow")
+
+
 def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
     """(lambda_min, lambda_max) of Q_n* Q_n for each sector n, Q = `operator` built from X.
 
-    The left side of every bound on Q*Q; no exponent r enters it.
+    The left side of every bound on Q*Q; no exponent r enters it.  Q_n* Q_n
+    and Q_n Q_n* share their nonzero eigenvalues, so the eigensolve runs on
+    the smaller of the two.  A wide block (fewer rows than columns, as
+    Delta and DeltaPlus have on about half of the sectors) gives Q_n* Q_n a
+    rank below its dimension, so lambda_min = 0 exactly and lambda_max is
+    the top eigenvalue of Q_n Q_n*.  An empty block (Delta from sectors 0
+    and 1, DeltaPlus from m - 1 and m) gives (0, 0) with no eigensolve.
+    dGamma blocks are square and keep the full Q_n* Q_n, as do tall blocks.
     """
     coeffs = one_body(space, operator, X)
-    extremes = np.empty((space.m + 1, 2))
+    _require_representable(space, coeffs)
+    extremes = np.zeros((space.m + 1, 2))
     for n in range(space.m + 1):
         q = ladder_matrix(space, operator, coeffs, sector=n)
-        gram = _require_self_adjoint(q.conj().T @ q, "lhs")
-        extremes[n] = np.linalg.eigvalsh((gram + gram.conj().T) / 2)[[0, -1]]
+        rows, cols = q.shape
+        if rows == 0:
+            continue
+        wide = rows < cols
+        gram = _require_self_adjoint(q @ q.conj().T if wide else q.conj().T @ q, "lhs")
+        eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+        extremes[n] = (0.0 if wide else eigs[0]), eigs[-1]
     return extremes
 
 

@@ -356,6 +356,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for key in ("which", "diag", "matrix_file", "s", "n_max", "inputs"):
         if getattr(args, key, None) is not None:
             extra[key] = getattr(args, key)
+    if getattr(args, "m", 1) < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     if getattr(args, "trials", 1) <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     if not np.isfinite(getattr(args, "diag", None) or []).all():

@@ -52,9 +52,12 @@ def schatten_norm(B, r) -> float:
     if r < 1:
         raise ValueError(f"Schatten exponent must satisfy r >= 1, got {r}")
     mu = np.linalg.svd(np.atleast_2d(np.asarray(B, dtype=complex)), compute_uv=False)
+    if not mu.size or mu[0] == 0.0:
+        return 0.0
     if math.isinf(r):
-        return float(mu[0]) if mu.size else 0.0
-    return float(np.sum(mu**r) ** (1.0 / r))
+        return float(mu[0])
+    # relative to the largest mu_j, so mu_j^r cannot overflow where the norm does not
+    return float(mu[0] * np.sum((mu / mu[0])**r) ** (1.0 / r))
 
 
 def _require_self_adjoint(X, name: str) -> np.ndarray:

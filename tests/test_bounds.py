@@ -237,3 +237,40 @@ def test_bound_sweep_deterministic():
 
 def test_bound_sweep_empty_family():
     assert fb.bound_sweep([], fb.BoundSpec("dGamma", 2), trials=3, seed=0) == []
+
+
+@pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])
+def test_each_sector_solves_the_smaller_gram(operator, monkeypatch):
+    # Q_n* Q_n is C(m, n) square and Q_n Q_n* is C(m, n + shift) square; the
+    # eigensolve takes the smaller, and an empty block takes none
+    m, shift = 6, fb.fock.LADDERS[operator][1]
+    shapes, solve = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    specs = [spec for spec in SPECS_BY_OPERATOR[operator] if spec.r in (1, 2)]
+    rng = trial_rng(26, 0)
+    X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
+    assert all(v.passed for v in fb.verify_bounds(fb.make_space(m), specs, X))
+    dims = [min(math.comb(m, n), math.comb(m, n + shift))
+            for n in range(m + 1) if 0 <= n + shift <= m]
+    assert shapes == [(d, d) for d in dims]
+
+
+@pytest.mark.parametrize("which,entry", [("dGamma", 1e160), ("dGamma", 1e200),
+                                         ("DeltaPlus", 1e160), ("Delta", 1e200),
+                                         ("dGamma", math.inf), ("dGamma", math.nan)])
+def test_unrepresentable_operator_rejected_before_any_product(which, entry, monkeypatch):
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("sector block built from an operator that overflows")
+
+    monkeypatch.setattr(fb.bounds, "ladder_matrix", must_not_build)
+    X = np.eye(3, dtype=complex)
+    X[0, 1] = entry
+    if which != "dGamma":
+        X = X - X.T
+    with pytest.raises(ValueError, match="would overflow"):
+        fb.verify_bound(fb.make_space(3), fb.BoundSpec(which, 2), X)

@@ -383,3 +383,60 @@ def test_gaussian_row_reports_the_pointwise_worst(monkeypatch):
     C = cli.skew_matrix(cli.trial_rng(0, 0), 4)
     report = gaussian.gaussian_report(fock.make_space(4), C)
     assert report.max_rel_diff == row["metric"] and not report.passed
+
+
+MODE_ARGVS = [["verify-car"], ["verify-algebra"], ["gaussian-check"],
+              ["verify-bounds", "--which", "Delta", "--r", "2"]]
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("argv", MODE_ARGVS)
+def test_nonpositive_modes_are_a_validation_error(argv, m, capsys):
+    assert cli.main([*argv, "--m", m, "--trials", "1"]) == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--m must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", MODE_ARGVS)
+def test_too_many_modes_stays_a_resource_error(argv, capsys):
+    assert cli.main([*argv, "--m", "15", "--trials", "1"]) == cli.EXIT_RESOURCE_ERROR
+    assert capsys.readouterr().err.startswith("resource error: ")
+
+
+def operator_args(tmp_path, which, m, scale):
+    """--diag of scale * (1..m) for dGamma; else a skew --matrix-file with
+    entries of scale * (1..m^2) above the diagonal."""
+    if which == "dGamma":
+        return ["--diag", *(str(scale * k) for k in range(1, m + 1))]
+    C = np.triu(np.arange(1.0, m * m + 1).reshape(m, m), 1)
+    C = scale * (C - C.T)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(np.stack([C, 0 * C], axis=-1).tolist()))
+    return ["--matrix-file", str(path)]
+
+
+@pytest.mark.parametrize("which, operator", [
+    ("dGamma", ["--diag", "1e200", "1", "1"]),
+    ("dGamma", ["--diag", "1e160", "1", "1"]),
+    ("DeltaPlus", 1e160),
+    ("Delta", 1e200)])
+def test_overflowing_operator_is_a_validation_error(which, operator, tmp_path, capsys):
+    if not isinstance(operator, list):
+        operator = operator_args(tmp_path, which, 3, operator)
+    code = cli.main(["verify-bounds", "--which", which, "--r", "2", "--m", "3", *operator])
+    assert code == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "would overflow" in captured.err
+    assert "Warning" not in captured.err and "did not converge" not in captured.err
+
+
+@pytest.mark.parametrize("which, rs", [("dGamma", ["1", "4/3", "2", "4", "inf"]),
+                                       ("DeltaPlus", ["1", "3/2", "2"]),
+                                       ("literature_DeltaPlus", ["2"])])
+def test_entries_near_1e150_still_verify(which, rs, tmp_path, capsys):
+    operator = operator_args(tmp_path, which, 4, 1e150)
+    code, out = run(["verify-bounds", "--which", which, "--r", *rs, "--m", "4", *operator],
+                    capsys)
+    assert code == cli.EXIT_OK
+    rows = json.loads(out)["checks"]
+    assert len(rows) == len(rs) and all(row["pass"] for row in rows)

@@ -12,7 +12,7 @@ import pytest
 import fockbound as fb
 import jw_oracle as jw
 from fockbound import cli
-from fockbound.bounds import _norms_for
+from fockbound.bounds import _gram_extremes, _norms_for
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 
 MODES = range(1, 9)
@@ -127,6 +127,62 @@ def test_sweep_ratio_equals_dense(m, which):
                 ratio = max(ratio, lmax / rhs_n)
         assert row.max_ratio == pytest.approx(ratio, rel=1e-9, abs=1e-12)
         assert abs(row.slack_min - dense.slack_min) <= 1e-6 * dense.tolerance
+
+
+@pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])
+@pytest.mark.parametrize("m", [1, 2, 5, 6])
+def test_gram_extremes_equal_dense(m, operator):
+    # wide blocks read lambda_max from Q_n Q_n* and report lambda_min = 0
+    # exactly; square and tall blocks keep the eigenvalues of Q_n* Q_n
+    sp = fb.make_space(m)
+    shift = fb.fock.LADDERS[operator][1]
+    build = {"dGamma": jw.d_gamma, "Delta": jw.delta, "DeltaPlus": jw.delta_plus}
+    for t in range(2):
+        rng = trial_rng(38, m, t)
+        X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
+        q = build[operator](sp, X)
+        gram = (q.dagger() @ q).matrix
+        extremes = _gram_extremes(sp, operator, X)
+        for n in range(m + 1):
+            idx = np.nonzero(sp.occupations == n)[0]
+            block = gram[np.ix_(idx, idx)]
+            lo, hi = np.linalg.eigvalsh(block)[[0, -1]]
+            scale = 1e-12 * (1.0 + np.linalg.norm(block, 2))
+            rows = math.comb(m, n + shift) if n + shift >= 0 else 0
+            if rows < idx.size:
+                assert extremes[n, 0] == 0.0
+            else:
+                assert abs(extremes[n, 0] - lo) <= scale
+            assert abs(extremes[n, 1] - hi) <= scale
+
+
+EDGE_R = {**R_VALUES, "dGamma": (1, 4 / 3, 2, 4, math.inf)}
+
+
+def edge_operator(case, operator, m):
+    rng = trial_rng(39, m)
+    X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
+    if case == "zero":
+        return np.zeros((m, m), complex)
+    if case == "rank_two":  # rank 2: one canonical pair of Youla's normal form
+        return rank_two_skew(rng, m)
+    return {"random": 1.0, "tiny": 1e-150, "huge": 1e150}[case] * X
+
+
+@pytest.mark.parametrize("case", ["random", "zero", "rank_two", "tiny", "huge"])
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_edge_case_verdicts_equal_dense(m, case):
+    # at m = 1 and 2 every pair block is empty or 1x1; the scaled draws sit
+    # 150 decades from 1 on either side and must neither overflow nor flip
+    sp = fb.make_space(m)
+    for which, rs in sorted(EDGE_R.items()):
+        specs = [fb.BoundSpec(which, r) for r in rs]
+        X = edge_operator(case, specs[0].operator, m)
+        for spec, verdict in zip(specs, fb.verify_bounds(sp, specs, X), strict=True):
+            _, _, dense = dense_verdict(sp, spec, X)
+            assert verdict.passed == dense.passed
+            assert abs(verdict.slack_min - dense.slack_min) <= 1e-6 * dense.tolerance
+            assert verdict.tolerance == pytest.approx(dense.tolerance, rel=1e-9)
 
 
 def test_verify_bound_m12():

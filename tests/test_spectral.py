@@ -67,6 +67,16 @@ def test_schatten_unitary_invariance():
                    - fb.schatten_norm(B, r)) <= 1e-10
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_schatten_norm_neither_overflows_nor_underflows(scale):
+    # mu_j^r leaves the float range at r = 4 on either scale; the norm does not
+    B = complex_matrix(trial_rng(0, 5), 4)
+    for r in (1.0, 1.5, 2.0, 4.0, 10.0, math.inf):
+        assert fb.schatten_norm(scale * B, r) == pytest.approx(
+            scale * fb.schatten_norm(B, r), rel=1e-12)
+    assert fb.schatten_norm(np.zeros((3, 3)), 4.0) == 0.0
+
+
 def test_schatten_rejects_small_r():
     with pytest.raises(ValueError):
         fb.schatten_norm(np.eye(2), 0.5)

@@ -4,6 +4,11 @@ Each bound compares Q*Q against a function rhs(N) of the number operator.  Q
 shifts particle number by a fixed amount, so the check splits exactly into
 Q_n* Q_n <= rhs(n) Id per sector n, with Q_n the block of Q from sector n.
 
+BOUNDS defines every bound in one row: the operator Q, the admissible
+Schatten exponents r_min <= r <= r_max, and rhs(n) from the norms |X|_r,
+|X|_2 and |X|_inf of the one-body argument X, with s = 2(r-1)/r.  The README
+lists the rows as formulas.
+
 Note on the r = inf comparison bound from the literature: it is implemented
 with the squared norm, |B|_inf^2 N^2, which is the dimensionally consistent
 form for d_gamma(B)*d_gamma(B).
@@ -22,8 +27,28 @@ from .rng import complex_matrix, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _require_self_adjoint, schatten_norm
 from .tolerances import EIGEN_TOL, IDENTITY_TOL
 
-WHICH = ("dGamma", "Delta", "DeltaPlus", "literature_dGamma", "literature_Delta",
-         "literature_DeltaPlus", "improved_r2")
+# which: (Q, r_min, r_max, rhs(norms, r, s, n)); norms has the keys "r", "2" and
+# "inf", and n is float, so n**0.0 is exactly 1 on the vacuum too.
+BOUNDS = {
+    "dGamma": ("dGamma", 1.0, math.inf,
+               lambda norms, r, s, n: norms["r"]**2 * n**s
+               + (norms["2"]**2 if 1.0 < r < 2.0 else 0.0)),
+    "Delta": ("Delta", 1.0, 2.0,
+              lambda norms, r, s, n: norms["r"]**2 * n**s
+              + (norms["2"]**2 if r > 1.0 else 0.0)),
+    "DeltaPlus": ("DeltaPlus", 1.0, 2.0,
+                  lambda norms, r, s, n: norms["r"]**2 * n**s
+                  + (3.0 * norms["2"]**2 if r > 1.0 else 0.0)),
+    "literature_dGamma": ("dGamma", 1.0, math.inf,
+                          lambda norms, r, s, n: norms["inf"]**2 * n**2),
+    "literature_Delta": ("Delta", 1.0, math.inf,
+                         lambda norms, r, s, n: norms["2"]**2 * n**2),
+    "literature_DeltaPlus": ("DeltaPlus", 1.0, math.inf,
+                             lambda norms, r, s, n: norms["2"]**2 * (n + 2.0)**2),
+    "improved_r2": ("DeltaPlus", 2.0, 2.0,
+                    lambda norms, r, s, n: norms["2"]**2 * (n + 2.0)),
+}
+WHICH = tuple(BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -34,21 +59,17 @@ class BoundSpec:
     r: float
 
     def __post_init__(self):
-        if self.which not in WHICH:
+        if self.which not in BOUNDS:
             raise ValueError(f"unknown bound {self.which!r}; expected one of {WHICH}")
-        if self.r < 1:
-            raise ValueError(f"need r >= 1, got {self.r}")
-        if self.which in ("Delta", "DeltaPlus") and self.r > 2:
-            raise ValueError(f"{self.which} bound requires 1 <= r <= 2, got r={self.r}")
-        if self.which == "improved_r2" and self.r != 2:
-            raise ValueError(f"improved_r2 bound is stated for r = 2, got r={self.r}")
+        _, r_min, r_max, _ = BOUNDS[self.which]
+        if not r_min <= self.r <= r_max:
+            raise ValueError(f"{self.which} bound requires {r_min:g} <= r <= {r_max:g}, "
+                             f"got r={self.r}")
 
     @property
     def operator(self) -> str:
         """The operator Q whose Q*Q the bound controls, a key of fock.LADDERS."""
-        if self.which == "improved_r2":
-            return "DeltaPlus"
-        return self.which.removeprefix("literature_")
+        return BOUNDS[self.which][0]
 
     @property
     def s(self) -> float:
@@ -58,41 +79,11 @@ class BoundSpec:
 
 def _profile(spec: BoundSpec, norms: dict, n: np.ndarray) -> np.ndarray:
     """Diagonal RHS value per particle number n for the given bound."""
-
-    def need(key: str) -> float:
-        if key not in norms:
-            raise ValueError(f"bound {spec.which!r} at r={spec.r} needs norm {key!r}")
-        return float(norms[key])
-
-    s = spec.s
-    nf = n.astype(float)
-
-    def npow(e: float) -> np.ndarray:
-        # e == 0 cases are written as a pure Id form; never evaluates 0**0
-        return np.ones_like(nf) if e == 0.0 else nf**e
-
-    w = spec.which
-    if w == "dGamma":
-        if 1.0 < spec.r < 2.0:
-            return need("r")**2 * npow(s) + need("2")**2
-        return need("r")**2 * npow(s)
-    if w == "Delta":
-        if spec.r == 1.0:
-            return need("r")**2 * np.ones_like(nf)
-        return need("r")**2 * npow(s) + need("2")**2
-    if w == "DeltaPlus":
-        if spec.r == 1.0:
-            return need("r")**2 * np.ones_like(nf)
-        return need("r")**2 * npow(s) + 3.0 * need("2")**2
-    if w == "improved_r2":
-        return need("2")**2 * (nf + 2.0)
-    if w == "literature_dGamma":
-        return need("inf")**2 * nf**2
-    if w == "literature_Delta":
-        return need("2")**2 * nf**2
-    if w == "literature_DeltaPlus":
-        return need("2")**2 * (nf + 2.0)**2
-    raise AssertionError(w)
+    try:
+        return BOUNDS[spec.which][3](norms, spec.r, spec.s, n.astype(float))
+    except KeyError as missing:
+        raise ValueError(f"bound {spec.which!r} at r={spec.r} needs norm "
+                         f"{missing.args[0]!r}") from None
 
 
 def rhs_operator(space: FockSpace, spec: BoundSpec, norms: dict):
@@ -106,15 +97,8 @@ def rhs_operator(space: FockSpace, spec: BoundSpec, norms: dict):
 
 
 def _norms_for(spec: BoundSpec, X) -> dict:
-    norms = {}
-    if spec.which == "literature_dGamma":
-        norms["inf"] = schatten_norm(X, math.inf)
-    elif spec.which in ("literature_Delta", "literature_DeltaPlus", "improved_r2"):
-        norms["2"] = schatten_norm(X, 2)
-    else:
-        norms["r"] = schatten_norm(X, spec.r)
-        norms["2"] = schatten_norm(X, 2)
-    return norms
+    return {"r": schatten_norm(X, spec.r), "2": schatten_norm(X, 2),
+            "inf": schatten_norm(X, math.inf)}
 
 
 def _require_representable(space: FockSpace, X) -> None:

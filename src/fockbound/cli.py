@@ -127,8 +127,6 @@ def run_verify_bounds(cfg: RunConfig) -> list[dict]:
     for t in range(1 if explicit else cfg.trials):
         rng = trial_rng(cfg.seed, t)
         X = _resolve_operator(cfg, skew, rng)
-        if skew:
-            X = quadratics.require_skew(X, "operator")
         verdicts = bounds.verify_bounds(space, specs, X, tol=cfg.tolerance)
         for spec, verdict in zip(specs, verdicts):
             checks.append(_check(

@@ -68,15 +68,14 @@ def omega_determinant(C, z: complex,
                       exponent_convention: float = DEFAULT_CONVENTION) -> complex:
     """det(Id + 4 z^2 C*C)^exponent_convention.
 
-    For exponent 1/2 the value is computed as the product over paired
-    eigenvalues of C*C, which is a polynomial in z^2 (no branch cut).
+    C*C of a skew C has its eigenvalues in equal pairs, so the determinant is
+    the square of the product over one eigenvalue per pair, and the square
+    root (exponent 1/2) is that product: a polynomial in z^2, no branch cut.
     """
-    C = require_skew(C, "C")
     if exponent_convention not in (0.5, 1.0):
         raise ValueError(f"exponent convention must be 1 or 1/2, got {exponent_convention}")
-    full = np.clip(np.linalg.eigvalsh(C.conj().T @ C), 0.0, None)
-    evals = _paired_gram_eigs(C) if exponent_convention == 0.5 else full
-    return complex(np.prod(1.0 + 4.0 * z**2 * evals))
+    half = complex(np.prod(1.0 + 4.0 * z**2 * _paired_gram_eigs(C)))
+    return half if exponent_convention == 0.5 else half * half
 
 
 def calibrate_convention(space: FockSpace, C, z_samples) -> float:

@@ -14,6 +14,7 @@ projection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,17 @@ def skew_part(A) -> np.ndarray:
 
 
 def is_skew(A, tol: float = ENTRY_TOL) -> bool:
+    """max |A + A^T| <= tol (1 + max |A|), over the entries.
+
+    Compared on A divided by its largest real or imaginary part, so that
+    A + A^T cannot overflow; a non-finite A is not skew.
+    """
     A = np.asarray(A, dtype=complex)
-    scale = 1.0 + np.abs(A).max(initial=0.0)
-    return bool(np.abs(A + A.T).max(initial=0.0) <= tol * scale)
+    part = float(np.maximum(np.abs(A.real), np.abs(A.imag)).max(initial=0.0))
+    if not 0.0 < part < math.inf:
+        return part == 0.0
+    A = A / part
+    return bool(np.abs(A + A.T).max() <= tol * (1.0 / part + np.abs(A).max()))
 
 
 def require_skew(A, name: str = "operator") -> np.ndarray:

@@ -49,7 +49,7 @@ def svd(B) -> SingularDecomposition:
 
 def schatten_norm(B, r) -> float:
     """(sum_j mu_j^r)^(1/r); r = inf gives the operator norm (largest mu_j)."""
-    if r < 1:
+    if not r >= 1:
         raise ValueError(f"Schatten exponent must satisfy r >= 1, got {r}")
     mu = np.linalg.svd(np.atleast_2d(np.asarray(B, dtype=complex)), compute_uv=False)
     if not mu.size or mu[0] == 0.0:

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,3 +275,59 @@ def test_unrepresentable_operator_rejected_before_any_product(which, entry, monk
         X = X - X.T
     with pytest.raises(ValueError, match="would overflow"):
         fb.verify_bound(fb.make_space(3), fb.BoundSpec(which, 2), X)
+
+
+# the admissible exponents of each bound, written out from the paper
+R_RANGES = {"dGamma": (1, math.inf), "Delta": (1, 2), "DeltaPlus": (1, 2),
+            "literature_dGamma": (1, math.inf), "literature_Delta": (1, math.inf),
+            "literature_DeltaPlus": (1, math.inf), "improved_r2": (2, 2)}
+# s = 2(r - 1)/r at each exponent the pins use
+EXPONENT_S = {1: 0.0, 4 / 3: 0.5, 1.5: 2 / 3, 2: 1.0, 3: 4 / 3, math.inf: 2.0}
+
+
+def paper_rhs(which, r, n):
+    """rhs(n) at |X|_r = 2, |X|_2 = 3 and |X|_inf = 5."""
+    s = EXPONENT_S[r]
+    if which == "dGamma":
+        return 4 * n**s + (9 if 1 < r < 2 else 0)
+    if which == "Delta":
+        return 4 * n**s + (9 if r > 1 else 0)
+    if which == "DeltaPlus":
+        return 4 * n**s + (27 if r > 1 else 0)
+    return {"literature_dGamma": 25 * n**2, "literature_Delta": 9 * n**2,
+            "literature_DeltaPlus": 9 * (n + 2)**2, "improved_r2": 9 * (n + 2)}[which]
+
+
+def test_ranges_cover_every_bound():
+    assert set(R_RANGES) == set(WHICH)
+
+
+@pytest.mark.parametrize("which,r", [(which, r) for which, (lo, hi) in R_RANGES.items()
+                                     for r in EXPONENT_S if lo <= r <= hi])
+def test_rhs_operator_is_the_paper_formula(which, r):
+    sp = fb.make_space(4)
+    rhs = fb.rhs_operator(sp, fb.BoundSpec(which, r), {"r": 2, "2": 3, "inf": 5})
+    n = sp.occupations.astype(float)
+    np.testing.assert_allclose(np.diag(rhs.matrix).real, paper_rhs(which, r, n), rtol=1e-14)
+
+
+@pytest.mark.parametrize("which", sorted(R_RANGES))
+def test_bound_spec_accepts_exactly_its_r_range(which):
+    # nan fails every comparison, so it is outside every range
+    lo, hi = R_RANGES[which]
+    assert fb.BoundSpec(which, lo).r == lo and fb.BoundSpec(which, hi).r == hi
+    outside = [math.nan, np.nextafter(lo, 0.0)]
+    for r in outside + ([np.nextafter(hi, math.inf)] if hi < math.inf else []):
+        with pytest.raises(ValueError, match="r <= "):
+            fb.BoundSpec(which, float(r))
+
+
+def test_readme_bound_table_lists_every_bound():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| `--which` | `Q` | admissible `r` | `rhs(n)` |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append(line.split("|")[1].strip().strip("`"))
+    assert rows == list(WHICH)

@@ -203,6 +203,25 @@ def test_every_exponent_validated_before_building(capsys, monkeypatch):
     assert captured.out == "" and "r <= 2" in captured.err
 
 
+@pytest.mark.parametrize("entry", [1.0, 1e308])
+def test_non_skew_matrix_file_rejected_before_building(entry, tmp_path, capsys, monkeypatch):
+    # the library's skewness check is the only one; at 1e308, A + A^T would overflow
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("pair operator built from a non-skew matrix")
+
+    monkeypatch.setattr(cli.bounds, "ladder_matrix", must_not_build)
+    C = np.zeros((3, 3))
+    C[1, 2] = C[2, 1] = entry
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(np.stack([C, 0 * C], axis=-1).tolist()))
+    code = cli.main(["verify-bounds", "--which", "DeltaPlus", "--r", "2", "--m", "3",
+                     "--matrix-file", str(path)])
+    assert code == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "skew-symmetric" in captured.err
+    assert "Warning" not in captured.err
+
+
 @pytest.mark.parametrize("rs", [["2"], ["1", "4/3", "2", "inf"]])
 def test_one_sector_build_per_trial_for_every_r(rs, capsys, monkeypatch):
     calls = []

@@ -181,3 +181,12 @@ def test_gaussian_report():
     assert rep.zeros_matched
     assert math.isnan(rep.order_estimate)  # too few coefficients at desk scale
     assert rep.max_abs_diff <= 1e-10 * (1 + np.abs(rep.series_values).max())
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_determinant_convention_one_is_the_determinant(m):
+    # convention 1 squares the product over one eigenvalue per skew pair of C*C
+    C = skew_matrix(trial_rng(4, m), m)
+    for z in (0.7, -1.3, 0.4 + 0.9j, 1.1j):
+        det = np.linalg.det(np.eye(m) + 4 * z**2 * (C.conj().T @ C))
+        assert abs(fb.omega_determinant(C, z, 1.0) - det) <= 1e-12 * (1 + abs(det))

@@ -212,3 +212,13 @@ def test_dimension_mismatch():
     sp = fb.make_space(3)
     with pytest.raises(ValueError):
         fb.d_gamma(sp, np.eye(4))
+
+
+def test_is_skew_near_the_float_maximum():
+    # A + A^T would overflow here; the comparison runs on A scaled by its largest entry
+    S = np.zeros((3, 3), dtype=complex)
+    S[1, 2] = S[2, 1] = 1e308
+    assert not fb.is_skew(S)
+    S[2, 1] = -1e308
+    assert fb.is_skew(S)
+    assert not fb.is_skew(np.full((2, 2), np.nan)) and fb.is_skew(np.zeros((2, 2)))

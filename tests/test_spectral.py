@@ -211,3 +211,8 @@ def test_bound_verdict_invariant():
     assert v.passed
     v = fb.BoundVerdict("x", "y", slack_min=-1e-7, tolerance=1e-8)
     assert not v.passed
+
+
+def test_schatten_rejects_nan_exponent():
+    with pytest.raises(ValueError, match="r >= 1"):
+        fb.schatten_norm(np.eye(2), math.nan)

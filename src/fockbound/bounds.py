@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
-from .quadratics import one_body
+from .quadratics import one_body, require_representable
 from .rng import complex_matrix, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _require_self_adjoint, schatten_norm
 from .tolerances import EIGEN_TOL, IDENTITY_TOL
@@ -101,25 +101,6 @@ def _norms_for(spec: BoundSpec, X) -> dict:
             "inf": schatten_norm(X, math.inf)}
 
 
-def _require_representable(space: FockSpace, X) -> None:
-    """Reject X if Q_n* Q_n or a right-hand side built from it could overflow.
-
-    Each term of Q is a product of two ladder operators of norm <= 1, so
-    |Q| <= sum |X_jk| <= m |X|_F bounds every Gram entry by m^2 |X|_F^2.
-    Every right-hand side is at most (m^3 + 3) |X|_F^2 or (m + 2)^2 |X|_F^2,
-    since |X|_r <= |X|_1 <= sqrt(m) |X|_F.  Both stay below (m + 2)^3 |X|_F^2;
-    the factor 8 leaves room for G + G^H and for the slack rhs(n) - lambda.
-    |X|_F is formed from X scaled to entries of at most sqrt(2), so the check
-    itself cannot overflow.
-    """
-    part = float(np.maximum(np.abs(X.real), np.abs(X.imag)).max(initial=0.0))
-    size = part * float(np.linalg.norm(X / part)) if 0.0 < part < math.inf else part
-    limit = math.sqrt(np.finfo(float).max / 8.0 / (space.m + 2)**3)
-    if not size <= limit:
-        raise ValueError(f"a bound check on {space.m} modes needs a finite |X|_F <= "
-                         f"{limit:.3g}, got {size:.3g}: Q*Q or its bound would overflow")
-
-
 def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
     """(lambda_min, lambda_max) of Q_n* Q_n for each sector n, Q = `operator` built from X.
 
@@ -133,7 +114,7 @@ def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
     dGamma blocks are square and keep the full Q_n* Q_n, as do tall blocks.
     """
     coeffs = one_body(space, operator, X)
-    _require_representable(space, coeffs)
+    require_representable(space, coeffs, f"{operator} argument")
     extremes = np.zeros((space.m + 1, 2))
     for n in range(space.m + 1):
         q = ladder_matrix(space, operator, coeffs, sector=n)

@@ -59,6 +59,28 @@ def require_skew(A, name: str = "operator") -> np.ndarray:
     return A
 
 
+def require_representable(space: FockSpace, X, name: str) -> None:
+    """Reject X if a product of quadratic operators built from it could overflow.
+
+    Each term of Q(X) is a product of two ladder operators of norm <= 1, so
+    |Q(X)| <= sum |X_jk| <= m |X|_F.  When X and Y both pass, every number a
+    check forms stays below (m + 2)^3 |X|_F |Y|_F <= max / 8: the entries of
+    Q(X)* Q(Y) and of [Delta(A), Delta+(C)] (at most m^2 |X|_F |Y|_F and
+    2 m^2 |A|_F |C|_F), of 4 dGamma(CA) - 2 tr(AC) Id, and every bound's
+    right-hand side ((m^3 + 3) |X|_F^2 or (m + 2)^2 |X|_F^2, as
+    |X|_r <= |X|_1 <= sqrt(m) |X|_F).  The factor 8 leaves room for a sum of
+    two of them: G + G^H, a slack, a residual or a scale.  |X|_F is formed
+    from X scaled to entries of at most sqrt(2), so the check cannot overflow.
+    """
+    part = float(np.maximum(np.abs(X.real), np.abs(X.imag)).max(initial=0.0))
+    size = part * float(np.linalg.norm(X / part)) if 0.0 < part < math.inf else part
+    limit = math.sqrt(np.finfo(float).max / 8.0 / (space.m + 2)**3)
+    if not size <= limit:
+        raise ValueError(f"{name} on {space.m} modes needs a finite Frobenius norm <= "
+                         f"{limit:.3g}, got {size:.3g}: products of its quadratic "
+                         "operators would overflow")
+
+
 def one_body(space: FockSpace, name: str, X) -> np.ndarray:
     """X checked as the one-body matrix of LADDERS[name]; pair operators take only skew X."""
     X = _as_one_body(space, X, f"{name} argument")
@@ -95,18 +117,21 @@ def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
     entry of the whole-space residual outside these blocks vanishes exactly."""
     A = require_skew(_as_one_body(space, A, "A"), "A")
     C = require_skew(_as_one_body(space, C, "C"), "C")
+    require_representable(space, A, "A")
+    require_representable(space, C, "C")
     da, dpc = sector_blocks(space, "Delta", A), sector_blocks(space, "DeltaPlus", C)
     dg, trace = sector_blocks(space, "dGamma", C @ A), np.trace(A @ C)
     residual = comm_max = target_max = 0.0
     for n in range(space.m + 1):
         comm = da[n + 2] @ dpc[n] - dpc[n - 2] @ da[n]
         target = -4.0 * dg[n] + 2.0 * trace * np.eye(len(comm))
-        residual = max(residual, float(np.abs(comm - target).max()))
-        comm_max = max(comm_max, np.abs(comm).max())
-        target_max = max(target_max, np.abs(target).max())
-    scale = 1.0 + float(comm_max + target_max)
+        # np.maximum keeps a NaN that the builtin max would drop
+        residual = np.maximum(residual, np.abs(comm - target).max())
+        comm_max = np.maximum(comm_max, np.abs(comm).max())
+        target_max = np.maximum(target_max, np.abs(target).max())
+    residual, scale = float(residual), 1.0 + float(comm_max + target_max)
     return CommutatorReport(residual=residual, scale=scale,
-                            passed=residual <= NORM_TOL * scale)
+                            passed=residual <= NORM_TOL * scale < math.inf)
 
 
 def check_grading(op: FockOperator) -> bool:

@@ -378,7 +378,7 @@ def test_out_of_memory_is_a_resource_error(argv, error, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(fock, "ladder_matrix", exhausted)
+    monkeypatch.setattr(fock, "ladder_entries", exhausted)
     assert cli.main(argv) == cli.EXIT_RESOURCE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,9 +1,11 @@
 
+import math
+
 import numpy as np
 import pytest
 
 import fockbound as fb
-from fockbound.rng import complex_vector, trial_rng
+from fockbound.rng import complex_vector, skew_matrix, trial_rng
 
 
 def test_make_space_smallest():
@@ -232,3 +234,89 @@ def test_space_arrays_immutable():
     sp = fb.make_space(3)
     with pytest.raises(ValueError):
         sp.masks[0] = 5
+
+
+def sector_dim(m, n):
+    return math.comb(m, n) if 0 <= n <= m else 0
+
+
+def ladder_coeffs(rng, m, name, kind):
+    shape = (m,) * len(fb.fock.LADDERS[name][0])
+    coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if kind == "zero":
+        return 0 * coeffs
+    if kind == "one nonzero row":
+        keep = np.zeros(m, dtype=bool)
+        keep[rng.integers(m)] = True
+        return np.where(keep.reshape((m,) + (1,) * (len(shape) - 1)), coeffs, 0)
+    return coeffs
+
+
+@pytest.mark.parametrize("kind", ["random", "zero", "one nonzero row"])
+@pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
+def test_sector_blocks_equal_per_sector_builds_bit_for_bit(name, kind):
+    shift = fb.fock.LADDERS[name][1]
+    for m in range(1, 9):
+        sp = fb.make_space(m)
+        coeffs = ladder_coeffs(trial_rng(91, m), m, name, kind)
+        blocks = fb.fock.sector_blocks(sp, name, coeffs)
+        assert list(blocks) == list(range(-abs(shift), m + abs(shift) + 1))
+        for n, block in blocks.items():
+            assert block.shape == (sector_dim(m, n + shift), sector_dim(m, n))
+            built = fb.fock.ladder_matrix(sp, name, coeffs, sector=n)
+            assert np.array_equal(block.view(float), built.view(float)), (m, n)
+
+
+def test_sector_blocks_reject_an_entry_outside_its_sector(monkeypatch):
+    # the flat buffer would take the moved row into a neighbouring block
+    entries = fb.fock.ladder_entries
+
+    def misplaced(space, kind, coeffs, sector=None):
+        (rows, cols), values, shape = entries(space, kind, coeffs, sector)
+        occ = space.occupations
+        rows[0] = np.flatnonzero(occ == occ[rows[0]] + 1)[0]
+        return (rows, cols), values, shape
+
+    monkeypatch.setattr(fb.fock, "ladder_entries", misplaced)
+    with pytest.raises(AssertionError, match="sector shift"):
+        fb.fock.sector_blocks(fb.make_space(4), "dGamma", np.ones((4, 4)))
+
+
+def test_each_sector_blocks_call_builds_once(monkeypatch):
+    entries, calls = fb.fock.ladder_entries, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr(fb.fock, "ladder_entries", counting)
+    sp = fb.make_space(5)
+    fb.fock.sector_blocks(sp, "Delta", np.zeros((5, 5)))
+    assert calls == ["Delta"]
+    calls.clear()
+    fb.verify_car(sp, trials=3, seed=2)
+    assert calls == 3 * (3 * ["annihilation"] + 3 * ["creation"])
+    calls.clear()
+    rng = trial_rng(4, 0)
+    fb.check_commutator(sp, skew_matrix(rng, 5), skew_matrix(rng, 5))
+    assert calls == ["Delta", "DeltaPlus", "dGamma"]
+
+
+def test_verify_car_fails_when_a_residual_overflows(monkeypatch):
+    # |f|^2 proj overflows at this scale, so the projection identity is NaN,
+    # which the builtin max would drop.  Warnings are silenced to see the
+    # verdict a caller gets when numpy does not warn.
+    monkeypatch.setattr(fb.fock, "complex_vector", lambda rng, n: 1e150 * complex_vector(rng, n))
+    with np.errstate(all="ignore"):
+        report = fb.verify_car(fb.make_space(4), trials=2, seed=0)
+    assert not report.passed
+    assert math.isnan(report.residuals["projection_identity"])
+
+
+def test_verify_car_fails_on_a_nan_in_one_block(corrupt_block):
+    flips = corrupt_block("creation", 1, factor=math.nan)
+    with np.errstate(all="ignore"):
+        report = fb.verify_car(fb.make_space(3), trials=2, seed=5)
+    assert flips
+    assert not report.passed
+    assert math.isnan(report.residuals["anticommutator_mixed"])

@@ -234,6 +234,18 @@ def test_blocked_car_suite_equals_dense_for_zero_f(m, zeroed, monkeypatch):
     assert new.passed
 
 
+@pytest.mark.parametrize("m", [1, 4, 6])
+def test_blocked_car_suite_equals_dense_at_tiny_scale(m, monkeypatch):
+    # residuals near the subnormal range; the running maxima must still agree
+    for module in (fb.fock, jw):
+        monkeypatch.setattr(module, "complex_vector",
+                            lambda rng, n: 1e-150 * complex_vector(rng, n))
+    sp = fb.make_space(m)
+    new, old = fb.verify_car(sp, trials=2, seed=3), jw.verify_car(sp, trials=2, seed=3)
+    assert_same_car(new, old)
+    assert new.passed
+
+
 def rank_two_skew(rng, m):
     u, v = complex_vector(rng, m), complex_vector(rng, m)
     return np.outer(u, v) - np.outer(v, u)
@@ -247,7 +259,7 @@ def test_blocked_commutator_equals_dense(m):
         rng = trial_rng(37, seed, m)
         A, C = skew_matrix(rng, m), skew_matrix(rng, m)
         for a, c in ((A, C), (zero, C), (A, zero), (zero, zero),
-                     (A, rank_two_skew(rng, m))):
+                     (A, rank_two_skew(rng, m)), (1e-150 * A, 1e-150 * C)):
             assert_same_commutator(fb.check_commutator(sp, a, c),
                                    jw.check_commutator(sp, a, c))
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import fockbound as fb
+from fockbound import quadratics
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng, unitary_matrix
 
 
@@ -222,3 +225,38 @@ def test_is_skew_near_the_float_maximum():
     S[2, 1] = -1e308
     assert fb.is_skew(S)
     assert not fb.is_skew(np.full((2, 2), np.nan)) and fb.is_skew(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_overflowing_commutator_rejected_before_any_block(scale, monkeypatch):
+    # unchecked, these products overflow to a NaN residual and an infinite scale
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("sector block built from an operator that overflows")
+
+    monkeypatch.setattr(fb.fock, "ladder_entries", must_not_build)
+    rng = trial_rng(3, 0)
+    A, C = skew_matrix(rng, 4), skew_matrix(rng, 4)
+    with pytest.raises(ValueError, match="would overflow"):
+        fb.check_commutator(fb.make_space(4), scale * A, C)
+    with pytest.raises(ValueError, match="would overflow"):
+        fb.check_commutator(fb.make_space(4), scale * A, scale * C)
+
+
+def test_unguarded_overflowing_commutator_fails(monkeypatch):
+    # with the guard off, the NaN residual and the infinite scale must fail
+    monkeypatch.setattr(quadratics, "require_representable", lambda *args: None)
+    rng = trial_rng(3, 0)
+    with np.errstate(all="ignore"):
+        rep = fb.check_commutator(fb.make_space(4), 1e160 * skew_matrix(rng, 4),
+                                  1e160 * skew_matrix(rng, 4))
+    assert not rep.passed
+    assert math.isnan(rep.residual)
+
+
+def test_check_commutator_fails_on_a_nan_in_one_block(corrupt_block):
+    flips = corrupt_block("dGamma", 2, factor=math.nan)
+    rng = trial_rng(9, 3)
+    with np.errstate(all="ignore"):
+        rep = fb.check_commutator(fb.make_space(3), skew_matrix(rng, 3), skew_matrix(rng, 3))
+    assert flips
+    assert not rep.passed and math.isnan(rep.residual)

@@ -148,14 +148,15 @@ def run_verify_algebra(cfg: RunConfig) -> list[dict]:
         A = skew_matrix(rng, cfg.m)
         C = skew_matrix(rng, cfg.m)
         rep = quadratics.check_commutator(space, A, C)
-        worst["commutator"] = max(worst["commutator"], rep.residual / rep.scale)
+        # np.maximum and np.max keep a NaN that the builtin max would drop
+        worst["commutator"] = np.maximum(worst["commutator"], rep.residual / rep.scale)
         # Q(X)[n]^H and Q'(X^H)[n + shift] map sector n + shift to n; all else is 0
         for key, name, X, adjoint in (("adjoint_dgamma", "dGamma", B, "dGamma"),
                                       ("adjoint_delta", "Delta", A, "DeltaPlus")):
             q, qa = sector_blocks(space, name, X), sector_blocks(space, adjoint, X.conj().T)
-            worst[key] = max(worst[key], *(
+            worst[key] = np.max([worst[key], *(
                 np.abs(q[n].conj().T - qa[n + LADDERS[name][1]]).max(initial=0.0)
-                for n in range(cfg.m + 1)))
+                for n in range(cfg.m + 1))])
         # whole-space entries, not blocks, which are graded by construction
         misgraded = False
         for name, X in (("dGamma", B), ("Delta", A), ("DeltaPlus", C)):
@@ -184,7 +185,7 @@ def run_gaussian_check(cfg: RunConfig) -> list[dict]:
         rng = trial_rng(cfg.seed, t)
         C = skew_matrix(rng, cfg.m)
         rep = gaussian.gaussian_report(space, C)
-        worst_diff = max(worst_diff, rep.max_rel_diff)
+        worst_diff = np.maximum(worst_diff, rep.max_rel_diff)
         zeros_failures += not rep.zeros_matched
         convention_failures += rep.convention != gaussian.DEFAULT_CONVENTION
     inputs = {"m": cfg.m, "trials": cfg.trials, "seed": cfg.seed}

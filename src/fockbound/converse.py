@@ -67,8 +67,7 @@ def _loglog_slope(n: np.ndarray, values: np.ndarray) -> float:
     return float(np.linalg.lstsq(design, y, rcond=None)[0][0])
 
 
-def sharpness_sweep(s: float, n_max: int = 100_000,
-                    n_grid=None) -> SweepResult:
+def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     """Fit the growth exponent of sector norms for the power_decay(s) family.
 
     The partial sums of j^(s/2-1) grow like n^(s/2); the fit runs over the top
@@ -76,9 +75,7 @@ def sharpness_sweep(s: float, n_max: int = 100_000,
     """
     lam = decay_values("power_decay", n_max, s)
     cumulative = np.cumsum(lam)  # lam already sorted descending
-    if n_grid is None:
-        n_grid = np.unique(np.geomspace(10, n_max, 60).astype(int))
-    n_grid = np.asarray(n_grid, dtype=int)
+    n_grid = np.unique(np.geomspace(10, n_max, 60).astype(int))
     sums = cumulative[n_grid - 1]
     window = n_grid >= n_max / 10
     slope = _loglog_slope(n_grid[window], sums[window])
@@ -181,7 +178,7 @@ class RecoveryReport:
     passed: bool        # eps = 0 diverges, every eps > 0 converges
 
 
-def schatten_recovery_check(s: float, eps_list, j_max: int = 10**6) -> RecoveryReport:
+def schatten_recovery_check(s: float, eps_list) -> RecoveryReport:
     """For the power_decay(s) family the loss eps is necessary: mu_j^r sums
     like the harmonic series while mu_j^(r+eps) converges for every eps > 0."""
     if not 0.0 < s < 2.0:
@@ -191,7 +188,7 @@ def schatten_recovery_check(s: float, eps_list, j_max: int = 10**6) -> RecoveryR
     ok = True
     for eps in eps_list:
         exponent = (1.0 - s / 2.0) * (r + eps)
-        cert = power_sum_certificate(exponent, j_max)
+        cert = power_sum_certificate(exponent)
         certs[float(eps)] = cert
         ok = ok and (cert.converges == (eps > 0))
     return RecoveryReport(s=s, r=r, certificates=certs, passed=ok)

@@ -330,8 +330,10 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> CarReport:
             for key, block in sector.items():
                 # np.maximum keeps a NaN that the builtin max would drop
                 res[key] = np.maximum(res[key], np.abs(block).max(initial=0.0))
-        res["norm_identity"] = abs(
-            max(np.linalg.norm(af[n], 2) for n in range(1, space.m + 1)) - norm_f)
+        # a non-finite block has no SVD; its norm is NaN, which fails the row
+        res["norm_identity"] = abs(np.max([
+            np.linalg.norm(af[n], 2) if np.isfinite(af[n]).all() else math.nan
+            for n in range(1, space.m + 1)]) - norm_f)
         scale = 1.0 + norm_f * norm_g
         for key, val in res.items():
             key_scale = 1.0 + norm_f if key == "norm_identity" else scale

@@ -44,73 +44,75 @@ def gaussian_state(space: FockSpace, C, z: complex) -> FockVector:
     return FockVector(space, total)
 
 
-def omega_series(space: FockSpace, C, z: complex) -> complex:
-    """Overlap by the exact Fock-space series; polynomial in z^2."""
-    return _series(pair_coefficients(space, C), z)
-
-
-def _series(coeffs: np.ndarray, z: complex) -> complex:
-    """sum_n coeffs[n] z^(2n) / (n!)^2 for coeffs from pair_coefficients."""
+def _series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] z^(2n) / (n!)^2 at each z, for coeffs from pair_coefficients."""
     total = 0.0 + 0.0j
     for n, c in enumerate(coeffs):
         total += c * z ** (2 * n) / math.factorial(n) ** 2
-    return complex(total)
+    return total
 
 
 def _paired_gram_eigs(C) -> np.ndarray:
-    """Eigenvalues of C*C, one representative per skew pair (descending)."""
+    """Eigenvalues of C*C for a skew C, one representative per pair (descending)."""
     C = require_skew(C, "C")
     evals = np.linalg.eigvalsh(C.conj().T @ C)[::-1]
     return np.clip(evals, 0.0, None)[::2]
 
 
-def omega_determinant(C, z: complex,
-                      exponent_convention: float = DEFAULT_CONVENTION) -> complex:
-    """det(Id + 4 z^2 C*C)^exponent_convention.
+def _determinant(pairs: np.ndarray, z: np.ndarray, convention: float) -> np.ndarray:
+    """det(Id + 4 z^2 C*C)^convention at each z, from C*C's paired eigenvalues.
 
     C*C of a skew C has its eigenvalues in equal pairs, so the determinant is
     the square of the product over one eigenvalue per pair, and the square
-    root (exponent 1/2) is that product: a polynomial in z^2, no branch cut.
+    root (convention 1/2) is that product: a polynomial in z^2, no branch cut.
     """
+    half = np.prod(1.0 + 4.0 * np.multiply.outer(z**2, pairs), axis=-1)
+    return half if convention == 0.5 else half * half
+
+
+def _rel_diff(series: np.ndarray, det: np.ndarray) -> float:
+    """max over z of |series - det| / (1 + |series|)."""
+    return float((np.abs(series - det) / (1.0 + np.abs(series))).max(initial=0.0))
+
+
+def _calibrate(series: np.ndarray, pairs: np.ndarray, z: np.ndarray) -> float:
+    """The convention (1/2 or 1) whose determinant is nearer the series on z; 1/2 on a tie."""
+    return min((0.5, 1.0), key=lambda conv: _rel_diff(series, _determinant(pairs, z, conv)))
+
+
+def _zeros(pairs: np.ndarray, convention: float) -> np.ndarray:
+    """+-i/(2 mu) for each paired singular value mu > 0, twice under convention 1.
+
+    Pairs up to NORM_TOL times the largest are eigensolver noise of a
+    rank-deficient C*C, which sqrt would inflate; the floor is relative, so a
+    small C keeps its zeros."""
+    mu = np.sqrt(pairs[pairs > NORM_TOL * pairs.max(initial=0.0)])
+    reps = 1 if convention == 0.5 else 2
+    return np.tile(np.column_stack([1j / (2 * mu), -1j / (2 * mu)]), reps).ravel()
+
+
+def omega_series(space: FockSpace, C, z: complex) -> complex:
+    """Overlap by the exact Fock-space series; polynomial in z^2."""
+    return complex(_series(pair_coefficients(space, C), np.complex128(z)))
+
+
+def omega_determinant(C, z: complex,
+                      exponent_convention: float = DEFAULT_CONVENTION) -> complex:
+    """det(Id + 4 z^2 C*C)^exponent_convention for a skew C, with exponent 1 or 1/2."""
     if exponent_convention not in (0.5, 1.0):
         raise ValueError(f"exponent convention must be 1 or 1/2, got {exponent_convention}")
-    half = complex(np.prod(1.0 + 4.0 * z**2 * _paired_gram_eigs(C)))
-    return half if exponent_convention == 0.5 else half * half
+    return complex(_determinant(_paired_gram_eigs(C), np.complex128(z), exponent_convention))
 
 
 def calibrate_convention(space: FockSpace, C, z_samples) -> float:
     """Exponent convention (1 or 1/2) matching the exact series on z_samples."""
-    return _calibrate(pair_coefficients(space, C), C, z_samples)
-
-
-def _calibrate(coeffs: np.ndarray, C, z_samples) -> float:
-    best, best_err = None, math.inf
-    for conv in (0.5, 1.0):
-        err = 0.0
-        for z in z_samples:
-            series = _series(coeffs, z)
-            det = omega_determinant(C, z, conv)
-            err = max(err, abs(series - det) / (1.0 + abs(series)))
-        if err < best_err:
-            best, best_err = conv, err
-    return best
+    z = np.asarray(z_samples, dtype=complex)
+    return _calibrate(_series(pair_coefficients(space, C), z), _paired_gram_eigs(C), z)
 
 
 def omega_zeros(C, exponent_convention: float = DEFAULT_CONVENTION) -> np.ndarray:
     """Zeros of omega: +-i/(2 mu) for each paired singular value mu > 0."""
-    C = require_skew(C, "C")
-    if not C.any():
-        return np.array([], dtype=complex)
-    evals = _paired_gram_eigs(C)
-    # filter before the square root: eigensolver noise on a rank-deficient
-    # Gram matrix sits at eps * ||C*C|| and would inflate under sqrt
-    evals = evals[evals > NORM_TOL * (1.0 + evals.max(initial=0.0))]
-    mu = np.sqrt(evals)
-    zeros = []
-    reps = 1 if exponent_convention == 0.5 else 2
-    for val in mu:
-        zeros.extend([1j / (2 * val), -1j / (2 * val)] * reps)
-    return np.array(zeros, dtype=complex)
+    return _zeros(_paired_gram_eigs(C), exponent_convention)
 
 
 def omega_polynomial_roots(space: FockSpace, C) -> np.ndarray:
@@ -125,12 +127,8 @@ def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     poly = poly[: nz.max() + 1] if nz.size else poly[:1]
     if poly.size < 2:
         return np.array([], dtype=complex)
-    u_roots = np.roots(poly[::-1])
-    z_roots = []
-    for u in u_roots:
-        root = np.sqrt(complex(u))
-        z_roots.extend([root, -root])
-    return np.array(z_roots, dtype=complex)
+    root = np.sqrt(np.roots(poly[::-1]).astype(complex))
+    return np.column_stack([root, -root]).ravel()
 
 
 def _sorted_zeros(zs: np.ndarray) -> np.ndarray:
@@ -178,7 +176,7 @@ def exp_order_estimate(coeffs, degree_step: int = 1) -> OrderEstimate:
 
 @dataclass(frozen=True)
 class GaussianReport:
-    """Series-vs-determinant comparison for one skew C on a z grid."""
+    """Series-vs-determinant comparison for one skew C on default_z_grid()."""
 
     m: int
     coefficients: np.ndarray
@@ -190,7 +188,6 @@ class GaussianReport:
     max_rel_diff: float  # max over z of |series - det| / (1 + |series|)
     zeros: np.ndarray
     zeros_matched: bool
-    order_estimate: float  # nan when too few coefficients (always at desk scale)
     passed: bool
 
 
@@ -199,27 +196,22 @@ def default_z_grid(extent: float = 2.0, points_per_axis: int = 5) -> np.ndarray:
     return (re[:, None] + 1j * re[None, :]).ravel()
 
 
-def gaussian_report(space: FockSpace, C, z_grid=None,
-                    rel_tol: float = NORM_TOL) -> GaussianReport:
-    C = require_skew(C, "C")
-    if z_grid is None:
-        z_grid = default_z_grid()
-    z_grid = np.asarray(z_grid, dtype=complex)
+def gaussian_report(space: FockSpace, C) -> GaussianReport:
+    """The series against the determinant on default_z_grid(), with the convention
+    calibrated on its first five points, and the formula zeros against the roots
+    of the series polynomial.  C*C is solved once, for every z and the zeros."""
+    pairs = _paired_gram_eigs(C)
     coeffs = pair_coefficients(space, C)
-    convention = _calibrate(coeffs, C, z_grid[: min(5, z_grid.size)])
-    series = np.array([_series(coeffs, z) for z in z_grid])
-    det = np.array([omega_determinant(C, z, convention) for z in z_grid])
-    diffs = np.abs(series - det)
-    max_rel_diff = float((diffs / (1.0 + np.abs(series))).max(initial=0.0))
-    zeros = omega_zeros(C, convention)
-    matched = zeros_match(zeros, _polynomial_roots(coeffs)) if C.any() else True
-    try:
-        order = exp_order_estimate(coeffs, degree_step=2).order
-    except ValueError:
-        order = math.nan
+    z = default_z_grid()
+    series = _series(coeffs, z)
+    convention = _calibrate(series[:5], pairs, z[:5])
+    det = _determinant(pairs, z, convention)
+    max_rel_diff = _rel_diff(series, det)
+    zeros = _zeros(pairs, convention)
+    matched = zeros_match(zeros, _polynomial_roots(coeffs))
     return GaussianReport(
-        m=space.m, coefficients=coeffs, convention=convention, z_grid=z_grid,
+        m=space.m, coefficients=coeffs, convention=convention, z_grid=z,
         series_values=series, determinant_values=det,
-        max_abs_diff=float(diffs.max(initial=0.0)), max_rel_diff=max_rel_diff,
-        zeros=zeros, zeros_matched=matched, order_estimate=order,
-        passed=max_rel_diff <= rel_tol and matched and convention == DEFAULT_CONVENTION)
+        max_abs_diff=float(np.abs(series - det).max(initial=0.0)), max_rel_diff=max_rel_diff,
+        zeros=zeros, zeros_matched=matched,
+        passed=max_rel_diff <= NORM_TOL and matched and convention == DEFAULT_CONVENTION)

@@ -37,8 +37,8 @@ def skew_part(A) -> np.ndarray:
     return (A - A.T) / 2
 
 
-def is_skew(A, tol: float = ENTRY_TOL) -> bool:
-    """max |A + A^T| <= tol (1 + max |A|), over the entries.
+def is_skew(A) -> bool:
+    """max |A + A^T| <= ENTRY_TOL (1 + max |A|), over the entries.
 
     Compared on A divided by its largest real or imaginary part, so that
     A + A^T cannot overflow; a non-finite A is not skew.
@@ -48,7 +48,7 @@ def is_skew(A, tol: float = ENTRY_TOL) -> bool:
     if not 0.0 < part < math.inf:
         return part == 0.0
     A = A / part
-    return bool(np.abs(A + A.T).max() <= tol * (1.0 / part + np.abs(A).max()))
+    return bool(np.abs(A + A.T).max() <= ENTRY_TOL * (1.0 / part + np.abs(A).max()))
 
 
 def require_skew(A, name: str = "operator") -> np.ndarray:

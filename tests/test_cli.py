@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -389,12 +390,12 @@ def test_out_of_memory_is_a_resource_error(argv, error, monkeypatch, capsys):
 def test_gaussian_row_reports_the_pointwise_worst(monkeypatch):
     # an error of 1e-9 at z = 0, where series = det = 1, is 5e-10 relative to
     # that point but only ~1e-12 relative to the largest |series| on the grid
-    determinant = gaussian.omega_determinant
+    determinant = gaussian._determinant
 
-    def outlier(C, z, exponent_convention=gaussian.DEFAULT_CONVENTION):
-        return determinant(C, z, exponent_convention) + (1e-9 if z == 0 else 0.0)
+    def outlier(pairs, z, convention):
+        return determinant(pairs, z, convention) + np.where(z == 0, 1e-9, 0.0)
 
-    monkeypatch.setattr(gaussian, "omega_determinant", outlier)
+    monkeypatch.setattr(gaussian, "_determinant", outlier)
     rows = cli.run_gaussian_check(cli.RunConfig("gaussian-check", m=4, trials=1))
     row = next(r for r in rows if r["check_id"] == "gaussian/m=4/series_vs_determinant")
     assert row["metric"] == pytest.approx(5e-10, rel=1e-3)
@@ -459,3 +460,49 @@ def test_entries_near_1e150_still_verify(which, rs, tmp_path, capsys):
     assert code == cli.EXIT_OK
     rows = json.loads(out)["checks"]
     assert len(rows) == len(rs) and all(row["pass"] for row in rows)
+
+
+def nan_on_second_call(fn, **fields):
+    """fn, whose report on its second call has `fields` replaced."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        report = fn(*args)
+        return dataclasses.replace(report, **fields) if len(calls) == 2 else report
+
+    return patched
+
+
+def test_algebra_commutator_row_keeps_a_nan(monkeypatch):
+    monkeypatch.setattr(cli.quadratics, "check_commutator", nan_on_second_call(
+        cli.quadratics.check_commutator, residual=math.nan, passed=False))
+    row = algebra_rows(3, trials=2)["commutator"]
+    assert math.isnan(row["metric"]) and not row["pass"]
+
+
+@pytest.mark.parametrize("name", ["dGamma", "Delta"])
+def test_algebra_adjoint_row_keeps_a_nan(name, corrupt_block):
+    flips = corrupt_block(name, 2, factor=math.nan)
+    with np.errstate(all="ignore"):
+        row = algebra_rows(4)["adjoint_dgamma" if name == "dGamma" else "adjoint_delta"]
+    assert flips
+    assert math.isnan(row["metric"]) and not row["pass"]
+
+
+def test_gaussian_series_row_keeps_a_nan(monkeypatch):
+    monkeypatch.setattr(gaussian, "gaussian_report", nan_on_second_call(
+        gaussian.gaussian_report, max_rel_diff=math.nan, passed=False))
+    rows = cli.run_gaussian_check(cli.RunConfig("gaussian-check", m=4, trials=2))
+    row = next(r for r in rows if r["check_id"] == "gaussian/m=4/series_vs_determinant")
+    assert math.isnan(row["metric"]) and not row["pass"]
+
+
+def test_verify_car_non_finite_block_is_a_verification_failure(corrupt_block, capsys):
+    flips = corrupt_block("annihilation", 2, factor=math.nan)
+    with np.errstate(all="ignore"):
+        code = cli.main(["verify-car", "--m", "3", "--trials", "2"])
+    captured = capsys.readouterr()
+    assert flips
+    assert code == cli.EXIT_VERIFICATION_FAILURE
+    assert "validation error" not in captured.err

@@ -320,3 +320,12 @@ def test_verify_car_fails_on_a_nan_in_one_block(corrupt_block):
     assert flips
     assert not report.passed
     assert math.isnan(report.residuals["anticommutator_mixed"])
+
+
+def test_verify_car_norm_identity_is_nan_on_a_non_finite_block(corrupt_block):
+    flips = corrupt_block("annihilation", 2, factor=math.nan)
+    with np.errstate(all="ignore"):
+        report = fb.verify_car(fb.make_space(3), trials=2, seed=5)
+    assert flips
+    assert not report.passed
+    assert math.isnan(report.residuals["norm_identity"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fockbound as fb
+from fockbound import quadratics
 from fockbound.gaussian import calibrate_convention, default_z_grid, zeros_match
 from fockbound.rng import skew_matrix, trial_rng
 
@@ -179,7 +180,6 @@ def test_gaussian_report():
     assert rep.passed
     assert rep.convention == 0.5
     assert rep.zeros_matched
-    assert math.isnan(rep.order_estimate)  # too few coefficients at desk scale
     assert rep.max_abs_diff <= 1e-10 * (1 + np.abs(rep.series_values).max())
 
 
@@ -190,3 +190,61 @@ def test_determinant_convention_one_is_the_determinant(m):
     for z in (0.7, -1.3, 0.4 + 0.9j, 1.1j):
         det = np.linalg.det(np.eye(m) + 4 * z**2 * (C.conj().T @ C))
         assert abs(fb.omega_determinant(C, z, 1.0) - det) <= 1e-12 * (1 + abs(det))
+
+
+def test_gaussian_report_solves_c_star_c_once(monkeypatch):
+    calls = {"eigvalsh": 0, "is_skew": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(quadratics, "is_skew", counting("is_skew", quadratics.is_skew))
+    assert fb.gaussian_report(fb.make_space(6), skew_matrix(trial_rng(8, 0), 6)).passed
+    assert calls["eigvalsh"] == 1 and calls["is_skew"] <= 2
+
+
+@pytest.mark.parametrize("m", [1, 4, 7, 10])
+def test_pointwise_wrappers_equal_the_report_arrays(m):
+    sp = fb.make_space(m)
+    C = skew_matrix(trial_rng(9, m), m)
+    rep = fb.gaussian_report(sp, C)
+    pairs = np.clip(np.linalg.eigvalsh(C.conj().T @ C)[::-1], 0.0, None)[::2]
+    for z, series, det in zip(rep.z_grid, rep.series_values, rep.determinant_values):
+        # the per-point loops that the arrays replace; the square of convention 1
+        # was a Python complex product, which may differ from numpy's in the last bits
+        loop_series = sum(c * z ** (2 * n) / math.factorial(n) ** 2
+                          for n, c in enumerate(rep.coefficients))
+        loop_half = complex(np.prod(1.0 + 4.0 * z**2 * pairs))
+        assert fb.omega_series(sp, C, z) == series == loop_series
+        assert fb.omega_determinant(C, z, 0.5) == det == loop_half
+        assert abs(fb.omega_determinant(C, z, 1.0) - loop_half**2) <= 1e-15 * abs(loop_half)**2
+    assert calibrate_convention(sp, C, rep.z_grid[:5]) == rep.convention
+    assert np.array_equal(fb.omega_zeros(C, rep.convention), rep.zeros)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4])
+@pytest.mark.parametrize("m", [4, 6])
+def test_gaussian_report_keeps_the_zeros_of_a_small_c(m, scale):
+    # the zero filter is relative to the largest pair eigenvalue; an absolute
+    # floor of NORM_TOL dropped every zero of C below about 1e-5
+    rep = fb.gaussian_report(fb.make_space(m), scale * skew_matrix(trial_rng(1, 0), m))
+    assert rep.zeros.size == m
+    assert rep.passed
+
+
+def test_gaussian_report_edge_cases():
+    one = fb.gaussian_report(fb.make_space(1), np.zeros((1, 1)))
+    assert one.passed and one.zeros.size == 0 and np.array_equal(one.coefficients, [1.0])
+    zero = fb.gaussian_report(fb.make_space(4), np.zeros((4, 4)))
+    assert zero.passed and zero.zeros.size == 0
+    assert np.all(zero.series_values == 1) and np.all(zero.determinant_values == 1)
+    pair = np.zeros((4, 4), dtype=complex)
+    pair[:2, :2] = 0.5 * ROTATION
+    canonical = fb.gaussian_report(fb.make_space(4), pair)
+    assert canonical.passed
+    assert sorted(canonical.zeros, key=lambda z: z.imag) == [-1j, 1j]
+

@@ -77,6 +77,16 @@ class BoundSpec:
         return 2.0 if math.isinf(self.r) else 2.0 * (self.r - 1.0) / self.r
 
 
+def reads_r_norm(which: str) -> bool:
+    """Whether the bound's right-hand side reads |X|_r, found by evaluating its
+    row without that norm; a row that reads no r-norm gives one verdict at every r."""
+    try:
+        BOUNDS[which][3]({"2": 1.0, "inf": 1.0}, 1.0, 0.0, 1.0)
+    except KeyError:
+        return True
+    return False
+
+
 def _profile(spec: BoundSpec, norms: dict, n: np.ndarray) -> np.ndarray:
     """Diagonal RHS value per particle number n for the given bound."""
     try:

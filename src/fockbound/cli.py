@@ -120,6 +120,9 @@ def run_verify_car(cfg: RunConfig) -> list[dict]:
 def run_verify_bounds(cfg: RunConfig) -> list[dict]:
     which = cfg.extra["which"]
     specs = [bounds.BoundSpec(which, r) for r in cfg.r_list]
+    if len(specs) > 1 and not bounds.reads_r_norm(which):
+        raise ValueError(f"{which} reads no r-norm, so every --r gives the same "
+                         f"verdict; pass one --r, got {len(specs)}")
     space = make_space(cfg.m)
     skew = LADDERS[specs[0].operator][1] != 0
     explicit = cfg.extra.get("diag") is not None or cfg.extra.get("matrix_file") is not None

@@ -4,7 +4,9 @@ sector norms, growth-exponent fits, and summability certificates.
 Everything here runs on the diagonal fast path: for a diagonal one-body
 operator with nonnegative entries lam, the norm of its second quantization
 restricted to the n-particle sector is exactly the sum of the n largest
-lam_j.  That subset-sum identity is what lets the sweeps reach n = 1e5.
+lam_j.  That subset-sum identity turns each sector norm of the power_decay
+family into a running power sum, which _power_sums streams in fixed blocks:
+the sweeps and certificates take the same memory at any n.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from .bounds import BoundSpec, verify_bound
 from .fock import FockSpace
 from .spectral import schatten_norm
 from .tolerances import NORM_TOL, SLOPE_TOL
+
+# j values per block of _power_sums: 512 KiB of float64, at any n
+_BLOCK = 1 << 16
 
 
 def decay_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
@@ -67,16 +72,41 @@ def _loglog_slope(n: np.ndarray, values: np.ndarray) -> float:
     return float(np.linalg.lstsq(design, y, rcond=None)[0][0])
 
 
+def _power_sums(p: float, ends) -> np.ndarray:
+    """Running sums sum_{j<=e} j^p at each end point e of the sorted `ends`.
+
+    j runs in blocks of _BLOCK.  Each block is a cumulative sum whose first
+    element carries the previous block's total; np.cumsum adds in order, so
+    the sums equal those of one np.cumsum over all of j, bit for bit.
+    """
+    ends = np.asarray(ends)
+    sums = np.zeros(ends.size)  # an end below 1 keeps the empty sum
+    total, last = 0.0, int(ends[-1])
+    for start in range(1, last + 1, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, last + 1), dtype=float)
+        block **= p
+        block[0] += total
+        np.cumsum(block, out=block)
+        inside = (ends >= start) & (ends < start + block.size)
+        sums[inside] = block[ends[inside] - start]
+        total = block[-1]
+    return sums
+
+
 def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     """Fit the growth exponent of sector norms for the power_decay(s) family.
 
     The partial sums of j^(s/2-1) grow like n^(s/2); the fit runs over the top
-    decade of the grid and passes iff |slope - s/2| <= SLOPE_TOL.
+    decade of the grid and passes iff |slope - s/2| <= SLOPE_TOL.  The grid
+    starts at 10, so n_max >= 11 is the least that puts two points in the fit.
     """
-    lam = decay_values("power_decay", n_max, s)
-    cumulative = np.cumsum(lam)  # lam already sorted descending
+    if not 0.0 < s < 2.0:
+        raise ValueError(f"power_decay needs 0 < s < 2, got {s}")
+    if n_max < 11:
+        raise ValueError(f"sweep needs n_max >= 11 for two points in its fit window, "
+                         f"got {n_max}")
     n_grid = np.unique(np.geomspace(10, n_max, 60).astype(int))
-    sums = cumulative[n_grid - 1]
+    sums = _power_sums(s / 2.0 - 1.0, n_grid)  # j^(s/2-1) is sorted descending
     window = n_grid >= n_max / 10
     slope = _loglog_slope(n_grid[window], sums[window])
     return SweepResult(
@@ -151,8 +181,7 @@ class ConvergenceCertificate:
 
 
 def power_sum_certificate(exponent: float, j_max: int = 10**6) -> ConvergenceCertificate:
-    j = np.arange(1, j_max + 1, dtype=float)
-    partial = float(np.sum(j**(-exponent)))
+    partial = float(_power_sums(-exponent, [j_max])[0])
     if exponent > 1.0:
         tail = j_max ** (1.0 - exponent) / (exponent - 1.0)
         return ConvergenceCertificate(exponent=exponent, partial_sum=partial,

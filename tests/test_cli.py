@@ -462,6 +462,32 @@ def test_entries_near_1e150_still_verify(which, rs, tmp_path, capsys):
     assert len(rows) == len(rs) and all(row["pass"] for row in rows)
 
 
+@pytest.mark.parametrize("n_max", ["0", "-3", "5", "10"])
+def test_sweep_n_max_below_11_is_a_validation_error(n_max, capsys):
+    code = cli.main(["sweep-sharpness", "--s", "1.0", "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert captured.out == "" and "n_max >= 11" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_sweep_n_max_11_runs(capsys):
+    code, out = run(["sweep-sharpness", "--s", "1.0", "--n-max", "11"], capsys)
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION_FAILURE)
+    assert "n in (10, 11)" in json.loads(out)["checks"][0]["statement"]
+
+
+@pytest.mark.parametrize("which", ["literature_dGamma", "literature_Delta",
+                                   "literature_DeltaPlus"])
+def test_second_r_for_a_bound_without_r_norm_is_rejected(which, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "make_space", lambda m: pytest.fail("space was built"))
+    code = cli.main(["verify-bounds", "--which", which, "--r", "1", "2",
+                     "--m", "4", "--trials", "1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert captured.out == "" and "reads no r-norm" in captured.err
+
+
 def nan_on_second_call(fn, **fields):
     """fn, whose report on its second call has `fields` replaced."""
     calls = []

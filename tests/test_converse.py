@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import fockbound as fb
-from fockbound.converse import _loglog_slope, power_sum_certificate
+from fockbound.converse import _BLOCK, _loglog_slope, power_sum_certificate
 from fockbound.rng import trial_rng
 
 
@@ -73,6 +74,43 @@ def test_sharpness_sweep_s1():
 def test_sharpness_sweep_near_boundary():
     sweep = fb.sharpness_sweep(1.8, n_max=100_000)
     assert sweep.slope == pytest.approx(0.9, abs=0.02)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.8])
+@pytest.mark.parametrize("n_max", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 100_000])
+def test_streamed_sweep_sums_equal_one_cumsum(s, n_max):
+    sweep = fb.sharpness_sweep(s, n_max=n_max)
+    cumulative = np.cumsum(fb.decay_values("power_decay", n_max, s))
+    assert np.array_equal(sweep.partial_sums, cumulative[sweep.n - 1])
+
+
+@pytest.mark.parametrize("n_max", [0, -3, 5, 10])
+def test_sweep_rejects_a_fit_window_below_two_points(n_max):
+    with pytest.raises(ValueError, match="n_max >= 11"):
+        fb.sharpness_sweep(1.0, n_max=n_max)
+    assert fb.sharpness_sweep(1.0, n_max=11).fit_window == (10, 11)
+
+
+@pytest.mark.parametrize("exponent", [0.5, 1.0, 1.05])
+@pytest.mark.parametrize("j_max", [10**5, 10**6])
+def test_streamed_partial_sum_matches_one_array_sum(exponent, j_max):
+    j = np.arange(1, j_max + 1, dtype=float)
+    assert power_sum_certificate(exponent, j_max=j_max).partial_sum == pytest.approx(
+        float(np.sum(j**(-exponent))), rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [lambda: fb.sharpness_sweep(1.0, n_max=10**7),
+                                  lambda: power_sum_certificate(1.0, j_max=10**7)],
+                         ids=["sharpness_sweep", "power_sum_certificate"])
+def test_power_sums_take_memory_independent_of_n(call):
+    # one array over all j would take 80 MB per array at n = 1e7
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_sweep_windows_converge_outward():

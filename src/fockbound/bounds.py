@@ -23,7 +23,7 @@ import numpy as np
 
 from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
 from .quadratics import one_body, require_representable
-from .rng import complex_matrix, skew_matrix, trial_rng
+from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _require_self_adjoint, schatten_norm
 from .tolerances import EIGEN_TOL, IDENTITY_TOL
 
@@ -111,7 +111,118 @@ def _norms_for(spec: BoundSpec, X) -> dict:
             "inf": schatten_norm(X, math.inf)}
 
 
-def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
+# Lanczos steps at most; a Gram no larger than this keeps the dense eigvalsh
+_LANCZOS_STEPS = 60
+# a certified bracket is read only if its width 2 c_n is at most this share of
+# the smallest tolerance of a row that reads it
+_CERTIFIED_SHARE = 1e-3
+_UNIT_ROUNDOFF = 2.0**-53
+_TINIEST = 2.0**-1074  # the smallest subnormal
+
+
+def _tolerance(rhs: np.ndarray, extremes: np.ndarray) -> float:
+    """EIGEN_TOL (1 + the largest |eigenvalue| of the slack rhs(n) - Q_n* Q_n over the sectors).
+
+    A sector whose extremes are NaN (not solved yet) is left out.
+    """
+    # the 2-norm of a self-adjoint matrix is its largest |eigenvalue|
+    return EIGEN_TOL * (1.0 + float(np.nanmax(np.abs(rhs[:, None] - extremes))))
+
+
+def _lanczos(gram: np.ndarray) -> tuple[float, float]:
+    """The extreme Ritz values (theta_min, theta_max) of the Hermitian `gram`.
+
+    Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
+    from a start vector drawn from a fixed seed, for at most _LANCZOS_STEPS
+    steps; it stops when theta_max moves by at most 4u theta_max over four
+    steps, or when the Krylov space becomes invariant.  theta_min and
+    theta_max are Rayleigh quotients, so lambda_min <= theta_min and
+    theta_max <= lambda_max up to rounding.
+    """
+    dim = len(gram)
+    basis = np.empty((_LANCZOS_STEPS, dim), dtype=complex)
+    conj_basis = np.empty_like(basis)
+    v = complex_vector(trial_rng(0, dim), dim)
+    v /= np.linalg.norm(v)
+    alpha, beta = np.zeros(_LANCZOS_STEPS), np.zeros(_LANCZOS_STEPS)
+    top = -math.inf
+    for k in range(_LANCZOS_STEPS):
+        basis[k] = v
+        np.conjugate(v, out=conj_basis[k])
+        w = gram @ v
+        h = conj_basis[:k + 1] @ w
+        alpha[k] = h[k].real
+        w -= h @ basis[:k + 1]
+        w -= (conj_basis[:k + 1] @ w) @ basis[:k + 1]
+        beta[k] = math.sqrt(np.vdot(w, w).real)
+        if (k + 1) % 4 == 0 or k + 1 == _LANCZOS_STEPS or beta[k] == 0.0:
+            ritz = np.linalg.eigvalsh(np.diag(alpha[:k + 1]) + np.diag(beta[:k], -1))
+            if ritz[-1] - top <= 4.0 * _UNIT_ROUNDOFF * abs(ritz[-1]) or beta[k] == 0.0:
+                break
+            top = ritz[-1]
+        v = w / beta[k]
+    return float(ritz[0]), float(ritz[-1])
+
+
+def _certificate_shift(gram: np.ndarray, theta: float) -> float:
+    """The shift c of the Cholesky test that proves lambda_max(gram) <= theta + 2 c.
+
+    Write G = gram (exactly Hermitian, of order n), u = 2^-53, eta = 2^-1074,
+    gamma_k = k u / (1 - k u), kappa = gamma_{n+3} / (1 - gamma_{n+3}), and
+    A = fl((theta + c) I - G), the matrix `_cholesky_certifies` factors.
+    Off the diagonal A = -G exactly.  Its diagonal is
+    a_jj = fl(s - g_jj) with s = fl(theta + c), so A = s I - G + E with E
+    diagonal, |E_jj| <= u s, and s <= theta + c + u (|theta| + c).
+
+    If complex Cholesky runs to completion on A, its factor R satisfies
+    R* R = A + dA with |dA| <= gamma_{n+3} |R*| |R| entrywise (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 10.3, with
+    the complex constant of Sec. 3.6).  The diagonal of R* R gives
+    |r_j|^2 <= a_jj / (1 - gamma_{n+3}), so
+        |dA|_2 <= gamma_{n+3} |R|_F^2 <= kappa tr A  (+ 4 n (n + 1) eta for underflow).
+    R* R >= 0 then gives s I - G >= -(|dA|_2 + max |E_jj|) I, which is
+    Rump's test (S. M. Rump, BIT 46 (2006) 433-452).  With
+    t = sum_j |theta - g_jj| >= tr(theta I - G), tr A <= (1 + u) (t + n (s - theta)),
+    and collecting terms with (1 + u)^2 <= 2,
+        lambda_max(G) <= theta + c + b,
+        b = 3u (|theta| + c) + kappa (1 + u) t + 2 n kappa (c + u |theta|) + 4 n (n + 1) eta.
+    The c returned solves c = b:
+        c = (kappa (1 + u) t + (3 + 2 n kappa) u |theta| + 4 n (n + 1) eta)
+            / (1 - 3u - 2 n kappa),
+    times 1 + 1e-6, which covers the rounding of t (a sum of nonnegative
+    terms) and of this formula.  So a factorisation that runs to completion
+    proves lambda_max(G) <= theta + 2 c.
+    """
+    dim, u = len(gram), _UNIT_ROUNDOFF
+    gamma = (dim + 3) * u / (1.0 - (dim + 3) * u)
+    kappa = gamma / (1.0 - gamma)
+    t = float(np.abs(theta - gram.diagonal().real).sum())
+    shift = ((kappa * (1.0 + u) * t + (3.0 + 2.0 * dim * kappa) * u * abs(theta)
+              + 4.0 * dim * (dim + 1) * _TINIEST) / (1.0 - 3.0 * u - 2.0 * dim * kappa))
+    return shift * (1.0 + 1e-6)
+
+
+def _cholesky_certifies(gram: np.ndarray, theta: float, shift: float) -> bool:
+    """Whether Cholesky succeeds on (theta + shift) I - gram; `gram` is left as it was.
+
+    The shifted matrix is formed in the Gram's own buffer: negation is exact,
+    and the diagonal is saved and put back, so the Gram is restored bit for bit.
+    """
+    diagonal = gram.diagonal().copy()
+    gram *= -1.0
+    gram.flat[::len(gram) + 1] += theta + shift
+    try:
+        np.linalg.cholesky(gram)
+        return True
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        gram *= -1.0
+        gram.flat[::len(gram) + 1] = diagonal
+
+
+def _gram_extremes(space: FockSpace, operator: str, X, specs=(),
+                   tol: float | None = None) -> np.ndarray:
     """(lambda_min, lambda_max) of Q_n* Q_n for each sector n, Q = `operator` built from X.
 
     The left side of every bound on Q*Q; no exponent r enters it.  Q_n* Q_n
@@ -122,19 +233,61 @@ def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
     the top eigenvalue of Q_n Q_n*.  An empty block (Delta from sectors 0
     and 1, DeltaPlus from m - 1 and m) gives (0, 0) with no eigensolve.
     dGamma blocks are square and keep the full Q_n* Q_n, as do tall blocks.
+
+    A Gram G of dimension at most _LANCZOS_STEPS gets a dense eigvalsh.  A
+    larger one gets the Ritz values (theta_min, theta_max) of `_lanczos`
+    and a Cholesky test of (theta_max + c_n) I - G, which proves
+    lambda_max <= theta_max + 2 c_n (`_certificate_shift`).  The sector then
+    reports (theta_min, theta_max).  theta_max is at most 2 c_n below
+    lambda_max, and theta_min >= lambda_min, so the default tolerance, which
+    reads how far rhs(n) is from both ends, can only shrink.
+
+    The sector falls back to eigvalsh if the factorisation fails, or if
+    2 c_n exceeds _CERTIFIED_SHARE of the smallest tolerance of a row that
+    reads the extremes: `tol` if given, else the least default tolerance of
+    `specs` over the sectors solved so far, which only grows as more are
+    solved.  The dense sectors are solved first, in order of n, so their
+    exact extremes are in it before any Lanczos sector is read.  The Lanczos
+    sectors follow from the largest down, so their largest temporaries come
+    while the heap is smallest, which lowers the peak RSS.  With neither
+    `specs` nor `tol`, every certified bracket is kept.
     """
     coeffs = one_body(space, operator, X)
     require_representable(space, coeffs, f"{operator} argument")
-    extremes = np.zeros((space.m + 1, 2))
-    for n in range(space.m + 1):
-        q = ladder_matrix(space, operator, coeffs, sector=n)
-        rows, cols = q.shape
-        if rows == 0:
+    shift = LADDERS[operator][1]
+    sizes = np.bincount(space.occupations, minlength=space.m + 1)
+    # each sector's Gram is on the smaller side of Q_n; an empty block has none
+    dims = [min(sizes[n], sizes[n + shift]) if 0 <= n + shift <= space.m else 0
+            for n in range(space.m + 1)]
+    lanczos = [dim > _LANCZOS_STEPS for dim in dims]
+    # only a Lanczos sector reads the right-hand sides
+    rhs = ([_profile(spec, _norms_for(spec, X), np.arange(space.m + 1)) for spec in specs]
+           if any(lanczos) else [])
+    extremes = np.full((space.m + 1, 2), np.nan)
+    for n in sorted(range(space.m + 1), key=lambda n: (lanczos[n], -dims[n] * lanczos[n])):
+        if dims[n] == 0:
+            extremes[n] = 0.0
             continue
-        wide = rows < cols
-        gram = _require_self_adjoint(q @ q.conj().T if wide else q.conj().T @ q, "lhs")
-        eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
-        extremes[n] = (0.0 if wide else eigs[0]), eigs[-1]
+        q = ladder_matrix(space, operator, coeffs, sector=n)
+        wide = q.shape[0] < q.shape[1]
+        gram = q @ q.conj().T if wide else q.conj().T @ q
+        del q  # before the n x n temporaries of the checks below
+        gram = _require_self_adjoint(gram, "lhs")
+        gram += gram.conj().T  # exactly Hermitian, as (G + G^H) / 2
+        gram *= 0.5
+        certified = False
+        if lanczos[n]:
+            low, top = _lanczos(gram)
+            width = 2.0 * _certificate_shift(gram, top)
+            extremes[n] = (0.0 if wide else low), top
+            widest = _CERTIFIED_SHARE * (
+                tol if tol is not None
+                else min((_tolerance(r, extremes) for r in rhs), default=math.inf))
+            certified = width <= widest and _cholesky_certifies(gram, top, width / 2.0)
+        if not certified:
+            eigs = np.linalg.eigvalsh(gram)
+            extremes[n] = (0.0 if wide else eigs[0]), eigs[-1]
+        del gram  # before the next sector's block is built
     return extremes
 
 
@@ -148,14 +301,12 @@ def _sector_verdict(spec: BoundSpec, X, extremes: np.ndarray,
     the slack is block diagonal.
     """
     rhs = _profile(spec, _norms_for(spec, X), np.arange(len(extremes)))
-    slack = rhs[:, None] - extremes  # per sector: rhs(n) - lambda_min, rhs(n) - lambda_max
     if tol is None:
-        # the 2-norm of a self-adjoint matrix is its largest |eigenvalue|
-        tol = EIGEN_TOL * (1.0 + float(np.abs(slack).max()))
+        tol = _tolerance(rhs, extremes)
     positive = rhs > 0
     ratio = float((extremes[positive, 1] / rhs[positive]).max(initial=0.0))
     return BoundVerdict(f"{spec.which}_lhs", f"{spec.which}_rhs(r={spec.r})",
-                        float(slack[:, 1].min()), tol), ratio
+                        float((rhs - extremes[:, 1]).min()), tol), ratio
 
 
 def verify_bounds(space: FockSpace, specs, X,
@@ -170,7 +321,7 @@ def verify_bounds(space: FockSpace, specs, X,
         raise ValueError("verify_bounds needs one or more specs that share one operator")
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
-    extremes = _gram_extremes(space, specs[0].operator, X)
+    extremes = _gram_extremes(space, specs[0].operator, X, specs, tol)
     return [_sector_verdict(spec, X, extremes, tol)[0] for spec in specs]
 
 
@@ -250,7 +401,7 @@ def bound_sweep(ms, spec: BoundSpec, trials: int, seed: int) -> list[SweepRow]:
             rng = trial_rng(seed, m, t)
             X = skew_matrix(rng, m) if skew else complex_matrix(rng, m)
             verdict, ratio = _sector_verdict(
-                spec, X, _gram_extremes(space, spec.operator, X), None)
+                spec, X, _gram_extremes(space, spec.operator, X, [spec]), None)
             rows.append(SweepRow(m=m, r=spec.r, trial=t,
                                  slack_min=verdict.slack_min, max_ratio=ratio))
     return rows

@@ -20,6 +20,7 @@ from .quadratics import one_body, require_skew
 from .tolerances import EIGEN_TOL, NORM_TOL
 
 DEFAULT_CONVENTION = 0.5
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _pair_powers(space: FockSpace, C) -> list[np.ndarray]:
@@ -117,14 +118,44 @@ def omega_zeros(C, exponent_convention: float = DEFAULT_CONVENTION) -> np.ndarra
 
 def omega_polynomial_roots(space: FockSpace, C) -> np.ndarray:
     """Zeros of the exact series polynomial, via companion-matrix roots in z^2."""
-    return _polynomial_roots(pair_coefficients(space, C))
+    return _polynomial_roots(pair_coefficients(space, C), C)
 
 
-def _polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
-    poly = np.array([c / math.factorial(n) ** 2 for n, c in enumerate(coeffs)])
-    # strip trailing zero coefficients (rank-deficient C)
-    nz = np.nonzero(poly > 0)[0]
-    poly = poly[: nz.max() + 1] if nz.size else poly[:1]
+def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
+    """The largest value rounding can give |Dp^n Omega|^2 where its exact value is 0.
+
+    `_pair_powers` computes v_n = Dp^n Omega as v_n = fl(D_n v_{n-1}), D_n the
+    sector block of Dp.  Each entry of D_n is 2 C_jk for the one pair j < k
+    that links its row and column, summed from the two terms C_jk and C_kj,
+    so the computed block is D_n + dD with |dD| <= u |D_n|, and a row holds
+    at most K = m (m - 1) / 2 nonzeros.  A complex matrix-vector product then
+    gives fl(D_n v) = D_n v + e with |e| <= gamma_{K+3} |D_n| |v| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Sec. 3.5-3.6;
+    gamma_k = k u / (1 - k u), u = 2^-53).  |D_n| is a sum of 2 |C_jk| times
+    partial permutations, so both |D_n|_2 and || |D_n| ||_2 are at most
+    S = sum_jk |C_jk|.  The error d_n of v_n therefore obeys
+        |d_n| <= S |d_{n-1}| + gamma_{K+3} S |v_{n-1}|,  d_0 = 0,
+    which is the recursion for the floor F_n below, read with the computed
+    |v_{n-1}| = sqrt(coeffs[n-1]).  Where the exact v_n is 0, the computed
+    v_n is d_n, so its squared norm is at most F_n^2; the factor 1 + 1e-6
+    covers the rounding of the norm and of this recursion.
+    """
+    m = len(C)
+    terms = m * (m - 1) // 2 + 3
+    gamma = terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+    scale = float(np.abs(C).sum())
+    floors = np.zeros(len(coeffs))
+    for n in range(1, len(coeffs)):
+        floors[n] = scale * floors[n - 1] + gamma * scale * math.sqrt(coeffs[n - 1])
+    return (floors * (1.0 + 1e-6)) ** 2
+
+
+def _polynomial_roots(coeffs: np.ndarray, C) -> np.ndarray:
+    """Roots in z of sum_n coeffs[n] z^(2n) / (n!)^2, without the trailing terms
+    that are rounding of an exact 0 (a rank-deficient C, `_rounding_floors`)."""
+    kept = np.nonzero(coeffs > _rounding_floors(coeffs, C))[0]
+    poly = np.array([c / math.factorial(n) ** 2
+                     for n, c in enumerate(coeffs[: kept.max(initial=0) + 1])])
     if poly.size < 2:
         return np.array([], dtype=complex)
     root = np.sqrt(np.roots(poly[::-1]).astype(complex))
@@ -208,7 +239,7 @@ def gaussian_report(space: FockSpace, C) -> GaussianReport:
     det = _determinant(pairs, z, convention)
     max_rel_diff = _rel_diff(series, det)
     zeros = _zeros(pairs, convention)
-    matched = zeros_match(zeros, _polynomial_roots(coeffs))
+    matched = zeros_match(zeros, _polynomial_roots(coeffs, C))
     return GaussianReport(
         m=space.m, coefficients=coeffs, convention=convention, z_grid=z,
         series_values=series, determinant_values=det,

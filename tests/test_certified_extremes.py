@@ -1,0 +1,231 @@
+"""The Lanczos-and-Cholesky sector extremes of bounds._gram_extremes, at the
+mode counts where the whole-space oracle in jw_oracle.py cannot go: closed
+forms, covariance, the dense fallback and the tolerance."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import fockbound as fb
+from fockbound import bounds
+from fockbound.bounds import _LANCZOS_STEPS, _gram_extremes
+from fockbound.rng import complex_matrix, skew_matrix, trial_rng, unitary_matrix
+
+SPECS = {
+    "dGamma": [fb.BoundSpec("dGamma", r) for r in (1, 4 / 3, 2, math.inf)]
+    + [fb.BoundSpec("literature_dGamma", math.inf)],
+    "Delta": [fb.BoundSpec("Delta", r) for r in (1, 1.5, 2)]
+    + [fb.BoundSpec("literature_Delta", 2)],
+    "DeltaPlus": [fb.BoundSpec("DeltaPlus", r) for r in (1, 1.5, 2)]
+    + [fb.BoundSpec("literature_DeltaPlus", 2), fb.BoundSpec("improved_r2", 2)],
+}
+
+
+def draw(operator, rng, m):
+    return complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
+
+
+def gram_dims(m, operator):
+    """The dimension of the Gram each sector's eigensolve runs on."""
+    shift = fb.fock.LADDERS[operator][1]
+    return [min(math.comb(m, n), math.comb(m, n + shift)) if 0 <= n + shift <= m else 0
+            for n in range(m + 1)]
+
+
+@pytest.fixture
+def dense(monkeypatch):
+    """The extremes with every sector on the dense eigvalsh, as before the Lanczos path."""
+    def extremes(space, operator, X, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_LANCZOS_STEPS", math.inf)
+            return _gram_extremes(space, operator, X, *args)
+    return extremes
+
+
+@pytest.fixture
+def large_eigensolves(monkeypatch):
+    """Shapes of the eigvalsh calls on a Gram above the Lanczos step cap (fallbacks)."""
+    shapes, solve = [], np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        if a.shape[0] > _LANCZOS_STEPS:
+            shapes.append(a.shape)
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+def assert_tops(extremes, expected):
+    np.testing.assert_allclose(extremes[:, 1], expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m", [10, 11, 12])
+def test_hermitian_dgamma_top_is_the_subset_sum_square(m, large_eigensolves):
+    # dGamma(B) on sector n has the n-subset sums of B's eigenvalues as its
+    # eigenvalues, so lambda_max(Q_n* Q_n) = max(top-n sum, |bottom-n sum|)^2
+    x = complex_matrix(trial_rng(71, m), m)
+    B = (x + x.conj().T) / 2
+    eigs = np.sort(np.linalg.eigvalsh(B))
+    top = np.concatenate(([0.0], np.cumsum(eigs[::-1])))
+    bottom = np.concatenate(([0.0], np.cumsum(eigs)))
+    expected = np.maximum(top, np.abs(bottom))**2
+    assert_tops(_gram_extremes(fb.make_space(m), "dGamma", B), expected)
+    assert large_eigensolves == []
+
+
+def flat_pairs(m, weight):
+    """weight on each canonical pair (2p, 2p + 1); an odd m leaves its last mode unpaired."""
+    X = np.zeros((m, m), dtype=complex)
+    for p in range(m // 2):
+        X[2 * p, 2 * p + 1], X[2 * p + 1, 2 * p] = weight, -weight
+    return X
+
+
+def flat_pair_tops(m, weight, operator):
+    """lambda_max(Q_n* Q_n) for flat canonical pairs, from the Johnson-graph spectrum.
+
+    Q is 2 weight times the pair lowering (Delta) or raising (DeltaPlus)
+    operator over L = m // 2 pair levels.  On k pairs and v singly filled
+    levels, Delta* Delta is 4 |weight|^2 k (L - v - k + 1) and
+    DeltaPlus* DeltaPlus is 4 |weight|^2 (k + 1)(L - v - k); both grow with k
+    at fixed n, so the top takes k = n'//2, v = n' % 2, where n' = n or
+    n - 1 is the filling of the pair levels (an odd m's spare mode holds
+    the rest).
+    """
+    levels, tops = m // 2, []
+    for n in range(m + 1):
+        best = 0.0
+        for filled in {n, n - m % 2} if m % 2 else {n}:
+            if not 0 <= filled <= 2 * levels:
+                continue
+            k, v = filled // 2, filled % 2
+            value = k * (levels - v - k + 1) if operator == "Delta" else \
+                (k + 1) * (levels - v - k)
+            best = max(best, value)
+        tops.append(4 * abs(weight)**2 * best)
+    return np.array(tops, dtype=float)
+
+
+@pytest.mark.parametrize("operator", ["Delta", "DeltaPlus"])
+@pytest.mark.parametrize("m", [10, 11, 12])
+def test_flat_pairs_top_is_the_johnson_graph_formula(m, operator, large_eigensolves):
+    weight = 0.8 - 0.6j
+    extremes = _gram_extremes(fb.make_space(m), operator, flat_pairs(m, weight))
+    assert_tops(extremes, flat_pair_tops(m, weight, operator))
+    assert large_eigensolves == []
+
+
+def test_flat_pairs_formula_at_small_m_against_dense():
+    # the closed form itself, where every sector takes the dense eigvalsh
+    for m, operator in itertools.product(range(2, 9), ["Delta", "DeltaPlus"]):
+        extremes = _gram_extremes(fb.make_space(m), operator, flat_pairs(m, 1.3))
+        np.testing.assert_allclose(extremes[:, 1], flat_pair_tops(m, 1.3, operator),
+                                   rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])
+@pytest.mark.parametrize("m", [9, 10, 11, 12])
+def test_extremes_are_covariant(m, operator):
+    # U acts on the one-body space and Gamma(U) on Fock space, so the sector
+    # Grams of B -> U B U* (dGamma) and A -> U^T A U (pair operators) are
+    # unitarily equivalent.  The top value must agree; the bottom Ritz value
+    # of a Lanczos sector depends on the start vector and only bounds
+    # lambda_min from above, so the bottom is compared where it is exact.
+    rng = trial_rng(72, m)
+    X, U = draw(operator, rng, m), unitary_matrix(rng, m)
+    moved = U @ X @ U.conj().T if operator == "dGamma" else U.T @ X @ U
+    space = fb.make_space(m)
+    before = _gram_extremes(space, operator, X)
+    after = _gram_extremes(space, operator, moved)
+    np.testing.assert_allclose(after[:, 1], before[:, 1], rtol=1e-12, atol=0.0)
+    exact = np.array(gram_dims(m, operator)) <= _LANCZOS_STEPS
+    np.testing.assert_allclose(after[exact, 0], before[exact, 0],
+                               rtol=0.0, atol=1e-12 * before[:, 1].max())
+
+
+def test_failed_certificate_falls_back_to_eigvalsh(monkeypatch, dense):
+    # a Ritz value below lambda_max by far more than c_n leaves
+    # (theta + c_n) I - G indefinite, so the Cholesky test fails and the
+    # sector takes the dense eigvalsh; the Gram was restored after the test
+    m, operator = 10, "dGamma"
+    space, X = fb.make_space(m), complex_matrix(trial_rng(73, m), m)
+    lanczos, certify, outcomes = bounds._lanczos, bounds._cholesky_certifies, []
+
+    def recording(*args):
+        outcomes.append(certify(*args))
+        return outcomes[-1]
+
+    def low_ritz(gram):
+        bottom, top = lanczos(gram)
+        return bottom, top * (1 - 1e-6)
+
+    monkeypatch.setattr(bounds, "_lanczos", low_ritz)
+    monkeypatch.setattr(bounds, "_cholesky_certifies", recording)
+    extremes = _gram_extremes(space, operator, X, SPECS[operator])
+    assert outcomes == [False] * sum(d > _LANCZOS_STEPS for d in gram_dims(m, operator))
+    assert np.array_equal(extremes, dense(space, operator, X))
+
+
+def test_certificate_wider_than_the_tolerance_share_falls_back(dense, large_eigensolves):
+    # with tol = 0 no bracket is narrow enough, so every sector is dense
+    m, operator = 10, "Delta"
+    space, X = fb.make_space(m), skew_matrix(trial_rng(74, m), m)
+    extremes = _gram_extremes(space, operator, X, SPECS[operator], 0.0)
+    assert len(large_eigensolves) == sum(d > _LANCZOS_STEPS for d in gram_dims(m, operator))
+    assert np.array_equal(extremes, dense(space, operator, X))
+
+
+def test_certificate_proves_the_dense_top(dense):
+    # lambda_max from eigvalsh lies in the bracket [theta, theta + 2 c_n]; only
+    # the upper end is proved
+    m = 10
+    space = fb.make_space(m)
+    for operator in SPECS:
+        X = draw(operator, trial_rng(75, m), m)
+        certified = _gram_extremes(space, operator, X)
+        reference = dense(space, operator, X)
+        for n, dim in enumerate(gram_dims(m, operator)):
+            if dim <= _LANCZOS_STEPS:
+                assert np.array_equal(certified[n], reference[n])
+                continue
+            q = fb.fock.ladder_matrix(space, operator, fb.quadratics.one_body(
+                space, operator, X), sector=n)
+            gram = q @ q.conj().T if q.shape[0] < q.shape[1] else q.conj().T @ q
+            gram = (gram + gram.conj().T) / 2
+            width = 2 * bounds._certificate_shift(gram, certified[n, 1])
+            # theta <= lambda_max holds up to the rounding of both eigensolvers
+            assert certified[n, 1] * (1 - 1e-13) <= reference[n, 1] <= \
+                certified[n, 1] + width
+            assert certified[n, 0] >= reference[n, 0] - 1e-12 * reference[n, 1]
+
+
+@pytest.mark.parametrize("m", [8, 9, 10])
+def test_tolerance_never_exceeds_the_dense_one(m, monkeypatch):
+    for operator, specs in SPECS.items():
+        for seed in range(3):
+            X = draw(operator, trial_rng(76, m, seed), m)
+            space = fb.make_space(m)
+            certified = fb.verify_bounds(space, specs, X)
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_LANCZOS_STEPS", math.inf)
+                reference = fb.verify_bounds(space, specs, X)
+            for new, old in zip(certified, reference, strict=True):
+                assert new.tolerance <= old.tolerance
+                assert new.passed == old.passed
+                assert abs(new.slack_min - old.slack_min) <= 1e-6 * old.tolerance
+
+
+@pytest.mark.parametrize("seed", [29, 31])
+def test_benchmark_inputs_are_certified_without_fallback(seed, large_eigensolves):
+    # the verify-bounds invocations of the bounds-m10 benchmark workload
+    m, space = 10, fb.make_space(10)
+    for which, rs in [("dGamma", (1, 4 / 3, 2, math.inf)), ("Delta", (1, 1.5, 2)),
+                      ("DeltaPlus", (1, 2)), ("improved_r2", (2,)),
+                      ("literature_DeltaPlus", (2,))]:
+        specs = [fb.BoundSpec(which, r) for r in rs]
+        X = draw(specs[0].operator, trial_rng(seed, 0), m)
+        assert all(v.passed for v in fb.verify_bounds(space, specs, X))
+    assert large_eigensolves == []

@@ -5,8 +5,9 @@ import pytest
 
 import fockbound as fb
 from fockbound import quadratics
-from fockbound.gaussian import calibrate_convention, default_z_grid, zeros_match
-from fockbound.rng import skew_matrix, trial_rng
+from fockbound.gaussian import (_rounding_floors, calibrate_convention, default_z_grid,
+                                zeros_match)
+from fockbound.rng import skew_matrix, trial_rng, unitary_matrix
 
 ROTATION = np.array([[0, -1], [1, 0]], dtype=complex)
 
@@ -248,3 +249,28 @@ def test_gaussian_report_edge_cases():
     assert canonical.passed
     assert sorted(canonical.zeros, key=lambda z: z.imag) == [-1j, 1j]
 
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_rotated_rank_two_c_keeps_only_its_two_zeros(m):
+    # Q^T C0 Q has one canonical pair, so |Dp^n Omega|^2 = 0 for n >= 2; the
+    # block products leave about 1e-32 there, which used to add spurious
+    # companion-matrix roots
+    rng = trial_rng(61, m)
+    C0 = np.zeros((m, m), dtype=complex)
+    C0[:2, :2] = 0.7 * ROTATION
+    Q = unitary_matrix(rng, m)
+    C = Q.T @ C0 @ Q
+    rep = fb.gaussian_report(fb.make_space(m), C)
+    assert rep.zeros.size == 2 and rep.zeros_matched and rep.passed
+    floors = _rounding_floors(rep.coefficients, C)
+    assert np.all(rep.coefficients[2:] <= floors[2:])
+    assert fb.omega_polynomial_roots(fb.make_space(m), C).size == 2
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_rounding_floor_keeps_every_coefficient_of_a_full_rank_c(m):
+    for t in range(3):
+        C = skew_matrix(trial_rng(62, m, t), m)
+        coeffs = fb.pair_coefficients(fb.make_space(m), C)
+        assert np.all(coeffs > _rounding_floors(coeffs, C))

@@ -24,8 +24,8 @@ import numpy as np
 from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
 from .quadratics import one_body, require_representable
 from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
-from .spectral import BoundVerdict, _require_self_adjoint, schatten_norm
-from .tolerances import EIGEN_TOL, IDENTITY_TOL
+from .spectral import BoundVerdict, _loewner_tolerance, _require_self_adjoint, _schatten
+from .tolerances import IDENTITY_TOL
 
 # which: (Q, r_min, r_max, rhs(norms, r, s, n)); norms has the keys "r", "2" and
 # "inf", and n is float, so n**0.0 is exactly 1 on the vacuum too.
@@ -106,11 +106,6 @@ def rhs_operator(space: FockSpace, spec: BoundSpec, norms: dict):
     return FockOperator(space, np.diag(diag.astype(complex)), grading_shift=0)
 
 
-def _norms_for(spec: BoundSpec, X) -> dict:
-    return {"r": schatten_norm(X, spec.r), "2": schatten_norm(X, 2),
-            "inf": schatten_norm(X, math.inf)}
-
-
 # Lanczos steps at most; a Gram no larger than this keeps the dense eigvalsh
 _LANCZOS_STEPS = 60
 # a certified bracket is read only if its width 2 c_n is at most this share of
@@ -118,15 +113,6 @@ _LANCZOS_STEPS = 60
 _CERTIFIED_SHARE = 1e-3
 _UNIT_ROUNDOFF = 2.0**-53
 _TINIEST = 2.0**-1074  # the smallest subnormal
-
-
-def _tolerance(rhs: np.ndarray, extremes: np.ndarray) -> float:
-    """EIGEN_TOL (1 + the largest |eigenvalue| of the slack rhs(n) - Q_n* Q_n over the sectors).
-
-    A sector whose extremes are NaN (not solved yet) is left out.
-    """
-    # the 2-norm of a self-adjoint matrix is its largest |eigenvalue|
-    return EIGEN_TOL * (1.0 + float(np.nanmax(np.abs(rhs[:, None] - extremes))))
 
 
 def _lanczos(gram: np.ndarray) -> tuple[float, float]:
@@ -221,18 +207,19 @@ def _cholesky_certifies(gram: np.ndarray, theta: float, shift: float) -> bool:
         gram.flat[::len(gram) + 1] = diagonal
 
 
-def _gram_extremes(space: FockSpace, operator: str, X, specs=(),
+def _gram_extremes(space: FockSpace, operator: str, X, rhs=(),
                    tol: float | None = None) -> np.ndarray:
     """(lambda_min, lambda_max) of Q_n* Q_n for each sector n, Q = `operator` built from X.
 
-    The left side of every bound on Q*Q; no exponent r enters it.  Q_n* Q_n
-    and Q_n Q_n* share their nonzero eigenvalues, so the eigensolve runs on
-    the smaller of the two.  A wide block (fewer rows than columns, as
-    Delta and DeltaPlus have on about half of the sectors) gives Q_n* Q_n a
-    rank below its dimension, so lambda_min = 0 exactly and lambda_max is
-    the top eigenvalue of Q_n Q_n*.  An empty block (Delta from sectors 0
-    and 1, DeltaPlus from m - 1 and m) gives (0, 0) with no eigensolve.
-    dGamma blocks are square and keep the full Q_n* Q_n, as do tall blocks.
+    The left side of every bound on Q*Q; no exponent r enters it.  X is
+    validated by the caller (`_sector_verdicts`).  Q_n* Q_n and Q_n Q_n*
+    share their nonzero eigenvalues, so the eigensolve runs on the smaller
+    of the two.  A wide block (fewer rows than columns, as Delta and
+    DeltaPlus have on about half of the sectors) gives Q_n* Q_n a rank below
+    its dimension, so lambda_min = 0 exactly and lambda_max is the top
+    eigenvalue of Q_n Q_n*.  An empty block (Delta from sectors 0 and 1,
+    DeltaPlus from m - 1 and m) gives (0, 0) with no eigensolve.  dGamma
+    blocks are square and keep the full Q_n* Q_n, as do tall blocks.
 
     A Gram G of dimension at most _LANCZOS_STEPS gets a dense eigvalsh.  A
     larger one gets the Ritz values (theta_min, theta_max) of `_lanczos`
@@ -245,30 +232,26 @@ def _gram_extremes(space: FockSpace, operator: str, X, specs=(),
     The sector falls back to eigvalsh if the factorisation fails, or if
     2 c_n exceeds _CERTIFIED_SHARE of the smallest tolerance of a row that
     reads the extremes: `tol` if given, else the least default tolerance of
-    `specs` over the sectors solved so far, which only grows as more are
-    solved.  The dense sectors are solved first, in order of n, so their
-    exact extremes are in it before any Lanczos sector is read.  The Lanczos
+    a row of `rhs` (rhs[i, n]: row i's right-hand side on sector n) over the
+    sectors solved so far, which only grows as more are solved.  The dense
+    sectors are solved first, in order of n, so their exact extremes are in
+    it before any Lanczos sector is read.  The Lanczos
     sectors follow from the largest down, so their largest temporaries come
     while the heap is smallest, which lowers the peak RSS.  With neither
-    `specs` nor `tol`, every certified bracket is kept.
+    `rhs` nor `tol`, every certified bracket is kept.
     """
-    coeffs = one_body(space, operator, X)
-    require_representable(space, coeffs, f"{operator} argument")
     shift = LADDERS[operator][1]
     sizes = np.bincount(space.occupations, minlength=space.m + 1)
     # each sector's Gram is on the smaller side of Q_n; an empty block has none
     dims = [min(sizes[n], sizes[n + shift]) if 0 <= n + shift <= space.m else 0
             for n in range(space.m + 1)]
     lanczos = [dim > _LANCZOS_STEPS for dim in dims]
-    # only a Lanczos sector reads the right-hand sides
-    rhs = ([_profile(spec, _norms_for(spec, X), np.arange(space.m + 1)) for spec in specs]
-           if any(lanczos) else [])
     extremes = np.full((space.m + 1, 2), np.nan)
     for n in sorted(range(space.m + 1), key=lambda n: (lanczos[n], -dims[n] * lanczos[n])):
         if dims[n] == 0:
             extremes[n] = 0.0
             continue
-        q = ladder_matrix(space, operator, coeffs, sector=n)
+        q = ladder_matrix(space, operator, X, sector=n)
         wide = q.shape[0] < q.shape[1]
         gram = q @ q.conj().T if wide else q.conj().T @ q
         del q  # before the n x n temporaries of the checks below
@@ -280,9 +263,8 @@ def _gram_extremes(space: FockSpace, operator: str, X, specs=(),
             low, top = _lanczos(gram)
             width = 2.0 * _certificate_shift(gram, top)
             extremes[n] = (0.0 if wide else low), top
-            widest = _CERTIFIED_SHARE * (
-                tol if tol is not None
-                else min((_tolerance(r, extremes) for r in rhs), default=math.inf))
+            widest = _CERTIFIED_SHARE * (tol if tol is not None else min(
+                (_loewner_tolerance(r[:, None] - extremes) for r in rhs), default=math.inf))
             certified = width <= widest and _cholesky_certifies(gram, top, width / 2.0)
         if not certified:
             eigs = np.linalg.eigvalsh(gram)
@@ -291,38 +273,48 @@ def _gram_extremes(space: FockSpace, operator: str, X, specs=(),
     return extremes
 
 
-def _sector_verdict(spec: BoundSpec, X, extremes: np.ndarray,
+def _sector_verdict(spec: BoundSpec, rhs: np.ndarray, extremes: np.ndarray,
                     tol: float | None) -> tuple[BoundVerdict, float]:
     """The verdict on Q*Q <= rhs(N), and the saturation ratio max_n lambda_max(Q_n* Q_n) / rhs(n).
 
     In sector n the slack rhs(n) Id - Q_n* Q_n has extreme eigenvalues
     rhs(n) - lambda_max and rhs(n) - lambda_min, so the least slack and the
     largest tolerance over the sectors equal the whole-space values, because
-    the slack is block diagonal.
+    the slack is block diagonal.  `rhs` holds rhs(n) for n = 0..m.
     """
-    rhs = _profile(spec, _norms_for(spec, X), np.arange(len(extremes)))
     if tol is None:
-        tol = _tolerance(rhs, extremes)
+        tol = _loewner_tolerance(rhs[:, None] - extremes)
     positive = rhs > 0
     ratio = float((extremes[positive, 1] / rhs[positive]).max(initial=0.0))
     return BoundVerdict(f"{spec.which}_lhs", f"{spec.which}_rhs(r={spec.r})",
                         float((rhs - extremes[:, 1]).min()), tol), ratio
 
 
-def verify_bounds(space: FockSpace, specs, X,
-                  tol: float | None = None) -> list[BoundVerdict]:
-    """Loewner verdicts on Q*Q <= rhs_operator for every spec, all bounds on one Q.
-
-    One eigensolve of Q_n* Q_n per sector n serves every spec: only the
-    right-hand side depends on the bound and its exponent r.
-    """
+def _sector_verdicts(space: FockSpace, specs, X,
+                     tol: float | None) -> list[tuple[BoundVerdict, float]]:
+    """`_sector_verdict` for every spec on one Q.  X is validated before any norm
+    is formed; the bounds read X only through its singular values, so one SVD
+    gives every rhs(n), and one eigensolve of Q_n* Q_n per sector serves every spec."""
     specs = list(specs)
     if len({spec.operator for spec in specs}) != 1:
         raise ValueError("verify_bounds needs one or more specs that share one operator")
     if tol is not None and not 0.0 <= tol < math.inf:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
-    extremes = _gram_extremes(space, specs[0].operator, X, specs, tol)
-    return [_sector_verdict(spec, X, extremes, tol)[0] for spec in specs]
+    operator = specs[0].operator
+    X = one_body(space, operator, X)
+    require_representable(space, X, f"{operator} argument")
+    mu = np.linalg.svd(X, compute_uv=False)
+    norms = {"2": _schatten(mu, 2), "inf": _schatten(mu, math.inf)}
+    rhs = np.array([_profile(spec, {**norms, "r": _schatten(mu, spec.r)},
+                             np.arange(space.m + 1)) for spec in specs])
+    extremes = _gram_extremes(space, operator, X, rhs, tol)
+    return [_sector_verdict(spec, row, extremes, tol) for spec, row in zip(specs, rhs)]
+
+
+def verify_bounds(space: FockSpace, specs, X,
+                  tol: float | None = None) -> list[BoundVerdict]:
+    """Loewner verdicts on Q*Q <= rhs_operator for every spec, all bounds on one Q."""
+    return [verdict for verdict, _ in _sector_verdicts(space, specs, X, tol)]
 
 
 def verify_bound(space: FockSpace, spec: BoundSpec, X,
@@ -400,8 +392,7 @@ def bound_sweep(ms, spec: BoundSpec, trials: int, seed: int) -> list[SweepRow]:
         for t in range(trials):
             rng = trial_rng(seed, m, t)
             X = skew_matrix(rng, m) if skew else complex_matrix(rng, m)
-            verdict, ratio = _sector_verdict(
-                spec, X, _gram_extremes(space, spec.operator, X, [spec]), None)
+            [(verdict, ratio)] = _sector_verdicts(space, [spec], X, None)
             rows.append(SweepRow(m=m, r=spec.r, trial=t,
                                  slack_min=verdict.slack_min, max_ratio=ratio))
     return rows

@@ -56,7 +56,7 @@ def parse_r(text: str) -> float:
         return math.inf
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValueError(f"cannot parse exponent {text!r}") from exc
 
 
@@ -330,10 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True, choices=bounds.WHICH)
     p.add_argument("--r", nargs="+", required=True,
                    help="Schatten exponents, e.g. 1 4/3 2 inf")
-    p.add_argument("--diag", nargs="+", type=float, default=None,
-                   help="use this diagonal one-body operator instead of random draws")
-    p.add_argument("--matrix-file", default=None,
-                   help="JSON file with rows of [re, im] pairs")
+    explicit = p.add_mutually_exclusive_group()
+    explicit.add_argument("--diag", nargs="+", type=float, default=None,
+                          help="use this diagonal one-body operator instead of random draws")
+    explicit.add_argument("--matrix-file", default=None,
+                          help="JSON file with rows of [re, im] pairs")
 
     common(sub.add_parser("verify-algebra",
                           help="commutator, adjoint, and grading identities"))

@@ -6,7 +6,7 @@ operator with nonnegative entries lam, the norm of its second quantization
 restricted to the n-particle sector is exactly the sum of the n largest
 lam_j.  That subset-sum identity turns each sector norm of the power_decay
 family into a running power sum, which _power_sums streams in fixed blocks:
-the sweeps and certificates take the same memory at any n.
+the sweeps take the same memory at any n.
 """
 
 from __future__ import annotations
@@ -99,12 +99,16 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     The partial sums of j^(s/2-1) grow like n^(s/2); the fit runs over the top
     decade of the grid and passes iff |slope - s/2| <= SLOPE_TOL.  The grid
     starts at 10, so n_max >= 11 is the least that puts two points in the fit.
+    _power_sums runs j as float64, which holds every integer up to 2^53 exactly.
     """
     if not 0.0 < s < 2.0:
         raise ValueError(f"power_decay needs 0 < s < 2, got {s}")
     if n_max < 11:
         raise ValueError(f"sweep needs n_max >= 11 for two points in its fit window, "
                          f"got {n_max}")
+    if n_max > 2**53:
+        raise ValueError(f"sweep needs n_max <= 2**53, the last integer float64 holds "
+                         f"exactly, got {n_max}")
     n_grid = np.unique(np.geomspace(10, n_max, 60).astype(int))
     sums = _power_sums(s / 2.0 - 1.0, n_grid)  # j^(s/2-1) is sorted descending
     window = n_grid >= n_max / 10
@@ -173,7 +177,6 @@ class ConvergenceCertificate:
     """Integral-test certificate for sum j^(-exponent)."""
 
     exponent: float
-    partial_sum: float      # up to j_max
     j_max: int
     tail_bound: float       # < inf iff convergent; integral comparison
     lower_bound: float      # divergence witness: log lower bound at j_max
@@ -181,19 +184,16 @@ class ConvergenceCertificate:
 
 
 def power_sum_certificate(exponent: float, j_max: int = 10**6) -> ConvergenceCertificate:
-    partial = float(_power_sums(-exponent, [j_max])[0])
     if exponent > 1.0:
         tail = j_max ** (1.0 - exponent) / (exponent - 1.0)
-        return ConvergenceCertificate(exponent=exponent, partial_sum=partial,
-                                      j_max=j_max, tail_bound=tail,
+        return ConvergenceCertificate(exponent=exponent, j_max=j_max, tail_bound=tail,
                                       lower_bound=0.0, converges=True)
     # integral comparison: sum_{j<=N} j^-e >= int_1^{N+1} x^-e dx
     if exponent == 1.0:
         lower = math.log(j_max + 1.0)
     else:
         lower = ((j_max + 1.0)**(1.0 - exponent) - 1.0) / (1.0 - exponent)
-    return ConvergenceCertificate(exponent=exponent, partial_sum=partial,
-                                  j_max=j_max, tail_bound=math.inf,
+    return ConvergenceCertificate(exponent=exponent, j_max=j_max, tail_bound=math.inf,
                                   lower_bound=lower, converges=False)
 
 

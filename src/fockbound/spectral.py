@@ -52,6 +52,11 @@ def schatten_norm(B, r) -> float:
     if not r >= 1:
         raise ValueError(f"Schatten exponent must satisfy r >= 1, got {r}")
     mu = np.linalg.svd(np.atleast_2d(np.asarray(B, dtype=complex)), compute_uv=False)
+    return _schatten(mu, r)
+
+
+def _schatten(mu: np.ndarray, r: float) -> float:
+    """schatten_norm from the singular values mu of B, largest first."""
     if not mu.size or mu[0] == 0.0:
         return 0.0
     if math.isinf(r):
@@ -77,11 +82,14 @@ def loewner_leq(X, Y, tol: float | None = None,
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
     diff = Y - X
     eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    if tol is None:
-        # the 2-norm of a self-adjoint matrix is its largest |eigenvalue|
-        tol = EIGEN_TOL * (1.0 + float(np.abs(eigs).max()))
     return BoundVerdict(lhs_id=lhs_id, rhs_id=rhs_id, slack_min=float(eigs.min()),
-                        tolerance=tol)
+                        tolerance=_loewner_tolerance(eigs) if tol is None else tol)
+
+
+def _loewner_tolerance(slack_eigs) -> float:
+    """EIGEN_TOL (1 + |slack|_2), the default allowance of every Loewner verdict, from
+    the slack's eigenvalues; a NaN (a sector not solved yet) is left out."""
+    return EIGEN_TOL * (1.0 + float(np.nanmax(np.abs(slack_eigs))))
 
 
 def psd_power(X, p: float) -> np.ndarray:

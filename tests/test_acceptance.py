@@ -57,8 +57,9 @@ def test_criterion_2_d_gamma_bound():
 
 
 def _rhs_norm(space, spec, X):
-    from fockbound.bounds import _norms_for
-    return float(np.abs(fb.rhs_operator(space, spec, _norms_for(spec, X)).matrix).max())
+    norms = {"r": fb.schatten_norm(X, spec.r), "2": fb.schatten_norm(X, 2),
+             "inf": fb.schatten_norm(X, math.inf)}
+    return float(np.abs(fb.rhs_operator(space, spec, norms).matrix).max())
 
 
 def test_criterion_3_pair_operator_bounds():

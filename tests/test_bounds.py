@@ -120,6 +120,29 @@ def test_verify_bounds_keeps_a_valid_tolerance():
     assert [v.tolerance for v in verdicts] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("m, specs", [
+    (3, [fb.BoundSpec("dGamma", 2)]),
+    (10, [fb.BoundSpec("dGamma", r) for r in (1, 4 / 3, 2, math.inf)]
+     + [fb.BoundSpec("literature_dGamma", math.inf)]),
+    (10, [fb.BoundSpec("DeltaPlus", r) for r in (1, 1.5, 2)]
+     + [fb.BoundSpec("improved_r2", 2), fb.BoundSpec("literature_DeltaPlus", 2)]),
+])
+def test_one_svd_per_verify_bounds_call(m, specs, monkeypatch):
+    # every right-hand side reads X through its singular values alone, also
+    # where the Lanczos sectors of m = 10 read them for their certificate width
+    calls, svd = [], np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = trial_rng(23, m)
+    X = complex_matrix(rng, m) if specs[0].operator == "dGamma" else skew_matrix(rng, m)
+    assert all(v.passed for v in fb.verify_bounds(fb.make_space(m), specs, X))
+    assert calls == [(m, m)]
+
+
 def _valid_specs():
     specs = {}
     for which in WHICH:

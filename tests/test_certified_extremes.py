@@ -23,6 +23,13 @@ SPECS = {
 }
 
 
+def rhs_table(specs, X, m):
+    """rhs[i, n]: specs[i]'s right-hand side on sector n, from the norms of X."""
+    norms = {"2": fb.schatten_norm(X, 2), "inf": fb.schatten_norm(X, math.inf)}
+    return np.array([bounds._profile(spec, {**norms, "r": fb.schatten_norm(X, spec.r)},
+                                     np.arange(m + 1)) for spec in specs])
+
+
 def draw(operator, rng, m):
     return complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
 
@@ -164,7 +171,7 @@ def test_failed_certificate_falls_back_to_eigvalsh(monkeypatch, dense):
 
     monkeypatch.setattr(bounds, "_lanczos", low_ritz)
     monkeypatch.setattr(bounds, "_cholesky_certifies", recording)
-    extremes = _gram_extremes(space, operator, X, SPECS[operator])
+    extremes = _gram_extremes(space, operator, X, rhs_table(SPECS[operator], X, m))
     assert outcomes == [False] * sum(d > _LANCZOS_STEPS for d in gram_dims(m, operator))
     assert np.array_equal(extremes, dense(space, operator, X))
 
@@ -173,7 +180,7 @@ def test_certificate_wider_than_the_tolerance_share_falls_back(dense, large_eige
     # with tol = 0 no bracket is narrow enough, so every sector is dense
     m, operator = 10, "Delta"
     space, X = fb.make_space(m), skew_matrix(trial_rng(74, m), m)
-    extremes = _gram_extremes(space, operator, X, SPECS[operator], 0.0)
+    extremes = _gram_extremes(space, operator, X, rhs_table(SPECS[operator], X, m), 0.0)
     assert len(large_eigensolves) == sum(d > _LANCZOS_STEPS for d in gram_dims(m, operator))
     assert np.array_equal(extremes, dense(space, operator, X))
 

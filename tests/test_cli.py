@@ -156,6 +156,26 @@ def test_parse_r():
         cli.parse_r("abc")
 
 
+def test_exponent_past_float_range_is_a_validation_error(capsys):
+    # Fraction("1e400") is exact, and only its conversion to float overflows
+    code = cli.main(["verify-bounds", "--which", "dGamma", "--r", "1e400", "--m", "2"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert captured.out == "" and "cannot parse exponent '1e400'" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_diag_and_matrix_file_together_are_rejected(tmp_path, capsys, monkeypatch):
+    # the file need not exist: the pair is refused before either is read
+    monkeypatch.setattr(cli, "_load_matrix", lambda path: pytest.fail("file opened"))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["verify-bounds", "--which", "dGamma", "--r", "2", "--m", "2",
+                  "--diag", "1", "2", "--matrix-file", str(tmp_path / "missing.json")])
+    assert err.value.code == cli.EXIT_VALIDATION_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with argument" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-car", "--m", "3", "--trials", "0"],
     ["verify-car", "--m", "3", "--trials", "-5"],
@@ -468,6 +488,15 @@ def test_sweep_n_max_below_11_is_a_validation_error(n_max, capsys):
     captured = capsys.readouterr()
     assert code == cli.EXIT_VALIDATION_ERROR
     assert captured.out == "" and "n_max >= 11" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("n_max", [str(2**53 + 1), "100000000000000000000"])
+def test_sweep_n_max_past_2_to_the_53_is_a_validation_error(n_max, capsys):
+    code = cli.main(["sweep-sharpness", "--s", "1.0", "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert captured.out == "" and "n_max <= 2**53" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -91,12 +91,10 @@ def test_sweep_rejects_a_fit_window_below_two_points(n_max):
     assert fb.sharpness_sweep(1.0, n_max=11).fit_window == (10, 11)
 
 
-@pytest.mark.parametrize("exponent", [0.5, 1.0, 1.05])
-@pytest.mark.parametrize("j_max", [10**5, 10**6])
-def test_streamed_partial_sum_matches_one_array_sum(exponent, j_max):
-    j = np.arange(1, j_max + 1, dtype=float)
-    assert power_sum_certificate(exponent, j_max=j_max).partial_sum == pytest.approx(
-        float(np.sum(j**(-exponent))), rel=1e-12)
+@pytest.mark.parametrize("n_max", [2**53 + 1, 10**20])
+def test_sweep_rejects_n_max_past_exact_float64_integers(n_max):
+    with pytest.raises(ValueError, match=r"n_max <= 2\*\*53"):
+        fb.sharpness_sweep(1.0, n_max=n_max)
 
 
 @pytest.mark.parametrize("call", [lambda: fb.sharpness_sweep(1.0, n_max=10**7),
@@ -166,7 +164,6 @@ def test_trace_bound_validation():
 def test_power_sum_certificates():
     div = power_sum_certificate(1.0, j_max=10**5)
     assert not div.converges
-    assert div.partial_sum >= div.lower_bound
     assert div.lower_bound == pytest.approx(math.log(10**5 + 1))
     conv = power_sum_certificate(1.05, j_max=10**5)
     assert conv.converges

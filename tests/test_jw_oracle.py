@@ -12,7 +12,7 @@ import pytest
 import fockbound as fb
 import jw_oracle as jw
 from fockbound import cli
-from fockbound.bounds import _gram_extremes, _norms_for
+from fockbound.bounds import _gram_extremes
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 
 MODES = range(1, 9)
@@ -70,7 +70,9 @@ def dense_verdict(sp, spec, X):
     build = {"dGamma": jw.d_gamma, "Delta": jw.delta, "DeltaPlus": jw.delta_plus}
     q = build[spec.operator](sp, X)
     lhs = (q.dagger() @ q).matrix
-    rhs = fb.rhs_operator(sp, spec, _norms_for(spec, X)).matrix
+    norms = {"r": fb.schatten_norm(X, spec.r), "2": fb.schatten_norm(X, 2),
+             "inf": fb.schatten_norm(X, math.inf)}
+    rhs = fb.rhs_operator(sp, spec, norms).matrix
     return lhs, rhs, fb.loewner_leq(lhs, rhs)
 
 

@@ -19,13 +19,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from . import bounds, converse, gaussian, quadratics
-from .fock import (CAR_TOL, LADDERS, ResourceError, ladder_entries, make_space,
+from .fock import (CAR_TOL, LADDERS, GradingError, ResourceError, make_space,
                    sector_blocks, verify_car)
 from .rng import complex_matrix, skew_matrix, trial_rng
 from .tolerances import ENTRY_TOL, NORM_TOL, ORDER_TOL, SLOPE_TOL
@@ -36,19 +35,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_VALIDATION_ERROR = 2
 EXIT_RESOURCE_ERROR = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    m: int | None = None
-    r_list: tuple = ()
-    trials: int = 25
-    seed: int = 0
-    tolerance: float | None = None
-    output: str | None = None
-    fmt: str = "json"
-    extra: dict = field(default_factory=dict)
 
 
 def parse_r(text: str) -> float:
@@ -79,22 +65,27 @@ def _check(check_id: str, statement: str, inputs, metric: float,
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    """Square complex matrix from JSON: rows of [re, im] pairs, row-major."""
+    """Square complex matrix from JSON: rows of [re, im] pairs of numbers, row-major.
+
+    Integers are read as floats, so a JSON number is exactly a float entry;
+    true, "2" or an object is not one.
+    """
     with open(path) as fh:
-        raw = json.load(fh)
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
+        raw = np.asarray(json.load(fh, parse_int=float), dtype=object)
+    if raw.ndim != 3 or raw.shape[0] != raw.shape[1] or raw.shape[2] != 2 \
+            or any(type(x) is not float for x in raw.flat):
         raise ValueError(f"matrix file {path} must hold an n x n array of [re, im] pairs")
+    arr = raw.astype(float)
     if not np.isfinite(arr).all():
         raise ValueError(f"matrix file {path} has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _resolve_operator(cfg: RunConfig, skew: bool, rng) -> np.ndarray:
-    if cfg.extra.get("diag") is not None:
-        mat = np.diag(np.asarray(cfg.extra["diag"], dtype=complex))
-    elif cfg.extra.get("matrix_file") is not None:
-        mat = _load_matrix(cfg.extra["matrix_file"])
+def _resolve_operator(cfg: argparse.Namespace, skew: bool, rng) -> np.ndarray:
+    if cfg.diag is not None:
+        mat = np.diag(np.asarray(cfg.diag, dtype=complex))
+    elif cfg.matrix_file is not None:
+        mat = _load_matrix(cfg.matrix_file)
     elif skew:
         return skew_matrix(rng, cfg.m)
     else:
@@ -104,7 +95,7 @@ def _resolve_operator(cfg: RunConfig, skew: bool, rng) -> np.ndarray:
     return mat
 
 
-def run_verify_car(cfg: RunConfig) -> list[dict]:
+def run_verify_car(cfg: argparse.Namespace) -> list[dict]:
     space = make_space(cfg.m)
     report = verify_car(space, trials=cfg.trials, seed=cfg.seed)
     inputs = {"m": cfg.m, "trials": cfg.trials, "seed": cfg.seed}
@@ -117,15 +108,15 @@ def run_verify_car(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def run_verify_bounds(cfg: RunConfig) -> list[dict]:
-    which = cfg.extra["which"]
-    specs = [bounds.BoundSpec(which, r) for r in cfg.r_list]
+def run_verify_bounds(cfg: argparse.Namespace) -> list[dict]:
+    which = cfg.which
+    specs = [bounds.BoundSpec(which, r) for r in cfg.r]
     if len(specs) > 1 and not bounds.reads_r_norm(which):
         raise ValueError(f"{which} reads no r-norm, so every --r gives the same "
                          f"verdict; pass one --r, got {len(specs)}")
     space = make_space(cfg.m)
     skew = LADDERS[specs[0].operator][1] != 0
-    explicit = cfg.extra.get("diag") is not None or cfg.extra.get("matrix_file") is not None
+    explicit = cfg.diag is not None or cfg.matrix_file is not None
     checks = []
     for t in range(1 if explicit else cfg.trials):
         rng = trial_rng(cfg.seed, t)
@@ -141,31 +132,28 @@ def run_verify_bounds(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def run_verify_algebra(cfg: RunConfig) -> list[dict]:
+def run_verify_algebra(cfg: argparse.Namespace) -> list[dict]:
     space = make_space(cfg.m)
     worst = {"commutator": 0.0, "adjoint_dgamma": 0.0, "adjoint_delta": 0.0}
-    grading_failures, occ = 0, space.occupations
+    grading_failures = 0
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         B = complex_matrix(rng, cfg.m)
         A = skew_matrix(rng, cfg.m)
         C = skew_matrix(rng, cfg.m)
-        rep = quadratics.check_commutator(space, A, C)
-        # np.maximum and np.max keep a NaN that the builtin max would drop
-        worst["commutator"] = np.maximum(worst["commutator"], rep.residual / rep.scale)
-        # Q(X)[n]^H and Q'(X^H)[n + shift] map sector n + shift to n; all else is 0
-        for key, name, X, adjoint in (("adjoint_dgamma", "dGamma", B, "dGamma"),
-                                      ("adjoint_delta", "Delta", A, "DeltaPlus")):
-            q, qa = sector_blocks(space, name, X), sector_blocks(space, adjoint, X.conj().T)
-            worst[key] = np.max([worst[key], *(
-                np.abs(q[n].conj().T - qa[n + LADDERS[name][1]]).max(initial=0.0)
-                for n in range(cfg.m + 1))])
-        # whole-space entries, not blocks, which are graded by construction
-        misgraded = False
-        for name, X in (("dGamma", B), ("Delta", A), ("DeltaPlus", C)):
-            (rows, cols), _, _ = ladder_entries(space, name, X)
-            misgraded |= bool(np.any(occ[rows] - occ[cols] != LADDERS[name][1]))
-        grading_failures += misgraded
+        try:  # every block build checks its entries' sector shift
+            rep = quadratics.check_commutator(space, A, C)
+            # np.maximum and np.max keep a NaN that the builtin max would drop
+            worst["commutator"] = np.maximum(worst["commutator"], rep.residual / rep.scale)
+            # Q(X)[n]^H and Q'(X^H)[n + shift] map sector n + shift to n; all else is 0
+            for key, name, X, adjoint in (("adjoint_dgamma", "dGamma", B, "dGamma"),
+                                          ("adjoint_delta", "Delta", A, "DeltaPlus")):
+                q, qa = sector_blocks(space, name, X), sector_blocks(space, adjoint, X.conj().T)
+                worst[key] = np.max([worst[key], *(
+                    np.abs(q[n].conj().T - qa[n + LADDERS[name][1]]).max(initial=0.0)
+                    for n in range(cfg.m + 1))])
+        except GradingError:
+            grading_failures += 1
     inputs = {"m": cfg.m, "trials": cfg.trials, "seed": cfg.seed}
     tols = {"commutator": NORM_TOL, "adjoint_dgamma": ENTRY_TOL * (1 + 4 * cfg.m),
             "adjoint_delta": ENTRY_TOL * (1 + 4 * cfg.m)}
@@ -180,7 +168,7 @@ def run_verify_algebra(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def run_gaussian_check(cfg: RunConfig) -> list[dict]:
+def run_gaussian_check(cfg: argparse.Namespace) -> list[dict]:
     space = make_space(cfg.m)
     worst_diff = 0.0
     zeros_failures = convention_failures = 0
@@ -215,9 +203,8 @@ def run_gaussian_check(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def run_sweep_sharpness(cfg: RunConfig) -> list[dict]:
-    s = cfg.extra["s"]
-    n_max = cfg.extra.get("n_max", 100_000)
+def run_sweep_sharpness(cfg: argparse.Namespace) -> list[dict]:
+    s, n_max = cfg.s, cfg.n_max
     sweep = converse.sharpness_sweep(s, n_max=n_max)
     checks = [_check(
         f"sweep/power_decay/s={s}",
@@ -233,19 +220,31 @@ def run_sweep_sharpness(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def run_report_merge(cfg: RunConfig) -> list[dict]:
+def _finite_number(value) -> bool:
+    """True for a finite JSON number (json reads true and false as bools, not ints)."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def run_report_merge(cfg: argparse.Namespace) -> list[dict]:
+    """Every row of every input, each held to the row rule pass <=> metric <= tolerance."""
     checks, seen = [], set()
-    for path in cfg.extra["inputs"]:
+    for path in cfg.inputs:
         with open(path) as fh:
             body = json.load(fh)
         rows = body.get("checks") if isinstance(body, dict) else None
-        if not isinstance(rows, list):
-            raise ValueError(f"report {path} has no list of checks at its top level")
+        if not isinstance(rows, list) or not rows:
+            raise ValueError(f"report {path} has no nonempty list of checks at its top level")
         for row in rows:
             if not isinstance(row, dict) or not isinstance(row.get("check_id"), str) \
                     or not isinstance(row.get("pass"), bool):
                 raise ValueError(f"report {path} has a check that is not an object "
                                  "with a string check_id and a boolean pass")
+            metric, tolerance = row.get("metric"), row.get("tolerance")
+            if not (_finite_number(metric) and _finite_number(tolerance)) \
+                    or row["pass"] != (metric <= tolerance):
+                raise ValueError(f"report {path}: check {row['check_id']!r} needs a finite "
+                                 "numeric metric and tolerance, and pass iff "
+                                 "metric <= tolerance")
             if row["check_id"] in seen:
                 raise ValueError(f"duplicate check_id {row['check_id']!r} in {path}")
             seen.add(row["check_id"])
@@ -253,27 +252,17 @@ def run_report_merge(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-RUNNERS = {
-    "verify-car": run_verify_car,
-    "verify-bounds": run_verify_bounds,
-    "verify-algebra": run_verify_algebra,
-    "gaussian-check": run_gaussian_check,
-    "sweep-sharpness": run_sweep_sharpness,
-    "report": run_report_merge,
-}
-
-
-def build_report(cfg: RunConfig) -> dict:
-    checks = sorted(RUNNERS[cfg.command](cfg), key=lambda c: c["check_id"])
+def build_report(cfg: argparse.Namespace) -> dict:
+    """Rows sorted by check_id; the header's config is the command's parsed options."""
+    checks = sorted(cfg.run(cfg), key=lambda c: c["check_id"])
+    config = {k: v for k, v in vars(cfg).items()
+              if k not in ("command", "run", "output", "inputs")}
+    if "r" in config:
+        config["r"] = [str(r) for r in config["r"]]
     return {
         "header": {
             "command": cfg.command,
-            "config": {
-                "m": cfg.m, "r": [str(r) for r in cfg.r_list],
-                "trials": cfg.trials, "seed": cfg.seed,
-                "tolerance": cfg.tolerance, "format": cfg.fmt,
-                **{k: v for k, v in cfg.extra.items() if k != "inputs"},
-            },
+            "config": config,
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         },
         "checks": checks,
@@ -311,20 +300,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "on a finite fermionic Fock space.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def command(name, run, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
+        p.add_argument("--output", default=None, help="report file (stdout if omitted)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        return p
+
     def common(p, trials_default=25):
         p.add_argument("--m", type=int, required=True, help="number of modes")
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--seed", type=int, default=0)
-        output(p)
 
-    def output(p):
-        p.add_argument("--output", default=None, help="report file (stdout if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-
-    common(sub.add_parser("verify-car", help="anticommutation-relation suite"),
+    common(command("verify-car", run_verify_car, "anticommutation-relation suite"),
            trials_default=50)
 
-    p = sub.add_parser("verify-bounds", help="number-operator bound suite")
+    p = command("verify-bounds", run_verify_bounds, "number-operator bound suite")
     common(p)
     p.add_argument("--tolerance", type=float, default=None)
     p.add_argument("--which", required=True, choices=bounds.WHICH)
@@ -336,29 +327,25 @@ def build_parser() -> argparse.ArgumentParser:
     explicit.add_argument("--matrix-file", default=None,
                           help="JSON file with rows of [re, im] pairs")
 
-    common(sub.add_parser("verify-algebra",
-                          help="commutator, adjoint, and grading identities"))
+    common(command("verify-algebra", run_verify_algebra,
+                   "commutator, adjoint, and grading identities"))
 
-    common(sub.add_parser("gaussian-check",
-                          help="overlap series vs determinant, zeros, growth order"),
+    common(command("gaussian-check", run_gaussian_check,
+                   "overlap series vs determinant, zeros, growth order"),
            trials_default=20)
 
-    p = sub.add_parser("sweep-sharpness", help="growth-exponent sweep for decay families")
+    p = command("sweep-sharpness", run_sweep_sharpness,
+                "growth-exponent sweep for decay families")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--n-max", type=int, default=100_000)
-    output(p)
 
-    p = sub.add_parser("report", help="merge previously emitted JSON reports")
+    p = command("report", run_report_merge, "merge previously emitted JSON reports")
     p.add_argument("inputs", nargs="+")
-    output(p)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    extra = {}
-    for key in ("which", "diag", "matrix_file", "s", "n_max", "inputs"):
-        if getattr(args, key, None) is not None:
-            extra[key] = getattr(args, key)
+def validate_args(args: argparse.Namespace) -> None:
+    """Reject what argparse cannot, and parse each --r into its exponent."""
     if getattr(args, "m", 1) < 1:
         raise ValueError(f"--m must be >= 1, got {args.m}")
     if getattr(args, "trials", 1) <= 0:
@@ -367,36 +354,27 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"--diag entries must be finite, got {args.diag}")
     if not 0.0 <= (getattr(args, "tolerance", None) or 0.0) < math.inf:
         raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
-    r_list = tuple(parse_r(r) for r in getattr(args, "r", []) or ())
-    if len(set(r_list)) != len(r_list):
-        raise ValueError(f"--r values must be distinct, got {args.r}")
-    return RunConfig(
-        command=args.command,
-        m=getattr(args, "m", None),
-        r_list=r_list,
-        trials=getattr(args, "trials", 25),
-        seed=getattr(args, "seed", 0),
-        tolerance=getattr(args, "tolerance", None),
-        output=args.output,
-        fmt=args.format,
-        extra=extra,
-    )
+    if hasattr(args, "r"):
+        r_list = [parse_r(r) for r in args.r]
+        if len(set(r_list)) != len(r_list):
+            raise ValueError(f"--r values must be distinct, got {args.r}")
+        args.r = r_list
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = config_from_args(args)
-        report = build_report(cfg)
-        text = render(report, cfg.fmt)
+        validate_args(args)
+        report = build_report(args)
+        text = render(report, args.format)
     except (ResourceError, MemoryError) as exc:
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE_ERROR
     except (ValueError, OSError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
-    out_path = _resolve_output(cfg.output)
+    out_path = _resolve_output(args.output)
     if out_path is None:
         sys.stdout.write(text)
     else:

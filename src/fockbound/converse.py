@@ -17,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import BoundSpec, verify_bound
-from .fock import FockSpace
+from .fock import FockSpace, ResourceError
 from .spectral import schatten_norm
 from .tolerances import NORM_TOL, SLOPE_TOL
 
 # j values per block of _power_sums: 512 KiB of float64, at any n
 _BLOCK = 1 << 16
+# largest n_max a sweep sums to: about 14 s at 1.4 s per 1e8 terms
+MAX_SWEEP_TERMS = 10**9
 
 
 def decay_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
@@ -100,6 +102,8 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     decade of the grid and passes iff |slope - s/2| <= SLOPE_TOL.  The grid
     starts at 10, so n_max >= 11 is the least that puts two points in the fit.
     _power_sums runs j as float64, which holds every integer up to 2^53 exactly.
+    The time is linear in n_max, so above MAX_SWEEP_TERMS it raises ResourceError
+    before any sum.
     """
     if not 0.0 < s < 2.0:
         raise ValueError(f"power_decay needs 0 < s < 2, got {s}")
@@ -109,6 +113,9 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     if n_max > 2**53:
         raise ValueError(f"sweep needs n_max <= 2**53, the last integer float64 holds "
                          f"exactly, got {n_max}")
+    if n_max > MAX_SWEEP_TERMS:
+        raise ResourceError(f"sweep sums n_max terms, linear in time; n_max must be "
+                            f"<= {MAX_SWEEP_TERMS}, got {n_max}")
     n_grid = np.unique(np.geomspace(10, n_max, 60).astype(int))
     sums = _power_sums(s / 2.0 - 1.0, n_grid)  # j^(s/2-1) is sorted descending
     window = n_grid >= n_max / 10

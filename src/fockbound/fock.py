@@ -26,6 +26,10 @@ class ResourceError(Exception):
     """Requested problem size exceeds the desk-scale guard."""
 
 
+class GradingError(AssertionError):
+    """A built entry maps sector n somewhere other than n + the operator's shift."""
+
+
 @dataclass(frozen=True, eq=False)
 class FockSpace:
     """Fock space over C^m with the canonical (particle number, bitmask) basis."""
@@ -190,15 +194,15 @@ def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
     `np.add.at` scatters them, in term order, into a buffer that holds the
     blocks one after another, so each block is bit-identical to its
     per-sector build.  A row outside sector occupations[col] + shift would
-    land silently in a neighbouring block, so it raises instead.  Every block
-    is held at once; the bound and Gaussian checks, which need one sector at
-    a time, build each with `ladder_matrix(..., sector=n)` instead.
+    land silently in a neighbouring block, so it raises GradingError instead.
+    Every block is held at once; the bound and Gaussian checks, which need one
+    sector at a time, build each with `ladder_matrix(..., sector=n)` instead.
     """
     shift = LADDERS[name][1]
     occ = space.occupations
     (rows, cols), values, _ = ladder_entries(space, name, coeffs)
     if not np.array_equal(occ[rows], occ[cols] + shift):
-        raise AssertionError(f"{name} entries leave the sector shift {shift}")
+        raise GradingError(f"{name} entries leave the sector shift {shift}")
     keys = np.arange(-abs(shift), space.m + abs(shift) + 1)
     c0, c1, r0, r1 = np.searchsorted(occ, [keys, keys + 1, keys + shift, keys + shift + 1])
     nrows, ncols = r1 - r0, c1 - c0

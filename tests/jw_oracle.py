@@ -18,12 +18,13 @@ delta_plus and check_grading) to whole-space vectors.
 
 from __future__ import annotations
 
+import argparse
 from functools import lru_cache
 
 import numpy as np
 
 from fockbound import quadratics
-from fockbound.cli import RunConfig, _check
+from fockbound.cli import _check
 from fockbound.fock import (CAR_TOL, CarReport, FockOperator, FockSpace, FockVector,
                             _check_mode, _check_vector, _space, anticommutator,
                             make_space, slater_state, vacuum)
@@ -164,7 +165,7 @@ def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
                             passed=residual <= NORM_TOL * scale)
 
 
-def run_verify_algebra(cfg: RunConfig) -> list[dict]:
+def run_verify_algebra(cfg: argparse.Namespace) -> list[dict]:
     space = make_space(cfg.m)
     worst = {"commutator": 0.0, "adjoint_dgamma": 0.0, "adjoint_delta": 0.0}
     grading_failures = 0

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -260,6 +261,23 @@ def test_one_sector_build_per_trial_for_every_r(rs, capsys, monkeypatch):
     assert calls == [0, 1, 2, 3] * 2
 
 
+@pytest.mark.parametrize("payload", [
+    {"a": 1},
+    [[[{"a": 1}, 0.0], [-0.5, 0.0]], [[0.5, 0.0], [0.0, 0.0]]],
+    [[[0, 0], [-1, 0]], [[True, 0], [0, 0]]],
+    [[[0, 0], ["-2", 0]], [[2, 0], [0, 0]]],
+], ids=["object", "nested-object", "boolean", "string"])
+def test_matrix_file_entries_must_be_json_numbers(payload, tmp_path, capsys):
+    # read as numbers, the boolean and string files would hold skew matrices
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["verify-bounds", "--which", "DeltaPlus", "--r", "2",
+                     "--m", "2", "--matrix-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert captured.out == "" and "n x n array of [re, im] pairs" in captured.err
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_nonfinite_matrix_file_rejected(bad, tmp_path, capsys):
     payload = [[[0.0, 0.0], [-0.5, 0.0]], [[0.5, bad], [0.0, 0.0]]]
@@ -278,6 +296,13 @@ def test_nonfinite_matrix_file_rejected(bad, tmp_path, capsys):
     {"checks": ["car"]},
     {"checks": [{"statement": "no id", "pass": True}]},
     {"checks": [{"check_id": "x", "pass": "yes"}]},
+    {"checks": []},
+    {"checks": [{"check_id": "y", "pass": True, "metric": 5, "tolerance": 1}]},
+    {"checks": [{"check_id": "y", "pass": False, "metric": math.nan, "tolerance": 1}]},
+    {"checks": [{"check_id": "y", "pass": True, "metric": 0, "tolerance": math.inf}]},
+    {"checks": [{"check_id": "y", "pass": True, "tolerance": 1}]},
+    {"checks": [{"check_id": "y", "pass": True, "metric": "0", "tolerance": 1}]},
+    {"checks": [{"check_id": "y", "pass": True, "metric": False, "tolerance": 1}]},
 ])
 def test_report_merge_rejects_malformed(body, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -357,8 +382,7 @@ def test_every_row_passes_iff_metric_within_tolerance(argv, tmp_path, capsys):
 
 
 def algebra_rows(m, trials=1, seed=9):
-    rows = cli.run_verify_algebra(cli.RunConfig("verify-algebra", m=m, trials=trials,
-                                                seed=seed))
+    rows = cli.run_verify_algebra(argparse.Namespace(m=m, trials=trials, seed=seed))
     return {row["check_id"].rsplit("/", 1)[1]: row for row in rows}
 
 
@@ -376,7 +400,7 @@ def test_algebra_adjoint_row_sees_one_corrupt_block(m, name, target, corrupt_blo
 
 @pytest.mark.parametrize("name", ["dGamma", "Delta", "DeltaPlus"])
 def test_algebra_grading_counts_a_misplaced_entry(name, monkeypatch):
-    entries, moved = cli.ladder_entries, []
+    entries, moved = fock.ladder_entries, []
 
     def misplaced(space, kind, coeffs, sector=None):
         (rows, cols), values, shape = entries(space, kind, coeffs, sector)
@@ -386,10 +410,46 @@ def test_algebra_grading_counts_a_misplaced_entry(name, monkeypatch):
             moved.append(kind)
         return (rows, cols), values, shape
 
-    monkeypatch.setattr(cli, "ladder_entries", misplaced)
+    monkeypatch.setattr(fock, "ladder_entries", misplaced)
     row = algebra_rows(3, trials=2)["grading"]
     assert moved
     assert row["metric"] == 1 and not row["pass"]
+
+
+def test_verify_algebra_exits_1_on_a_misplaced_entry(monkeypatch, capsys):
+    entries, moved = fock.ladder_entries, []
+
+    def misplaced(space, kind, coeffs, sector=None):
+        (rows, cols), values, shape = entries(space, kind, coeffs, sector)
+        if not moved:  # the first build of the first trial only
+            occ = space.occupations
+            rows[0] = np.flatnonzero(occ != occ[rows[0]])[0]
+            moved.append(kind)
+        return (rows, cols), values, shape
+
+    monkeypatch.setattr(fock, "ladder_entries", misplaced)
+    code, out = run(["verify-algebra", "--m", "3", "--trials", "2"], capsys)
+    rows = {row["check_id"]: row for row in json.loads(out)["checks"]}
+    assert moved and code == cli.EXIT_VERIFICATION_FAILURE
+    assert rows["algebra/m=3/grading"]["metric"] == 1
+    assert not rows["algebra/m=3/grading"]["pass"]
+
+
+def test_verify_algebra_builds_each_operator_once_per_trial(monkeypatch, capsys):
+    # the commutator's Delta(A), DeltaPlus(C) and dGamma(CA), and the adjoint
+    # rows' dGamma(B), dGamma(B*), Delta(A) and DeltaPlus(A*); the grading row
+    # reads these builds and walks no entries of its own
+    assert not hasattr(cli, "ladder_entries")
+    entries, calls = fock.ladder_entries, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return entries(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "ladder_entries", counting)
+    code, _ = run(["verify-algebra", "--m", "3", "--trials", "2"], capsys)
+    assert code == cli.EXIT_OK
+    assert len(calls) == 7 * 2
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -416,7 +476,7 @@ def test_gaussian_row_reports_the_pointwise_worst(monkeypatch):
         return determinant(pairs, z, convention) + np.where(z == 0, 1e-9, 0.0)
 
     monkeypatch.setattr(gaussian, "_determinant", outlier)
-    rows = cli.run_gaussian_check(cli.RunConfig("gaussian-check", m=4, trials=1))
+    rows = cli.run_gaussian_check(argparse.Namespace(m=4, trials=1, seed=0))
     row = next(r for r in rows if r["check_id"] == "gaussian/m=4/series_vs_determinant")
     assert row["metric"] == pytest.approx(5e-10, rel=1e-3)
     assert not row["pass"]
@@ -500,6 +560,18 @@ def test_sweep_n_max_past_2_to_the_53_is_a_validation_error(n_max, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_sweep_n_max_past_1e9_is_a_resource_error(monkeypatch, capsys):
+    def must_not_sum(*args, **kwargs):
+        raise AssertionError("power sums started past the time guard")
+
+    monkeypatch.setattr(cli.converse, "_power_sums", must_not_sum)
+    code = cli.main(["sweep-sharpness", "--s", "1.0", "--n-max", "1000000001"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_RESOURCE_ERROR
+    assert captured.out == "" and captured.err.startswith("resource error: ")
+    assert "1000000000" in captured.err
+
+
 def test_sweep_n_max_11_runs(capsys):
     code, out = run(["sweep-sharpness", "--s", "1.0", "--n-max", "11"], capsys)
     assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION_FAILURE)
@@ -548,7 +620,7 @@ def test_algebra_adjoint_row_keeps_a_nan(name, corrupt_block):
 def test_gaussian_series_row_keeps_a_nan(monkeypatch):
     monkeypatch.setattr(gaussian, "gaussian_report", nan_on_second_call(
         gaussian.gaussian_report, max_rel_diff=math.nan, passed=False))
-    rows = cli.run_gaussian_check(cli.RunConfig("gaussian-check", m=4, trials=2))
+    rows = cli.run_gaussian_check(argparse.Namespace(m=4, trials=2, seed=0))
     row = next(r for r in rows if r["check_id"] == "gaussian/m=4/series_vs_determinant")
     assert math.isnan(row["metric"]) and not row["pass"]
 
@@ -561,3 +633,23 @@ def test_verify_car_non_finite_block_is_a_verification_failure(corrupt_block, ca
     assert flips
     assert code == cli.EXIT_VERIFICATION_FAILURE
     assert "validation error" not in captured.err
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["verify-car", "--m", "2", "--trials", "1"], {"m", "trials", "seed", "format"}),
+    (["verify-bounds", "--which", "dGamma", "--r", "4/3", "inf", "--m", "2", "--trials", "1"],
+     {"m", "trials", "seed", "format", "tolerance", "which", "r", "diag", "matrix_file"}),
+    (["verify-algebra", "--m", "2", "--trials", "1"], {"m", "trials", "seed", "format"}),
+    (["gaussian-check", "--m", "2", "--trials", "1"], {"m", "trials", "seed", "format"}),
+    (["sweep-sharpness", "--s", "1.0", "--n-max", "1000"], {"s", "n_max", "format"}),
+    (["report"], {"format"}),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_header_config_holds_exactly_the_parsed_options(argv, options, tmp_path, capsys):
+    if argv == ["report"]:
+        cli.main(CAR_ARGV + ["--output", str(tmp_path / "car.json")])
+        argv = ["report", str(tmp_path / "car.json")]
+    _, out = run(argv, capsys)
+    config = json.loads(out)["header"]["config"]
+    assert set(config) == options
+    if "r" in config:
+        assert config["r"] == ["1.3333333333333333", "inf"]

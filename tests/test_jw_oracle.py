@@ -3,6 +3,7 @@ sector-blocked CAR suite, commutator identity, verify-algebra rows, pair
 powers and Slater expectation against the whole-space construction in
 jw_oracle.py."""
 
+import argparse
 import itertools
 import math
 
@@ -292,7 +293,7 @@ def test_blocked_algebra_rows_equal_dense(m, case, monkeypatch):
         monkeypatch.setattr(module, "complex_matrix", complex_draw)
         monkeypatch.setattr(module, "skew_matrix", skew_draw)
     for seed in (0, 7, 2024):
-        cfg = cli.RunConfig("verify-algebra", m=m, trials=2, seed=seed)
+        cfg = argparse.Namespace(m=m, trials=2, seed=seed)
         new, old = cli.run_verify_algebra(cfg), jw.run_verify_algebra(cfg)
         assert [row["check_id"] for row in new] == [row["check_id"] for row in old]
         for a, b in zip(new, old):

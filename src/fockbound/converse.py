@@ -116,7 +116,9 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     if n_max > MAX_SWEEP_TERMS:
         raise ResourceError(f"sweep sums n_max terms, linear in time; n_max must be "
                             f"<= {MAX_SWEEP_TERMS}, got {n_max}")
-    n_grid = np.unique(np.geomspace(10, n_max, 60).astype(int))
+    grid = np.geomspace(10, n_max, 60).astype(int)
+    # already sorted, so np.unique (which imports numpy.ma) is a neighbour test
+    n_grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     sums = _power_sums(s / 2.0 - 1.0, n_grid)  # j^(s/2-1) is sorted descending
     window = n_grid >= n_max / 10
     slope = _loglog_slope(n_grid[window], sums[window])

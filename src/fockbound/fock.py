@@ -5,7 +5,11 @@ bitmasks (bit j-1 set iff mode j occupied) and ordered canonically by
 (particle number, bitmask ascending).  a+_j and a_j carry the Jordan-Wigner
 sign (-1)^{#occupied modes below j}, which makes the anticommutation
 relations hold exactly.  `ladder_matrix` builds every operator straight from
-the bitmasks, in full or one particle-number sector block at a time.
+the bitmasks, in full or one particle-number sector block at a time.  Which
+basis state a term sends where, and with which sign, depends only on
+(m, operator, sector), so `_ladder_pattern` walks the bitmasks once per key
+and process and caches that coefficient-free pattern; each build gathers its
+coefficients onto it.
 """
 
 from __future__ import annotations
@@ -141,19 +145,22 @@ LADDERS = {"creation": ("+", 1), "annihilation": ("-", -1), "dGamma": ("+-", 0),
            "Delta": ("--", -2), "DeltaPlus": ("++", 2)}
 
 
-def ladder_entries(space: FockSpace, name: str, coeffs, sector: int | None = None):
-    """Entries ((rows, cols), values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1].
+@lru_cache(maxsize=None)
+def _ladder_pattern(m: int, name: str, sector: int | None):
+    """The coefficient-free entries of `name` on m modes: (rows, cols, term, sign, shape).
 
+    The bitmask walk of every one of the m^k index tuples, in term order
+    (row-major over the coefficient array), as if every coefficient were 1.
     Each term is applied to every basis bitmask at once, rightmost factor
-    first, so no operator matrix is ever multiplied.  With `sector=n` only
-    the block from the n-particle sector to the (n + shift)-particle sector
-    is built.  A position recurs once for each term that reaches it.
+    first; `term` is an entry's flat coefficient index and `sign` its
+    Jordan-Wigner sign.  With `sector=n` only the block from the n-particle
+    sector to the (n + shift)-particle sector is walked.  The arrays are
+    read-only and take 11 bytes per entry (int32 rows and cols, int16 term,
+    int8 sign), as every caller in the process shares them.
     """
+    space = _space(m)
     kinds, shift = LADDERS[name]
-    coeffs = np.asarray(coeffs, dtype=complex)
-    if coeffs.shape != (space.m,) * len(kinds):
-        raise ValueError(f"{name} needs {len(kinds)}-index coefficients over {space.m} modes")
-    terms = np.nonzero(coeffs)
+    terms = np.unravel_index(np.arange(m ** len(kinds)), (m,) * len(kinds))
     if sector is None:
         cols, row0, nrows = space.masks, 0, space.dim
     else:  # sectors are contiguous in the canonical order; out of range ones empty
@@ -170,8 +177,38 @@ def ladder_entries(space: FockSpace, name: str, coeffs, sector: int | None = Non
         parity += np.bitwise_count(masks & (bit - 1))
         masks ^= bit
     term, col = np.nonzero(alive)
-    return ((space.index_of[masks[term, col]] - row0, col),
-            coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)), (nrows, cols.size))
+    pattern = ((space.index_of[masks[term, col]] - row0).astype(np.int32),
+               col.astype(np.int32), term.astype(np.int16),
+               (1 - 2 * (parity[term, col] & 1)).astype(np.int8))
+    for a in pattern:
+        a.setflags(write=False)
+    return *pattern, (nrows, cols.size)
+
+
+def ladder_entries(space: FockSpace, name: str, coeffs, sector: int | None = None):
+    """Entries ((rows, cols), values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1].
+
+    The entries of `_ladder_pattern(space.m, name, sector)` whose coefficient
+    is nonzero, each with value coefficient * sign, so no operator matrix is
+    ever multiplied.  With `sector=n`, an integer, only the block from the
+    n-particle sector to the (n + shift)-particle sector is built.  A
+    position recurs once for each term that reaches it, in term order.  The
+    returned arrays are fresh; the cached pattern is never handed out.
+    """
+    kinds, _ = LADDERS[name]
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (space.m,) * len(kinds):
+        raise ValueError(f"{name} needs {len(kinds)}-index coefficients over {space.m} modes")
+    if sector is not None:
+        if not isinstance(sector, (int, np.integer)):
+            raise ValueError(f"sector must be an integer, got {sector!r}")
+        sector = int(sector)
+    rows, cols, term, sign, shape = _ladder_pattern(space.m, name, sector)
+    c = coeffs.ravel()[term]
+    keep = c != 0  # as np.nonzero(coeffs): drops -0.0, keeps NaN
+    c = c[keep]
+    c *= sign[keep]
+    return (rows[keep], cols[keep]), c, shape
 
 
 def ladder_matrix(space: FockSpace, name: str, coeffs,

@@ -452,6 +452,27 @@ def test_verify_algebra_builds_each_operator_once_per_trial(monkeypatch, capsys)
     assert len(calls) == 7 * 2
 
 
+@pytest.mark.parametrize("argv, keys", [
+    (["verify-car", "--m", "3", "--trials", "3"],
+     {(3, "annihilation", None), (3, "creation", None)}),
+    (["verify-bounds", "--which", "dGamma", "--r", "1", "2", "--m", "3", "--trials", "3"],
+     {(3, "dGamma", n) for n in range(4)})])
+def test_each_entry_pattern_is_walked_once_per_process(argv, keys, monkeypatch, capsys):
+    entries, calls = fock.ladder_entries, []
+
+    def recording(space, name, coeffs, sector=None):
+        calls.append((space.m, name, sector))
+        return entries(space, name, coeffs, sector)
+
+    monkeypatch.setattr(fock, "ladder_entries", recording)
+    fock._ladder_pattern.cache_clear()
+    code, _ = run(argv, capsys)
+    info = fock._ladder_pattern.cache_info()
+    assert code == cli.EXIT_OK
+    assert set(calls) == keys and len(calls) > len(keys)
+    assert (info.misses, info.hits) == (len(keys), len(calls) - len(keys))
+
+
 @pytest.mark.parametrize("argv, error", [
     (["verify-car", "--m", "3", "--trials", "1"], MemoryError("Unable to allocate 4 GiB")),
     (["verify-algebra", "--m", "3", "--trials", "1"], MemoryError())])

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,25 @@ def test_sweep_rejects_a_fit_window_below_two_points(n_max):
     with pytest.raises(ValueError, match="n_max >= 11"):
         fb.sharpness_sweep(1.0, n_max=n_max)
     assert fb.sharpness_sweep(1.0, n_max=11).fit_window == (10, 11)
+
+
+@pytest.mark.parametrize("n_max", [11, 12, 50, 10**5, 10**9])
+def test_sweep_grid_equals_np_unique(n_max, monkeypatch):
+    # the grid alone is under test, so no sum is taken
+    monkeypatch.setattr(fb.converse, "_power_sums", lambda p, ends: np.asarray(ends, float))
+    grid = np.unique(np.geomspace(10, n_max, 60).astype(int))
+    assert np.array_equal(fb.sharpness_sweep(1.0, n_max=n_max).n, grid)
+
+
+def test_sweep_sharpness_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, an import every fresh sweep process would pay for
+    code = ("import sys\nfrom fockbound import cli\n"
+            "code = cli.main(['sweep-sharpness', '--s', '1.0'])\n"
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(Path(fb.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.stderr.split() == ["0", "False"]
 
 
 @pytest.mark.parametrize("n_max", [2**53 + 1, 10**20])

@@ -249,6 +249,16 @@ def ladder_coeffs(rng, m, name, kind):
         keep = np.zeros(m, dtype=bool)
         keep[rng.integers(m)] = True
         return np.where(keep.reshape((m,) + (1,) * (len(shape) - 1)), coeffs, 0)
+    if kind == "diagonal":  # as --diag builds it; every other mode for one index
+        return np.diag(np.diag(coeffs)) if len(shape) == 2 else np.where(
+            np.arange(m) % 2 == 0, coeffs, 0)
+    flat = coeffs.reshape(-1)
+    if kind == "signed zeros":  # -0.0 counts as zero, a -0.0 part of a nonzero does not
+        flat[::3] = complex(-0.0, -0.0)
+        flat.real[1::3] = -0.0
+    if kind == "nan":
+        flat[::2] = complex(math.nan, 0.0)
+        flat[1::4] = complex(0.0, math.nan)
     return coeffs
 
 
@@ -265,6 +275,91 @@ def test_sector_blocks_equal_per_sector_builds_bit_for_bit(name, kind):
             assert block.shape == (sector_dim(m, n + shift), sector_dim(m, n))
             built = fb.fock.ladder_matrix(sp, name, coeffs, sector=n)
             assert np.array_equal(block.view(float), built.view(float)), (m, n)
+
+
+def walked_entries(space, name, coeffs, sector=None):
+    """The bitmask walk over the nonzero coefficients alone, with no cache: the
+    reference `ladder_entries` must equal entry for entry."""
+    kinds, shift = fb.fock.LADDERS[name]
+    coeffs = np.asarray(coeffs, dtype=complex)
+    terms = np.nonzero(coeffs)
+    if sector is None:
+        cols, row0, nrows = space.masks, 0, space.dim
+    else:
+        c0, c1, row0, r1 = np.searchsorted(
+            space.occupations, [sector, sector + 1, sector + shift, sector + shift + 1])
+        cols, nrows = space.masks[c0:c1], r1 - row0
+    masks = np.repeat(cols[None, :], terms[0].size, axis=0)
+    alive = np.ones(masks.shape, dtype=bool)
+    parity = np.zeros(masks.shape, dtype=np.int64)
+    for kind, modes in zip(kinds[::-1], terms[::-1]):
+        bit = (np.int64(1) << modes.astype(np.int64))[:, None]
+        occupied = (masks & bit) != 0
+        alive &= occupied if kind == "-" else ~occupied
+        parity += np.bitwise_count(masks & (bit - 1))
+        masks ^= bit
+    term, col = np.nonzero(alive)
+    return ((space.index_of[masks[term, col]] - row0, col),
+            coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)), (nrows, cols.size))
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("kind", ["random", "diagonal", "signed zeros", "nan"])
+@pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
+def test_cached_entries_equal_an_uncached_walk_bit_for_bit(name, kind):
+    for m in range(1, 7):
+        sp = fb.make_space(m)
+        coeffs = ladder_coeffs(trial_rng(93, m), m, name, kind)
+        for sector in [None, *range(-3, m + 4)]:
+            (rows, cols), values, shape = fb.fock.ladder_entries(sp, name, coeffs, sector)
+            (want_rows, want_cols), want, want_shape = walked_entries(sp, name, coeffs, sector)
+            assert shape == want_shape, (m, sector)
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+            assert np.array_equal(bits(values), bits(want)), (m, sector)
+            block = np.zeros(want_shape, dtype=complex)
+            np.add.at(block, (want_rows, want_cols), want)
+            built = fb.fock.ladder_matrix(sp, name, coeffs, sector=sector)
+            assert np.array_equal(bits(built), bits(block)), (m, sector)
+
+
+def test_cached_pattern_is_read_only_and_never_handed_out():
+    sp, X = fb.make_space(4), complex_vector(trial_rng(3, 0), 16).reshape(4, 4)
+    pattern = fb.fock._ladder_pattern(4, "dGamma", 2)
+    arrays, kept = pattern[:4], [a.copy() for a in pattern[:4]]
+    assert sum(a.itemsize for a in arrays) == 11  # bytes per entry
+    assert not any(a.flags.writeable for a in arrays)
+    (rows, cols), values, _ = fb.fock.ladder_entries(sp, "dGamma", X, sector=2)
+    first = rows.copy(), cols.copy(), values.copy()
+    for a in (rows, cols, values):
+        assert a.flags.writeable
+        assert not any(np.shares_memory(a, b) for b in arrays)
+        a[:] = 0
+    assert fb.fock._ladder_pattern(4, "dGamma", 2) is pattern
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
+    (rows, cols), values, _ = fb.fock.ladder_entries(sp, "dGamma", X, sector=2)
+    assert all(np.array_equal(a, b) for a, b in zip((rows, cols, values), first))
+
+
+@pytest.mark.parametrize("sector", [2.5, 2.0, "2", math.nan])
+def test_non_integral_sector_rejected(sector):
+    # searchsorted would read 2.5 as sector 3
+    with pytest.raises(ValueError, match="sector must be an integer"):
+        fb.fock.ladder_matrix(fb.make_space(4), "dGamma", np.ones((4, 4)), sector=sector)
+
+
+@pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
+def test_numpy_integer_and_out_of_range_sectors(name):
+    sp, shift = fb.make_space(4), fb.fock.LADDERS[name][1]
+    coeffs = ladder_coeffs(trial_rng(5, 4), 4, name, "random")
+    for n in range(-3, 8):
+        block = fb.fock.ladder_matrix(sp, name, coeffs, sector=np.int64(n))
+        assert np.array_equal(block, fb.fock.ladder_matrix(sp, name, coeffs, sector=n))
+        assert block.shape == (sector_dim(4, n + shift), sector_dim(4, n))
+        if not 0 <= n <= 4:
+            assert block.size == 0
 
 
 def test_sector_blocks_reject_an_entry_outside_its_sector(monkeypatch):

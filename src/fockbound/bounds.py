@@ -27,26 +27,21 @@ from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _loewner_tolerance, _require_self_adjoint, _schatten
 from .tolerances import IDENTITY_TOL
 
-# which: (Q, r_min, r_max, rhs(norms, r, s, n)); norms has the keys "r", "2" and
-# "inf", and n is float, so n**0.0 is exactly 1 on the vacuum too.
+# which: (Q, r_min, r_max, rhs(sq, r, s, n)); sq holds the squares |X|_r^2, |X|_2^2
+# and |X|_inf^2 under the keys "r", "2" and "inf", and n is float, so n**0.0 is
+# exactly 1 on the vacuum too.
 BOUNDS = {
     "dGamma": ("dGamma", 1.0, math.inf,
-               lambda norms, r, s, n: norms["r"]**2 * n**s
-               + (norms["2"]**2 if 1.0 < r < 2.0 else 0.0)),
+               lambda sq, r, s, n: sq["r"] * n**s + (sq["2"] if 1.0 < r < 2.0 else 0.0)),
     "Delta": ("Delta", 1.0, 2.0,
-              lambda norms, r, s, n: norms["r"]**2 * n**s
-              + (norms["2"]**2 if r > 1.0 else 0.0)),
+              lambda sq, r, s, n: sq["r"] * n**s + (sq["2"] if r > 1.0 else 0.0)),
     "DeltaPlus": ("DeltaPlus", 1.0, 2.0,
-                  lambda norms, r, s, n: norms["r"]**2 * n**s
-                  + (3.0 * norms["2"]**2 if r > 1.0 else 0.0)),
-    "literature_dGamma": ("dGamma", 1.0, math.inf,
-                          lambda norms, r, s, n: norms["inf"]**2 * n**2),
-    "literature_Delta": ("Delta", 1.0, math.inf,
-                         lambda norms, r, s, n: norms["2"]**2 * n**2),
+                  lambda sq, r, s, n: sq["r"] * n**s + (3.0 * sq["2"] if r > 1.0 else 0.0)),
+    "literature_dGamma": ("dGamma", 1.0, math.inf, lambda sq, r, s, n: sq["inf"] * n**2),
+    "literature_Delta": ("Delta", 1.0, math.inf, lambda sq, r, s, n: sq["2"] * n**2),
     "literature_DeltaPlus": ("DeltaPlus", 1.0, math.inf,
-                             lambda norms, r, s, n: norms["2"]**2 * (n + 2.0)**2),
-    "improved_r2": ("DeltaPlus", 2.0, 2.0,
-                    lambda norms, r, s, n: norms["2"]**2 * (n + 2.0)),
+                             lambda sq, r, s, n: sq["2"] * (n + 2.0)**2),
+    "improved_r2": ("DeltaPlus", 2.0, 2.0, lambda sq, r, s, n: sq["2"] * (n + 2.0)),
 }
 WHICH = tuple(BOUNDS)
 
@@ -88,9 +83,12 @@ def reads_r_norm(which: str) -> bool:
 
 
 def _profile(spec: BoundSpec, norms: dict, n: np.ndarray) -> np.ndarray:
-    """Diagonal RHS value per particle number n for the given bound."""
+    """Diagonal RHS value per particle number n for the given bound.  A norm is squared
+    as x * x, which rounds once, not as x**2, whose C-library pow can be an ulp off;
+    so X -> 2^k X scales every rhs(n) by exactly 4^k."""
+    sq = {key: norm * norm for key, norm in norms.items()}
     try:
-        return BOUNDS[spec.which][3](norms, spec.r, spec.s, n.astype(float))
+        return BOUNDS[spec.which][3](sq, spec.r, spec.s, n.astype(float))
     except KeyError as missing:
         raise ValueError(f"bound {spec.which!r} at r={spec.r} needs norm "
                          f"{missing.args[0]!r}") from None
@@ -108,9 +106,6 @@ def rhs_operator(space: FockSpace, spec: BoundSpec, norms: dict):
 
 # Lanczos steps at most; a Gram no larger than this keeps the dense eigvalsh
 _LANCZOS_STEPS = 60
-# a certified bracket is read only if its width 2 c_n is at most this share of
-# the smallest tolerance of a row that reads it
-_CERTIFIED_SHARE = 1e-3
 _UNIT_ROUNDOFF = 2.0**-53
 _TINIEST = 2.0**-1074  # the smallest subnormal
 
@@ -207,38 +202,43 @@ def _cholesky_certifies(gram: np.ndarray, theta: float, shift: float) -> bool:
         gram.flat[::len(gram) + 1] = diagonal
 
 
-def _gram_extremes(space: FockSpace, operator: str, X, rhs=(),
-                   tol: float | None = None) -> np.ndarray:
-    """(lambda_min, lambda_max) of Q_n* Q_n for each sector n, Q = `operator` built from X.
+def _sector_extremes(space: FockSpace, operator: str, X, n: int,
+                     certify: bool) -> tuple[float, float, float]:
+    """(lambda_min, top, width) of the Gram of sector n, Q = `operator` built from X.
 
-    The left side of every bound on Q*Q; no exponent r enters it.  X is
-    validated by the caller (`_sector_verdicts`).  Q_n* Q_n and Q_n Q_n*
-    share their nonzero eigenvalues, so the eigensolve runs on the smaller
-    of the two.  A wide block (fewer rows than columns, as Delta and
-    DeltaPlus have on about half of the sectors) gives Q_n* Q_n a rank below
-    its dimension, so lambda_min = 0 exactly and lambda_max is the top
-    eigenvalue of Q_n Q_n*.  An empty block (Delta from sectors 0 and 1,
-    DeltaPlus from m - 1 and m) gives (0, 0) with no eigensolve.  dGamma
-    blocks are square and keep the full Q_n* Q_n, as do tall blocks.
+    Q_n* Q_n and Q_n Q_n* share their nonzero eigenvalues, so the Gram is
+    formed on the smaller side.  A wide block (fewer rows than columns, as
+    Delta and DeltaPlus have on about half of the sectors) gives Q_n* Q_n a
+    rank below its dimension, so lambda_min = 0 exactly.  With `certify`,
+    the Ritz values (theta_min, theta_max) of `_lanczos` are kept, however
+    wide the bracket, if Cholesky succeeds on (theta_max + c_n) I - G: that
+    proves lambda_max <= top + width, width = 2 c_n (`_certificate_shift`).
+    Otherwise a dense eigvalsh gives the exact ends and width 0.
+    """
+    q = ladder_matrix(space, operator, X, sector=n)
+    wide = q.shape[0] < q.shape[1]
+    gram = q @ q.conj().T if wide else q.conj().T @ q
+    del q  # before the n x n temporaries of the checks below
+    gram = _require_self_adjoint(gram, "lhs")
+    gram += gram.conj().T  # exactly Hermitian, as (G + G^H) / 2
+    gram *= 0.5
+    if certify:
+        low, top = _lanczos(gram)
+        shift = _certificate_shift(gram, top)
+        if _cholesky_certifies(gram, top, shift):
+            return (0.0 if wide else low), top, 2.0 * shift
+    eigs = np.linalg.eigvalsh(gram)
+    return (0.0 if wide else eigs[0]), eigs[-1], 0.0
 
-    A Gram G of dimension at most _LANCZOS_STEPS gets a dense eigvalsh.  A
-    larger one gets the Ritz values (theta_min, theta_max) of `_lanczos`
-    and a Cholesky test of (theta_max + c_n) I - G, which proves
-    lambda_max <= theta_max + 2 c_n (`_certificate_shift`).  The sector then
-    reports (theta_min, theta_max).  theta_max is at most 2 c_n below
-    lambda_max, and theta_min >= lambda_min, so the default tolerance, which
-    reads how far rhs(n) is from both ends, can only shrink.
 
-    The sector falls back to eigvalsh if the factorisation fails, or if
-    2 c_n exceeds _CERTIFIED_SHARE of the smallest tolerance of a row that
-    reads the extremes: `tol` if given, else the least default tolerance of
-    a row of `rhs` (rhs[i, n]: row i's right-hand side on sector n) over the
-    sectors solved so far, which only grows as more are solved.  The dense
-    sectors are solved first, in order of n, so their exact extremes are in
-    it before any Lanczos sector is read.  The Lanczos
-    sectors follow from the largest down, so their largest temporaries come
-    while the heap is smallest, which lowers the peak RSS.  With neither
-    `rhs` nor `tol`, every certified bracket is kept.
+def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
+    """`_sector_extremes` of every sector n: the left side of every bound on Q*Q.
+
+    No exponent r, right-hand side or tolerance enters it; the caller
+    validates X.  An empty block gives zeros with no eigensolve, and a Gram
+    larger than _LANCZOS_STEPS tries the certificate.  Dense sectors come first,
+    in order of n, then the Lanczos sectors from the largest down, so their
+    largest temporaries come while the heap is smallest (a lower peak RSS).
     """
     shift = LADDERS[operator][1]
     sizes = np.bincount(space.occupations, minlength=space.m + 1)
@@ -246,44 +246,21 @@ def _gram_extremes(space: FockSpace, operator: str, X, rhs=(),
     dims = [min(sizes[n], sizes[n + shift]) if 0 <= n + shift <= space.m else 0
             for n in range(space.m + 1)]
     lanczos = [dim > _LANCZOS_STEPS for dim in dims]
-    extremes = np.full((space.m + 1, 2), np.nan)
+    extremes = np.zeros((space.m + 1, 3))
     for n in sorted(range(space.m + 1), key=lambda n: (lanczos[n], -dims[n] * lanczos[n])):
-        if dims[n] == 0:
-            extremes[n] = 0.0
-            continue
-        q = ladder_matrix(space, operator, X, sector=n)
-        wide = q.shape[0] < q.shape[1]
-        gram = q @ q.conj().T if wide else q.conj().T @ q
-        del q  # before the n x n temporaries of the checks below
-        gram = _require_self_adjoint(gram, "lhs")
-        gram += gram.conj().T  # exactly Hermitian, as (G + G^H) / 2
-        gram *= 0.5
-        certified = False
-        if lanczos[n]:
-            low, top = _lanczos(gram)
-            width = 2.0 * _certificate_shift(gram, top)
-            extremes[n] = (0.0 if wide else low), top
-            widest = _CERTIFIED_SHARE * (tol if tol is not None else min(
-                (_loewner_tolerance(r[:, None] - extremes) for r in rhs), default=math.inf))
-            certified = width <= widest and _cholesky_certifies(gram, top, width / 2.0)
-        if not certified:
-            eigs = np.linalg.eigvalsh(gram)
-            extremes[n] = (0.0 if wide else eigs[0]), eigs[-1]
-        del gram  # before the next sector's block is built
+        if dims[n]:
+            extremes[n] = _sector_extremes(space, operator, X, n, lanczos[n])
     return extremes
 
 
 def _sector_verdict(spec: BoundSpec, rhs: np.ndarray, extremes: np.ndarray,
-                    tol: float | None) -> tuple[BoundVerdict, float]:
-    """The verdict on Q*Q <= rhs(N), and the saturation ratio max_n lambda_max(Q_n* Q_n) / rhs(n).
+                    tol: float) -> tuple[BoundVerdict, float]:
+    """The verdict on Q*Q <= rhs(N), and the saturation ratio max_n top(n) / rhs(n).
 
-    In sector n the slack rhs(n) Id - Q_n* Q_n has extreme eigenvalues
-    rhs(n) - lambda_max and rhs(n) - lambda_min, so the least slack and the
-    largest tolerance over the sectors equal the whole-space values, because
-    the slack is block diagonal.  `rhs` holds rhs(n) for n = 0..m.
+    The slack is block diagonal, so its least eigenvalue is the least over
+    the sectors n of rhs(n) - lambda_max, read here from each sector's top.
+    `rhs` holds rhs(n) for n = 0..m.
     """
-    if tol is None:
-        tol = _loewner_tolerance(rhs[:, None] - extremes)
     positive = rhs > 0
     ratio = float((extremes[positive, 1] / rhs[positive]).max(initial=0.0))
     return BoundVerdict(f"{spec.which}_lhs", f"{spec.which}_rhs(r={spec.r})",
@@ -294,7 +271,16 @@ def _sector_verdicts(space: FockSpace, specs, X,
                      tol: float | None) -> list[tuple[BoundVerdict, float]]:
     """`_sector_verdict` for every spec on one Q.  X is validated before any norm
     is formed; the bounds read X only through its singular values, so one SVD
-    gives every rhs(n), and one eigensolve of Q_n* Q_n per sector serves every spec."""
+    gives every rhs(n), and one `_gram_extremes` pass serves every spec.
+
+    A row's tolerance is `tol`, else `_loewner_tolerance` over both ends of
+    every sector.  A certified sector where some row's slack at the upper
+    end, rhs(n) - top - width, is below -tolerance is solved again by
+    eigvalsh, until the recomputed tolerances leave none.  So every
+    certified sector passes every row at its upper end, and a row fails only
+    on an exact lambda_max.  A reported slack, read from top, exceeds the
+    exact one by at most the width 2 c_n; no verdict reads that gap.
+    """
     specs = list(specs)
     if len({spec.operator for spec in specs}) != 1:
         raise ValueError("verify_bounds needs one or more specs that share one operator")
@@ -307,8 +293,18 @@ def _sector_verdicts(space: FockSpace, specs, X,
     norms = {"2": _schatten(mu, 2), "inf": _schatten(mu, math.inf)}
     rhs = np.array([_profile(spec, {**norms, "r": _schatten(mu, spec.r)},
                              np.arange(space.m + 1)) for spec in specs])
-    extremes = _gram_extremes(space, operator, X, rhs, tol)
-    return [_sector_verdict(spec, row, extremes, tol) for spec, row in zip(specs, rhs)]
+    extremes = _gram_extremes(space, operator, X)
+    while True:
+        tols = [tol if tol is not None else _loewner_tolerance(row[:, None] - extremes[:, :2])
+                for row in rhs]
+        fails = rhs - extremes[:, 1] - extremes[:, 2] < -np.array(tols)[:, None]
+        unproved = np.flatnonzero((extremes[:, 2] > 0.0) & fails.any(axis=0))
+        if not unproved.size:
+            break
+        for n in unproved:
+            extremes[n] = _sector_extremes(space, operator, X, n, certify=False)
+    return [_sector_verdict(spec, row, extremes, row_tol)
+            for spec, row, row_tol in zip(specs, rhs, tols)]
 
 
 def verify_bounds(space: FockSpace, specs, X,

@@ -75,7 +75,7 @@ def _loglog_slope(n: np.ndarray, values: np.ndarray) -> float:
 
 
 def _power_sums(p: float, ends) -> np.ndarray:
-    """Running sums sum_{j<=e} j^p at each end point e of the sorted `ends`.
+    """Running sums sum_{j<=e} j^p at each end point e of `ends`, whose last is the largest.
 
     j runs in blocks of _BLOCK.  Each block is a cumulative sum whose first
     element carries the previous block's total; np.cumsum adds in order, so
@@ -98,9 +98,11 @@ def _power_sums(p: float, ends) -> np.ndarray:
 def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     """Fit the growth exponent of sector norms for the power_decay(s) family.
 
-    The partial sums of j^(s/2-1) grow like n^(s/2); the fit runs over the top
-    decade of the grid and passes iff |slope - s/2| <= SLOPE_TOL.  The grid
-    starts at 10, so n_max >= 11 is the least that puts two points in the fit.
+    The partial sums S(n) of j^(s/2-1) grow like n^(s/2) / (s/2) + zeta(1 - s/2);
+    the increments S(n) - S(n // 2) cancel the constant, which bends a log-log
+    fit at small s.  Their slope over the top decade of the grid passes iff
+    |slope - s/2| <= SLOPE_TOL.  The grid starts at 10, so n_max >= 11 is the
+    least that puts two points in the fit.
     _power_sums runs j as float64, which holds every integer up to 2^53 exactly.
     The time is linear in n_max, so above MAX_SWEEP_TERMS it raises ResourceError
     before any sum.
@@ -119,9 +121,11 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     grid = np.geomspace(10, n_max, 60).astype(int)
     # already sorted, so np.unique (which imports numpy.ma) is a neighbour test
     n_grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    sums = _power_sums(s / 2.0 - 1.0, n_grid)  # j^(s/2-1) is sorted descending
+    half = n_grid // 2  # j^(s/2-1) is sorted descending; one call sums both
+    both = _power_sums(s / 2.0 - 1.0, np.concatenate((half, n_grid)))
+    sums = both[half.size:]
     window = n_grid >= n_max / 10
-    slope = _loglog_slope(n_grid[window], sums[window])
+    slope = _loglog_slope(n_grid[window], (sums - both[:half.size])[window])
     return SweepResult(
         s=s, n=n_grid, partial_sums=sums, slope=slope,
         fit_window=(int(n_grid[window][0]), int(n_grid[window][-1])),

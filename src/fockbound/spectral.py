@@ -88,7 +88,7 @@ def loewner_leq(X, Y, tol: float | None = None,
 
 def _loewner_tolerance(slack_eigs) -> float:
     """EIGEN_TOL (1 + |slack|_2), the default allowance of every Loewner verdict, from
-    the slack's eigenvalues; a NaN (a sector not solved yet) is left out."""
+    the slack's eigenvalues."""
     return EIGEN_TOL * (1.0 + float(np.nanmax(np.abs(slack_eigs))))
 
 

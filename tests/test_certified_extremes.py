@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockbound as fb
 from fockbound import bounds
@@ -44,10 +46,10 @@ def gram_dims(m, operator):
 @pytest.fixture
 def dense(monkeypatch):
     """The extremes with every sector on the dense eigvalsh, as before the Lanczos path."""
-    def extremes(space, operator, X, *args):
+    def extremes(space, operator, X):
         with monkeypatch.context() as patch:
             patch.setattr(bounds, "_LANCZOS_STEPS", math.inf)
-            return _gram_extremes(space, operator, X, *args)
+            return _gram_extremes(space, operator, X)
     return extremes
 
 
@@ -171,18 +173,52 @@ def test_failed_certificate_falls_back_to_eigvalsh(monkeypatch, dense):
 
     monkeypatch.setattr(bounds, "_lanczos", low_ritz)
     monkeypatch.setattr(bounds, "_cholesky_certifies", recording)
-    extremes = _gram_extremes(space, operator, X, rhs_table(SPECS[operator], X, m))
+    extremes = _gram_extremes(space, operator, X)
     assert outcomes == [False] * sum(d > _LANCZOS_STEPS for d in gram_dims(m, operator))
     assert np.array_equal(extremes, dense(space, operator, X))
 
 
-def test_certificate_wider_than_the_tolerance_share_falls_back(dense, large_eigensolves):
-    # with tol = 0 no bracket is narrow enough, so every sector is dense
-    m, operator = 10, "Delta"
-    space, X = fb.make_space(m), skew_matrix(trial_rng(74, m), m)
-    extremes = _gram_extremes(space, operator, X, rhs_table(SPECS[operator], X, m), 0.0)
-    assert len(large_eigensolves) == sum(d > _LANCZOS_STEPS for d in gram_dims(m, operator))
-    assert np.array_equal(extremes, dense(space, operator, X))
+@pytest.mark.parametrize("operator", ["dGamma", "Delta"])
+def test_bracket_that_straddles_a_row_is_solved_again(operator, monkeypatch):
+    # a width of 20 theta on the Grams above dimension 200 puts their upper
+    # ends above rows that pass at theta, so exactly those certified sectors
+    # are solved again by eigvalsh; they hold every row's least slack, so the
+    # verdicts are those of the all-dense path bit for bit
+    m = 10
+    space, specs = fb.make_space(m), SPECS[operator]
+    X = draw(operator, trial_rng(74, m), m)
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_LANCZOS_STEPS", math.inf)
+        reference = fb.verify_bounds(space, specs, X)
+    shift = bounds._certificate_shift
+    monkeypatch.setattr(bounds, "_certificate_shift", lambda gram, theta:
+                        10 * theta if len(gram) > 200 else shift(gram, theta))
+    certified = _gram_extremes(space, operator, X)
+    tols = np.array([verdict.tolerance for verdict in reference])[:, None]
+    rhs = rhs_table(specs, X, m)
+    fails = (rhs - certified[:, 1] - certified[:, 2] < -tols).any(axis=0)
+    dims = gram_dims(m, operator)
+    straddled = [n for n, dim in enumerate(dims) if dim > _LANCZOS_STEPS and fails[n]]
+    assert straddled == [n for n, dim in enumerate(dims) if dim > 200]
+    assert all(verdict.passed for verdict in reference)
+
+    sectors, solved = [], []
+    build, solve = fb.fock.ladder_matrix, np.linalg.eigvalsh
+
+    def building(space, name, coeffs, sector=None):
+        sectors.append(sector)
+        return build(space, name, coeffs, sector=sector)
+
+    def recording(a, *args, **kwargs):
+        if a.shape[0] > _LANCZOS_STEPS:
+            solved.append(sectors[-1])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(bounds, "ladder_matrix", building)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    verdicts = fb.verify_bounds(space, specs, X)
+    assert sorted(solved) == straddled
+    assert verdicts == reference
 
 
 def test_certificate_proves_the_dense_top(dense):
@@ -198,21 +234,16 @@ def test_certificate_proves_the_dense_top(dense):
             if dim <= _LANCZOS_STEPS:
                 assert np.array_equal(certified[n], reference[n])
                 continue
-            q = fb.fock.ladder_matrix(space, operator, fb.quadratics.one_body(
-                space, operator, X), sector=n)
-            gram = q @ q.conj().T if q.shape[0] < q.shape[1] else q.conj().T @ q
-            gram = (gram + gram.conj().T) / 2
-            width = 2 * bounds._certificate_shift(gram, certified[n, 1])
+            top, width = certified[n, 1:]
             # theta <= lambda_max holds up to the rounding of both eigensolvers
-            assert certified[n, 1] * (1 - 1e-13) <= reference[n, 1] <= \
-                certified[n, 1] + width
+            assert 0 < width and top * (1 - 1e-13) <= reference[n, 1] <= top + width
             assert certified[n, 0] >= reference[n, 0] - 1e-12 * reference[n, 1]
 
 
-@pytest.mark.parametrize("m", [8, 9, 10])
+@pytest.mark.parametrize("m", [8, 9, 10, 11, 12])
 def test_tolerance_never_exceeds_the_dense_one(m, monkeypatch):
     for operator, specs in SPECS.items():
-        for seed in range(3):
+        for seed in range(1 if m == 12 else 3):
             X = draw(operator, trial_rng(76, m, seed), m)
             space = fb.make_space(m)
             certified = fb.verify_bounds(space, specs, X)
@@ -225,14 +256,42 @@ def test_tolerance_never_exceeds_the_dense_one(m, monkeypatch):
                 assert abs(new.slack_min - old.slack_min) <= 1e-6 * old.tolerance
 
 
-@pytest.mark.parametrize("seed", [29, 31])
-def test_benchmark_inputs_are_certified_without_fallback(seed, large_eigensolves):
-    # the verify-bounds invocations of the bounds-m10 benchmark workload
-    m, space = 10, fb.make_space(10)
-    for which, rs in [("dGamma", (1, 4 / 3, 2, math.inf)), ("Delta", (1, 1.5, 2)),
-                      ("DeltaPlus", (1, 2)), ("improved_r2", (2,)),
-                      ("literature_DeltaPlus", (2,))]:
+# the verify-bounds invocations of the bounds-m10 benchmark workload
+BENCHMARK_ROWS = [("dGamma", (1, 4 / 3, 2, math.inf)), ("Delta", (1, 1.5, 2)),
+                  ("DeltaPlus", (1, 2)), ("improved_r2", (2,)), ("literature_DeltaPlus", (2,))]
+
+
+def assert_benchmark_inputs_pass(m, seed):
+    space = fb.make_space(m)
+    for which, rs in BENCHMARK_ROWS:
         specs = [fb.BoundSpec(which, r) for r in rs]
         X = draw(specs[0].operator, trial_rng(seed, 0), m)
         assert all(v.passed for v in fb.verify_bounds(space, specs, X))
+
+
+@pytest.mark.parametrize("seed", [29, 31])
+def test_benchmark_inputs_are_certified_without_fallback(seed, large_eigensolves):
+    assert_benchmark_inputs_pass(10, seed)
     assert large_eigensolves == []
+
+
+def test_m12_benchmark_inputs_are_certified_without_fallback(large_eigensolves):
+    # the widths 2 c_n reach a few thousandths of the row tolerance here, and
+    # every bracket still decides its rows
+    assert_benchmark_inputs_pass(12, 29)
+    assert large_eigensolves == []
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(m=st.sampled_from([9, 10]), k=st.integers(-20, 20),
+       operator=st.sampled_from(sorted(SPECS)), seed=st.integers(0, 2**32 - 1))
+def test_power_of_two_scaling_scales_every_slack_exactly(m, k, operator, seed):
+    # X -> 2^k X scales every block entry, Gram, norm and extreme exactly, so
+    # every slack scales by 4^k bit for bit; the tolerance's absolute 1 + term
+    # does not scale, and no verdict may move with it
+    space, specs = fb.make_space(m), SPECS[operator]
+    X = draw(operator, trial_rng(77, m, seed), m)
+    before = fb.verify_bounds(space, specs, X)
+    after = fb.verify_bounds(space, specs, 2.0**k * X)
+    assert [v.slack_min * 4.0**k for v in before] == [v.slack_min for v in after]
+    assert [v.passed for v in before] == [v.passed for v in after]

@@ -25,7 +25,7 @@ from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
 from .quadratics import one_body, require_representable
 from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _loewner_tolerance, _require_self_adjoint, _schatten
-from .tolerances import IDENTITY_TOL
+from .tolerances import IDENTITY_TOL, UNIT_ROUNDOFF
 
 # which: (Q, r_min, r_max, rhs(sq, r, s, n)); sq holds the squares |X|_r^2, |X|_2^2
 # and |X|_inf^2 under the keys "r", "2" and "inf", and n is float, so n**0.0 is
@@ -106,7 +106,6 @@ def rhs_operator(space: FockSpace, spec: BoundSpec, norms: dict):
 
 # Lanczos steps at most; a Gram no larger than this keeps the dense eigvalsh
 _LANCZOS_STEPS = 60
-_UNIT_ROUNDOFF = 2.0**-53
 _TINIEST = 2.0**-1074  # the smallest subnormal
 
 
@@ -138,7 +137,7 @@ def _lanczos(gram: np.ndarray) -> tuple[float, float]:
         beta[k] = math.sqrt(np.vdot(w, w).real)
         if (k + 1) % 4 == 0 or k + 1 == _LANCZOS_STEPS or beta[k] == 0.0:
             ritz = np.linalg.eigvalsh(np.diag(alpha[:k + 1]) + np.diag(beta[:k], -1))
-            if ritz[-1] - top <= 4.0 * _UNIT_ROUNDOFF * abs(ritz[-1]) or beta[k] == 0.0:
+            if ritz[-1] - top <= 4.0 * UNIT_ROUNDOFF * abs(ritz[-1]) or beta[k] == 0.0:
                 break
             top = ritz[-1]
         v = w / beta[k]
@@ -174,7 +173,7 @@ def _certificate_shift(gram: np.ndarray, theta: float) -> float:
     terms) and of this formula.  So a factorisation that runs to completion
     proves lambda_max(G) <= theta + 2 c.
     """
-    dim, u = len(gram), _UNIT_ROUNDOFF
+    dim, u = len(gram), UNIT_ROUNDOFF
     gamma = (dim + 3) * u / (1.0 - (dim + 3) * u)
     kappa = gamma / (1.0 - gamma)
     t = float(np.abs(theta - gram.diagonal().real).sum())
@@ -255,16 +254,18 @@ def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
 
 def _sector_verdict(spec: BoundSpec, rhs: np.ndarray, extremes: np.ndarray,
                     tol: float) -> tuple[BoundVerdict, float]:
-    """The verdict on Q*Q <= rhs(N), and the saturation ratio max_n top(n) / rhs(n).
+    """The verdict on Q*Q <= rhs(N), and the saturation ratio max_n upper(n) / rhs(n).
 
     The slack is block diagonal, so its least eigenvalue is the least over
-    the sectors n of rhs(n) - lambda_max, read here from each sector's top.
-    `rhs` holds rhs(n) for n = 0..m.
+    the sectors n of rhs(n) - lambda_max, read here from each sector's upper
+    end top + width >= lambda_max, so neither the slack nor the ratio is
+    ever overstated.  `rhs` holds rhs(n) for n = 0..m.
     """
+    upper = extremes[:, 1] + extremes[:, 2]
     positive = rhs > 0
-    ratio = float((extremes[positive, 1] / rhs[positive]).max(initial=0.0))
+    ratio = float((upper[positive] / rhs[positive]).max(initial=0.0))
     return BoundVerdict(f"{spec.which}_lhs", f"{spec.which}_rhs(r={spec.r})",
-                        float((rhs - extremes[:, 1]).min()), tol), ratio
+                        float((rhs - upper).min()), tol), ratio
 
 
 def _sector_verdicts(space: FockSpace, specs, X,
@@ -278,8 +279,8 @@ def _sector_verdicts(space: FockSpace, specs, X,
     end, rhs(n) - top - width, is below -tolerance is solved again by
     eigvalsh, until the recomputed tolerances leave none.  So every
     certified sector passes every row at its upper end, and a row fails only
-    on an exact lambda_max.  A reported slack, read from top, exceeds the
-    exact one by at most the width 2 c_n; no verdict reads that gap.
+    on an exact lambda_max.  A reported slack, read from the upper end, is
+    below the exact one by at most the width 2 c_n, and never above it.
     """
     specs = list(specs)
     if len({spec.operator for spec in specs}) != 1:

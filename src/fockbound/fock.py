@@ -213,10 +213,17 @@ def ladder_entries(space: FockSpace, name: str, coeffs, sector: int | None = Non
 
 def ladder_matrix(space: FockSpace, name: str, coeffs,
                   sector: int | None = None) -> np.ndarray:
-    """The `ladder_entries` summed into a dense matrix in term order, as the sum is written."""
-    positions, values, shape = ladder_entries(space, name, coeffs, sector)
+    """The `ladder_entries` summed into a dense matrix in term order, as the sum is written.
+
+    A row outside the block means a target bitmask whose particle number is
+    not the sector's n + shift; `np.add.at` would wrap a negative one into
+    the last row, so every build raises GradingError instead.
+    """
+    (rows, cols), values, shape = ladder_entries(space, name, coeffs, sector)
+    if rows.min(initial=0) < 0 or rows.max(initial=-1) >= shape[0]:
+        raise GradingError(f"{name} entries leave the sector shift {LADDERS[name][1]}")
     out = np.zeros(shape, dtype=complex)
-    np.add.at(out, positions, values)
+    np.add.at(out, (rows, cols), values)
     return out
 
 
@@ -225,31 +232,13 @@ def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
 
     The keys run |shift| past 0..m on both sides.  Blocks there have an empty
     side, so a product of two blocks next to an edge sector is an exact zero
-    block of the right shape instead of a wrapped-around index.
-
-    One `ladder_entries` pass over the whole space gives every entry, and one
-    `np.add.at` scatters them, in term order, into a buffer that holds the
-    blocks one after another, so each block is bit-identical to its
-    per-sector build.  A row outside sector occupations[col] + shift would
-    land silently in a neighbouring block, so it raises GradingError instead.
-    Every block is held at once; the bound and Gaussian checks, which need one
-    sector at a time, build each with `ladder_matrix(..., sector=n)` instead.
+    block of the right shape instead of a wrapped-around index.  Every block
+    is held at once; the bound and Gaussian checks, which need one sector at
+    a time, call `ladder_matrix(..., sector=n)` themselves.
     """
-    shift = LADDERS[name][1]
-    occ = space.occupations
-    (rows, cols), values, _ = ladder_entries(space, name, coeffs)
-    if not np.array_equal(occ[rows], occ[cols] + shift):
-        raise GradingError(f"{name} entries leave the sector shift {shift}")
-    keys = np.arange(-abs(shift), space.m + abs(shift) + 1)
-    c0, c1, r0, r1 = np.searchsorted(occ, [keys, keys + 1, keys + shift, keys + shift + 1])
-    nrows, ncols = r1 - r0, c1 - c0
-    offsets = np.concatenate(([0], np.cumsum(nrows * ncols)))
-    block = occ[cols] - keys[0]  # each entry's position in keys
-    flat = np.zeros(offsets[-1], dtype=complex)
-    np.add.at(flat, offsets[block] + (rows - r0[block]) * ncols[block] + cols - c0[block],
-              values)
-    return {int(n): flat[offsets[i]:offsets[i + 1]].reshape(nrows[i], ncols[i])
-            for i, n in enumerate(keys)}
+    shift = abs(LADDERS[name][1])
+    return {n: ladder_matrix(space, name, coeffs, sector=n)
+            for n in range(-shift, space.m + shift + 1)}
 
 
 def ladder_operator(space: FockSpace, name: str, coeffs) -> FockOperator:

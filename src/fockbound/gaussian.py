@@ -17,10 +17,9 @@ import numpy as np
 
 from .fock import FockSpace, FockVector, ladder_matrix
 from .quadratics import one_body, require_skew
-from .tolerances import EIGEN_TOL, NORM_TOL
+from .tolerances import EIGEN_TOL, NORM_TOL, UNIT_ROUNDOFF
 
 DEFAULT_CONVENTION = 0.5
-_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _pair_powers(space: FockSpace, C) -> list[np.ndarray]:
@@ -142,7 +141,7 @@ def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
     """
     m = len(C)
     terms = m * (m - 1) // 2 + 3
-    gamma = terms * _UNIT_ROUNDOFF / (1.0 - terms * _UNIT_ROUNDOFF)
+    gamma = terms * UNIT_ROUNDOFF / (1.0 - terms * UNIT_ROUNDOFF)
     scale = float(np.abs(C).sum())
     floors = np.zeros(len(coeffs))
     for n in range(1, len(coeffs)):

@@ -68,8 +68,11 @@ def _schatten(mu: np.ndarray, r: float) -> float:
 def _require_self_adjoint(X, name: str) -> np.ndarray:
     X = np.asarray(X, dtype=complex)
     scale = 1.0 + np.abs(X).max(initial=0.0)
-    if np.abs(X - X.conj().T).max(initial=0.0) > IDENTITY_TOL * scale:
-        raise ValueError(f"{name} is not self-adjoint to within {IDENTITY_TOL}*scale")
+    # a NaN or inf in X makes the scale NaN or inf, so finiteness needs no pass of its own
+    if not (scale < math.inf
+            and np.abs(X - X.conj().T).max(initial=0.0) <= IDENTITY_TOL * scale):
+        raise ValueError(f"{name} is not finite and self-adjoint to within "
+                         f"{IDENTITY_TOL}*scale")
     return X
 
 

@@ -2,6 +2,8 @@
 
 Residuals are compared relative to a scale stated where each check is made."""
 
+UNIT_ROUNDOFF = 2.0**-53  # u of binary64, which every rounding-error bound reads
+
 ENTRY_TOL = 1e-13      # entrywise structure: skewness, grading leaks, adjoint pairs
 IDENTITY_TOL = 1e-12   # algebraic identities, self-adjointness, exact sums
 NORM_TOL = 1e-10       # identities through a norm, an operator product or a long sum

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fockbound import cli, fock, quadratics
+from fockbound import bounds, cli, fock, quadratics
 
 
 @pytest.fixture
@@ -31,3 +31,44 @@ def corrupt_block(monkeypatch):
         return flips
 
     return corrupt
+
+
+@pytest.fixture
+def misplace_row(monkeypatch):
+    """misplace_row(past_end, kind=None) makes the first nonempty build of `kind`
+    (of any operator if None) through fock.ladder_entries return its first row
+    as -1, or as the block's row count if `past_end`: a target state outside
+    the block, which is where a wrong particle number lands.  It returns the
+    list of kinds moved, so a test can tell that the patch bit."""
+    entries = fock.ladder_entries
+
+    def misplace(past_end, kind=None):
+        moved = []
+
+        def misplaced(space, name, coeffs, sector=None):
+            (rows, cols), values, shape = entries(space, name, coeffs, sector)
+            if kind in (None, name) and rows.size and not moved:
+                rows[0] = shape[0] if past_end else -1
+                moved.append(name)
+            return (rows, cols), values, shape
+
+        monkeypatch.setattr(fock, "ladder_entries", misplaced)
+        return moved
+
+    return misplace
+
+
+@pytest.fixture
+def widest_bracket(monkeypatch):
+    """widest_bracket() is the largest certified width 2 c_n in any extremes
+    table that bounds._gram_extremes has returned during the test, read after
+    the verdicts have solved sectors again in place.  A slack is read from
+    the upper end top + width, so it lies at most this far below the exact one."""
+    gram_extremes, seen = bounds._gram_extremes, []
+
+    def recording(*args):
+        seen.append(gram_extremes(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(bounds, "_gram_extremes", recording)
+    return lambda: max((float(extremes[:, 2].max()) for extremes in seen), default=0.0)

@@ -172,6 +172,15 @@ def test_verify_bounds_equals_verify_bound_per_spec(m, seed, data):
         fb.verify_bound(sp, spec, X, tol) for spec in specs]
 
 
+def test_verify_bounds_rejects_a_row_outside_its_sector_block(misplace_row):
+    # np.add.at would wrap the row of -1 into the block's last row
+    moved = misplace_row(past_end=False)
+    with pytest.raises(fb.fock.GradingError, match="sector shift"):
+        fb.verify_bounds(fb.make_space(4), [fb.BoundSpec("dGamma", 2)],
+                         complex_matrix(trial_rng(8, 4), 4))
+    assert moved == ["dGamma"]
+
+
 def test_verify_bounds_needs_one_operator():
     sp = fb.make_space(3)
     A = skew_matrix(trial_rng(5, 3), 3)

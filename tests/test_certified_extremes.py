@@ -221,6 +221,18 @@ def test_bracket_that_straddles_a_row_is_solved_again(operator, monkeypatch):
     assert verdicts == reference
 
 
+def test_slack_and_ratio_read_the_upper_end_of_a_bracket():
+    # sector 1 is certified, lambda_max in [3, 3 + 1]; sectors 0 and 2 are exact.
+    # Read from top, sector 1 would give slack 1.5 and ratio 3 / 4.5, both
+    # overstating how far the bound is from binding
+    spec = fb.BoundSpec("dGamma", 2)
+    rhs = np.array([1.0, 4.5, 6.0])
+    extremes = np.array([[0.0, 0.0, 0.0], [1.0, 3.0, 1.0], [2.0, 5.0, 0.0]])
+    verdict, ratio = bounds._sector_verdict(spec, rhs, extremes, 0.0)
+    assert verdict.slack_min == 4.5 - 4.0 and verdict.passed
+    assert ratio == 4.0 / 4.5
+
+
 def test_certificate_proves_the_dense_top(dense):
     # lambda_max from eigvalsh lies in the bracket [theta, theta + 2 c_n]; only
     # the upper end is proved
@@ -241,7 +253,7 @@ def test_certificate_proves_the_dense_top(dense):
 
 
 @pytest.mark.parametrize("m", [8, 9, 10, 11, 12])
-def test_tolerance_never_exceeds_the_dense_one(m, monkeypatch):
+def test_tolerance_never_exceeds_the_dense_one(m, monkeypatch, widest_bracket):
     for operator, specs in SPECS.items():
         for seed in range(1 if m == 12 else 3):
             X = draw(operator, trial_rng(76, m, seed), m)
@@ -253,7 +265,10 @@ def test_tolerance_never_exceeds_the_dense_one(m, monkeypatch):
             for new, old in zip(certified, reference, strict=True):
                 assert new.tolerance <= old.tolerance
                 assert new.passed == old.passed
-                assert abs(new.slack_min - old.slack_min) <= 1e-6 * old.tolerance
+                # the slack reads the upper end, never above the exact one
+                rounding = 1e-6 * old.tolerance
+                assert (-widest_bracket() - rounding <= new.slack_min - old.slack_min
+                        <= rounding)
 
 
 # the verify-bounds invocations of the bounds-m10 benchmark workload

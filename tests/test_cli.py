@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -411,62 +412,48 @@ def test_algebra_adjoint_row_sees_one_corrupt_block(m, name, target, corrupt_blo
 
 
 @pytest.mark.parametrize("name", ["dGamma", "Delta", "DeltaPlus"])
-def test_algebra_grading_counts_a_misplaced_entry(name, monkeypatch):
-    entries, moved = fock.ladder_entries, []
-
-    def misplaced(space, kind, coeffs, sector=None):
-        (rows, cols), values, shape = entries(space, kind, coeffs, sector)
-        if kind == name and not moved:  # the first trial's build only
-            occ = space.occupations
-            rows[0] = np.flatnonzero(occ != occ[rows[0]])[0]
-            moved.append(kind)
-        return (rows, cols), values, shape
-
-    monkeypatch.setattr(fock, "ladder_entries", misplaced)
-    row = algebra_rows(3, trials=2)["grading"]
-    assert moved
-    assert row["metric"] == 1 and not row["pass"]
+def test_algebra_grading_counts_a_misplaced_entry(name, misplace_row):
+    for past_end in (False, True):
+        moved = misplace_row(past_end, name)  # the first trial's build only
+        row = algebra_rows(3, trials=2)["grading"]
+        assert moved == [name]
+        assert row["metric"] == 1 and not row["pass"]
 
 
-def test_verify_algebra_exits_1_on_a_misplaced_entry(monkeypatch, capsys):
-    entries, moved = fock.ladder_entries, []
-
-    def misplaced(space, kind, coeffs, sector=None):
-        (rows, cols), values, shape = entries(space, kind, coeffs, sector)
-        if not moved:  # the first build of the first trial only
-            occ = space.occupations
-            rows[0] = np.flatnonzero(occ != occ[rows[0]])[0]
-            moved.append(kind)
-        return (rows, cols), values, shape
-
-    monkeypatch.setattr(fock, "ladder_entries", misplaced)
-    code, out = run(["verify-algebra", "--m", "3", "--trials", "2"], capsys)
-    rows = {row["check_id"]: row for row in json.loads(out)["checks"]}
-    assert moved and code == cli.EXIT_VERIFICATION_FAILURE
-    assert rows["algebra/m=3/grading"]["metric"] == 1
-    assert not rows["algebra/m=3/grading"]["pass"]
+def test_verify_algebra_exits_1_on_a_misplaced_entry(misplace_row, capsys):
+    for past_end in (False, True):
+        moved = misplace_row(past_end)  # the first build of the first trial only
+        code, out = run(["verify-algebra", "--m", "3", "--trials", "2"], capsys)
+        rows = {row["check_id"]: row for row in json.loads(out)["checks"]}
+        assert moved and code == cli.EXIT_VERIFICATION_FAILURE
+        assert rows["algebra/m=3/grading"]["metric"] == 1
+        assert not rows["algebra/m=3/grading"]["pass"]
 
 
 def test_verify_algebra_builds_each_operator_once_per_trial(monkeypatch, capsys):
     # the commutator's Delta(A), DeltaPlus(C) and dGamma(CA), and the adjoint
-    # rows' dGamma(B), dGamma(B*), Delta(A) and DeltaPlus(A*); the grading row
-    # reads these builds and walks no entries of its own
+    # rows' dGamma(B), dGamma(B*), Delta(A) and DeltaPlus(A*), each one build
+    # per sector key; the grading row reads these builds and walks no entries
+    # of its own
     assert not hasattr(cli, "ladder_entries")
     entries, calls = fock.ladder_entries, []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return entries(*args, **kwargs)
+    def counting(space, name, coeffs, sector=None):
+        calls.append((name, sector))
+        return entries(space, name, coeffs, sector)
 
     monkeypatch.setattr(fock, "ladder_entries", counting)
     code, _ = run(["verify-algebra", "--m", "3", "--trials", "2"], capsys)
     assert code == cli.EXIT_OK
-    assert len(calls) == 7 * 2
+    builds = {"dGamma": 3, "Delta": 2, "DeltaPlus": 2}
+    shift = {name: abs(fock.LADDERS[name][1]) for name in builds}
+    assert Counter(calls) == {(name, n): 2 * count for name, count in builds.items()
+                              for n in range(-shift[name], 3 + shift[name] + 1)}
 
 
 @pytest.mark.parametrize("argv, keys", [
     (["verify-car", "--m", "3", "--trials", "3"],
-     {(3, "annihilation", None), (3, "creation", None)}),
+     {(3, name, n) for name in ("annihilation", "creation") for n in range(-1, 5)}),
     (["verify-bounds", "--which", "dGamma", "--r", "1", "2", "--m", "3", "--trials", "3"],
      {(3, "dGamma", n) for n in range(4)})])
 def test_each_entry_pattern_is_walked_once_per_process(argv, keys, monkeypatch, capsys):

@@ -362,39 +362,42 @@ def test_numpy_integer_and_out_of_range_sectors(name):
             assert block.size == 0
 
 
-def test_sector_blocks_reject_an_entry_outside_its_sector(monkeypatch):
-    # the flat buffer would take the moved row into a neighbouring block
-    entries = fb.fock.ladder_entries
+def test_sector_blocks_reject_an_entry_outside_its_sector(misplace_row):
+    # np.add.at would wrap a row of -1 into the last row of the block
+    for past_end in (False, True):
+        moved = misplace_row(past_end)
+        with pytest.raises(fb.fock.GradingError, match="sector shift"):
+            fb.fock.sector_blocks(fb.make_space(4), "dGamma", np.ones((4, 4)))
+        assert moved == ["dGamma"]
 
-    def misplaced(space, kind, coeffs, sector=None):
-        (rows, cols), values, shape = entries(space, kind, coeffs, sector)
-        occ = space.occupations
-        rows[0] = np.flatnonzero(occ == occ[rows[0]] + 1)[0]
-        return (rows, cols), values, shape
 
-    monkeypatch.setattr(fb.fock, "ladder_entries", misplaced)
-    with pytest.raises(AssertionError, match="sector shift"):
-        fb.fock.sector_blocks(fb.make_space(4), "dGamma", np.ones((4, 4)))
+def sector_keys(name, m):
+    """(name, n) for every key of sector_blocks(space, name, coeffs) on m modes."""
+    shift = abs(fb.fock.LADDERS[name][1])
+    return [(name, n) for n in range(-shift, m + shift + 1)]
 
 
 def test_each_sector_blocks_call_builds_once(monkeypatch):
+    # one ladder_entries call per operator and key, in key order
     entries, calls = fb.fock.ladder_entries, []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return entries(*args, **kwargs)
+    def counting(space, name, coeffs, sector=None):
+        calls.append((name, sector))
+        return entries(space, name, coeffs, sector)
 
     monkeypatch.setattr(fb.fock, "ladder_entries", counting)
     sp = fb.make_space(5)
     fb.fock.sector_blocks(sp, "Delta", np.zeros((5, 5)))
-    assert calls == ["Delta"]
+    assert calls == sector_keys("Delta", 5)
     calls.clear()
     fb.verify_car(sp, trials=3, seed=2)
-    assert calls == 3 * (3 * ["annihilation"] + 3 * ["creation"])
+    per_trial = 3 * sector_keys("annihilation", 5) + 3 * sector_keys("creation", 5)
+    assert calls == 3 * per_trial
     calls.clear()
     rng = trial_rng(4, 0)
     fb.check_commutator(sp, skew_matrix(rng, 5), skew_matrix(rng, 5))
-    assert calls == ["Delta", "DeltaPlus", "dGamma"]
+    assert calls == [key for name in ("Delta", "DeltaPlus", "dGamma")
+                     for key in sector_keys(name, 5)]
 
 
 def test_verify_car_fails_when_a_residual_overflows(monkeypatch):

@@ -53,6 +53,14 @@ def test_pair_coefficients_terminate():
     assert np.abs(v).max() == 0
 
 
+def test_pair_coefficients_reject_a_row_outside_its_sector_block(misplace_row):
+    # np.add.at would wrap the row of -1 into the block's last row
+    moved = misplace_row(past_end=False)
+    with pytest.raises(fb.fock.GradingError, match="sector shift"):
+        fb.pair_coefficients(fb.make_space(4), skew_matrix(trial_rng(8, 4), 4))
+    assert moved == ["DeltaPlus"]
+
+
 def test_omega_series_values():
     sp = fb.make_space(2)
     assert fb.omega_series(sp, 0.5 * ROTATION, 0.0) == 1.0

@@ -103,6 +103,20 @@ def test_loewner_rejects_non_self_adjoint():
         fb.loewner_leq(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.diag([math.nan, 1.0]),
+                                 np.array([[0.0, math.nan], [math.nan, 0.0]]),
+                                 np.diag([math.inf, 1.0]),
+                                 np.array([[0.0, math.inf], [math.inf, 0.0]]),
+                                 np.array([[0.0, math.inf], [-math.inf, 0.0]])],
+                         ids=["nan on diagonal", "nan off diagonal", "inf on diagonal",
+                              "inf off diagonal", "inf against -inf"])
+def test_loewner_rejects_non_finite_operands(bad):
+    # eigvalsh gives [0, -0] for a NaN on the diagonal, which would pass
+    for lhs, rhs in ((bad, np.eye(2)), (np.eye(2), bad)):
+        with pytest.raises(ValueError, match="not finite and self-adjoint"):
+            fb.loewner_leq(lhs, rhs)
+
+
 def test_loewner_reflexive_and_transitive():
     X = psd_matrix(trial_rng(1, 1), 4)
     assert fb.loewner_leq(X, X).passed

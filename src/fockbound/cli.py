@@ -368,6 +368,9 @@ def main(argv=None) -> int:
         validate_args(args)
         report = build_report(args)
         text = render(report, args.format)
+    except GradingError as exc:  # a build left its sector: the operator is wrong
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
     except (ResourceError, MemoryError) as exc:
         print(f"resource error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE_ERROR

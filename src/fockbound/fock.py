@@ -211,17 +211,23 @@ def ladder_entries(space: FockSpace, name: str, coeffs, sector: int | None = Non
     return (rows[keep], cols[keep]), c, shape
 
 
-def ladder_matrix(space: FockSpace, name: str, coeffs,
-                  sector: int | None = None) -> np.ndarray:
-    """The `ladder_entries` summed into a dense matrix in term order, as the sum is written.
+def graded_entries(space: FockSpace, name: str, coeffs, sector: int | None = None):
+    """`ladder_entries`, with GradingError for a row outside the block.
 
     A row outside the block means a target bitmask whose particle number is
     not the sector's n + shift; `np.add.at` would wrap a negative one into
-    the last row, so every build raises GradingError instead.
+    the last row, so every build that sums entries reads them from here.
     """
     (rows, cols), values, shape = ladder_entries(space, name, coeffs, sector)
     if rows.min(initial=0) < 0 or rows.max(initial=-1) >= shape[0]:
         raise GradingError(f"{name} entries leave the sector shift {LADDERS[name][1]}")
+    return (rows, cols), values, shape
+
+
+def ladder_matrix(space: FockSpace, name: str, coeffs,
+                  sector: int | None = None) -> np.ndarray:
+    """The `graded_entries` summed into a dense matrix in term order, as the sum is written."""
+    (rows, cols), values, shape = graded_entries(space, name, coeffs, sector)
     out = np.zeros(shape, dtype=complex)
     np.add.at(out, (rows, cols), values)
     return out

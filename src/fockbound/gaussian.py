@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import FockSpace, FockVector, ladder_matrix
-from .quadratics import one_body, require_skew
+from .quadratics import one_body, pair_weights, require_skew
 from .tolerances import EIGEN_TOL, NORM_TOL, UNIT_ROUNDOFF
 
 DEFAULT_CONVENTION = 0.5
@@ -53,10 +53,10 @@ def _series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _paired_gram_eigs(C) -> np.ndarray:
-    """Eigenvalues of C*C for a skew C, one representative per pair (descending)."""
+    """Eigenvalues of C*C for a skew C, one per pair by `pair_weights`' rule (descending)."""
     C = require_skew(C, "C")
     evals = np.linalg.eigvalsh(C.conj().T @ C)[::-1]
-    return np.clip(evals, 0.0, None)[::2]
+    return pair_weights(np.clip(evals, 0.0, None))
 
 
 def _determinant(pairs: np.ndarray, z: np.ndarray, convention: float) -> np.ndarray:

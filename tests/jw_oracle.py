@@ -14,21 +14,30 @@ run_verify_algebra, pair_coefficients, gaussian_state and slater_expectation
 are the package's whole-space versions from before those too read sector
 blocks: they apply the package's own whole-space operators (d_gamma, delta,
 delta_plus and check_grading) to whole-space vectors.
+
+sector_extremes is the whole-sector path that bounds._gram_extremes took for
+Delta and DeltaPlus before it solved the small blocks of their pair form:
+the full block Q_n of any skew A and a dense eigvalsh of its Gram.
+pair_form_of and gram_dims give, for a test, the argument and the Gram
+dimensions of the path that replaced it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from fockbound import quadratics
 from fockbound.cli import _check
-from fockbound.fock import (CAR_TOL, CarReport, FockOperator, FockSpace, FockVector,
-                            _check_mode, _check_vector, _space, anticommutator,
-                            make_space, slater_state, vacuum)
-from fockbound.quadratics import CommutatorReport, _as_one_body, require_skew
+from fockbound.fock import (CAR_TOL, LADDERS, CarReport, FockOperator, FockSpace,
+                            FockVector, _check_mode, _check_vector, _space,
+                            anticommutator, ladder_matrix, make_space, slater_state,
+                            vacuum)
+from fockbound.quadratics import (CommutatorReport, _as_one_body, pair_form, pair_weights,
+                                  require_skew)
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from fockbound.tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
 
@@ -228,3 +237,43 @@ def slater_expectation(space: FockSpace, B, modes) -> complex:
         raise AssertionError(
             f"slater expectation {value} disagrees with diagonal sum {diagonal_sum}")
     return value
+
+
+def sector_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
+    """(lambda_min, lambda_max, 0) of Q_n* Q_n for every sector n, Q = `operator` built
+    from any X: the whole block Q_n, its Gram on the smaller side, a dense eigvalsh.
+    A wide block has lambda_min = 0 exactly; an empty one gives zeros."""
+    extremes = np.zeros((space.m + 1, 3))
+    for n in range(space.m + 1):
+        q = ladder_matrix(space, operator, X, sector=n)
+        if q.size:
+            wide = q.shape[0] < q.shape[1]
+            gram = q @ q.conj().T if wide else q.conj().T @ q
+            eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+            extremes[n, :2] = (0.0 if wide else eigs[0]), eigs[-1]
+    return extremes
+
+
+def pair_form_of(operator: str, X) -> np.ndarray:
+    """The argument bounds._gram_extremes takes for X: X for dGamma, and for Delta
+    and DeltaPlus the pair form of X's singular values, as verify_bounds forms it."""
+    if LADDERS[operator][1] == 0:
+        return X
+    return pair_form(pair_weights(np.linalg.svd(X, compute_uv=False)), len(X))
+
+
+def gram_dims(m: int, operator: str) -> list[int]:
+    """The dimension of the Gram each sector's eigensolve runs on, the smaller side
+    of its block.  dGamma's block is C(m, n + shift) x C(m, n).  A pair operator's
+    keeps the states where no pair (2k, 2k + 1) holds only its second mode: each
+    pair holds 0, 1 or 2 particles, and an odd m's last mode 0 or 1, so sector n
+    keeps the coefficient of x^n in (1 + x + x^2)^(m // 2) (1 + x)^(m % 2)."""
+    shift = LADDERS[operator][1]
+    if shift == 0:
+        sizes = [math.comb(m, n) for n in range(m + 1)]
+    else:
+        sizes = np.array([1])
+        for factor in [[1, 1, 1]] * (m // 2) + [[1, 1]] * (m % 2):
+            sizes = np.convolve(sizes, factor)
+    return [int(min(sizes[n], sizes[n + shift])) if 0 <= n + shift <= m else 0
+            for n in range(m + 1)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockbound as fb
+import jw_oracle as jw
 from fockbound.bounds import WHICH, basic_estimate_bruteforce
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng
 
@@ -274,9 +275,11 @@ def test_bound_sweep_empty_family():
 
 @pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])
 def test_each_sector_solves_the_smaller_gram(operator, monkeypatch):
-    # Q_n* Q_n is C(m, n) square and Q_n Q_n* is C(m, n + shift) square; the
-    # eigensolve takes the smaller, and an empty block takes none
-    m, shift = 6, fb.fock.LADDERS[operator][1]
+    # dGamma's Q_n* Q_n is C(m, n) square and Q_n Q_n* is C(m, n + shift)
+    # square; a pair operator's block keeps one copy of each distinct block of
+    # its pair form, 3 of the 6 states of sector 1 at m = 6.  The eigensolve
+    # takes the smaller side, and an empty block takes none
+    m = 6
     shapes, solve = [], np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
@@ -288,9 +291,7 @@ def test_each_sector_solves_the_smaller_gram(operator, monkeypatch):
     rng = trial_rng(26, 0)
     X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
     assert all(v.passed for v in fb.verify_bounds(fb.make_space(m), specs, X))
-    dims = [min(math.comb(m, n), math.comb(m, n + shift))
-            for n in range(m + 1) if 0 <= n + shift <= m]
-    assert shapes == [(d, d) for d in dims]
+    assert shapes == [(d, d) for d in jw.gram_dims(m, operator) if d]
 
 
 @pytest.mark.parametrize("which,entry", [("dGamma", 1e160), ("dGamma", 1e200),
@@ -300,7 +301,7 @@ def test_unrepresentable_operator_rejected_before_any_product(which, entry, monk
     def must_not_build(*args, **kwargs):
         raise AssertionError("sector block built from an operator that overflows")
 
-    monkeypatch.setattr(fb.bounds, "ladder_matrix", must_not_build)
+    monkeypatch.setattr(fb.fock, "ladder_entries", must_not_build)
     X = np.eye(3, dtype=complex)
     X[0, 1] = entry
     if which != "dGamma":

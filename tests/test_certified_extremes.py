@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockbound as fb
+import jw_oracle as jw
 from fockbound import bounds
 from fockbound.bounds import _LANCZOS_STEPS, _gram_extremes
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng, unitary_matrix
@@ -34,13 +35,6 @@ def rhs_table(specs, X, m):
 
 def draw(operator, rng, m):
     return complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
-
-
-def gram_dims(m, operator):
-    """The dimension of the Gram each sector's eigensolve runs on."""
-    shift = fb.fock.LADDERS[operator][1]
-    return [min(math.comb(m, n), math.comb(m, n + shift)) if 0 <= n + shift <= m else 0
-            for n in range(m + 1)]
 
 
 @pytest.fixture
@@ -119,7 +113,7 @@ def flat_pair_tops(m, weight, operator):
 
 
 @pytest.mark.parametrize("operator", ["Delta", "DeltaPlus"])
-@pytest.mark.parametrize("m", [10, 11, 12])
+@pytest.mark.parametrize("m", [10, 11, 12, 13, 14])
 def test_flat_pairs_top_is_the_johnson_graph_formula(m, operator, large_eigensolves):
     weight = 0.8 - 0.6j
     extremes = _gram_extremes(fb.make_space(m), operator, flat_pairs(m, weight))
@@ -143,14 +137,16 @@ def test_extremes_are_covariant(m, operator):
     # unitarily equivalent.  The top value must agree; the bottom Ritz value
     # of a Lanczos sector depends on the start vector and only bounds
     # lambda_min from above, so the bottom is compared where it is exact.
+    # A pair operator's extremes are read from the pair form of its singular
+    # values, so there the covariance is that of the SVD and its pairing
     rng = trial_rng(72, m)
     X, U = draw(operator, rng, m), unitary_matrix(rng, m)
     moved = U @ X @ U.conj().T if operator == "dGamma" else U.T @ X @ U
     space = fb.make_space(m)
-    before = _gram_extremes(space, operator, X)
-    after = _gram_extremes(space, operator, moved)
+    before = _gram_extremes(space, operator, jw.pair_form_of(operator, X))
+    after = _gram_extremes(space, operator, jw.pair_form_of(operator, moved))
     np.testing.assert_allclose(after[:, 1], before[:, 1], rtol=1e-12, atol=0.0)
-    exact = np.array(gram_dims(m, operator)) <= _LANCZOS_STEPS
+    exact = np.array(jw.gram_dims(m, operator)) <= _LANCZOS_STEPS
     np.testing.assert_allclose(after[exact, 0], before[exact, 0],
                                rtol=0.0, atol=1e-12 * before[:, 1].max())
 
@@ -174,7 +170,7 @@ def test_failed_certificate_falls_back_to_eigvalsh(monkeypatch, dense):
     monkeypatch.setattr(bounds, "_lanczos", low_ritz)
     monkeypatch.setattr(bounds, "_cholesky_certifies", recording)
     extremes = _gram_extremes(space, operator, X)
-    assert outcomes == [False] * sum(d > _LANCZOS_STEPS for d in gram_dims(m, operator))
+    assert outcomes == [False] * sum(d > _LANCZOS_STEPS for d in jw.gram_dims(m, operator))
     assert np.array_equal(extremes, dense(space, operator, X))
 
 
@@ -183,8 +179,10 @@ def test_bracket_that_straddles_a_row_is_solved_again(operator, monkeypatch):
     # a width of 20 theta on the Grams above dimension 200 puts their upper
     # ends above rows that pass at theta, so exactly those certified sectors
     # are solved again by eigvalsh; they hold every row's least slack, so the
-    # verdicts are those of the all-dense path bit for bit
-    m = 10
+    # verdicts are those of the all-dense path bit for bit.  Delta's pair-form
+    # Grams pass dimension 200 from m = 13 on; at m = 14 the four middle ones
+    # (266 to 393) hold every row's least slack, as at m = 13 they do not
+    m = {"dGamma": 10, "Delta": 14}[operator]
     space, specs = fb.make_space(m), SPECS[operator]
     X = draw(operator, trial_rng(74, m), m)
     with monkeypatch.context() as patch:
@@ -193,28 +191,28 @@ def test_bracket_that_straddles_a_row_is_solved_again(operator, monkeypatch):
     shift = bounds._certificate_shift
     monkeypatch.setattr(bounds, "_certificate_shift", lambda gram, theta:
                         10 * theta if len(gram) > 200 else shift(gram, theta))
-    certified = _gram_extremes(space, operator, X)
+    certified = _gram_extremes(space, operator, jw.pair_form_of(operator, X))
     tols = np.array([verdict.tolerance for verdict in reference])[:, None]
     rhs = rhs_table(specs, X, m)
     fails = (rhs - certified[:, 1] - certified[:, 2] < -tols).any(axis=0)
-    dims = gram_dims(m, operator)
+    dims = jw.gram_dims(m, operator)
     straddled = [n for n, dim in enumerate(dims) if dim > _LANCZOS_STEPS and fails[n]]
     assert straddled == [n for n, dim in enumerate(dims) if dim > 200]
     assert all(verdict.passed for verdict in reference)
 
     sectors, solved = [], []
-    build, solve = fb.fock.ladder_matrix, np.linalg.eigvalsh
+    build, solve = bounds._sector_block, np.linalg.eigvalsh
 
-    def building(space, name, coeffs, sector=None):
-        sectors.append(sector)
-        return build(space, name, coeffs, sector=sector)
+    def building(space, operator, X, n):
+        sectors.append(n)
+        return build(space, operator, X, n)
 
     def recording(a, *args, **kwargs):
         if a.shape[0] > _LANCZOS_STEPS:
             solved.append(sectors[-1])
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "ladder_matrix", building)
+    monkeypatch.setattr(bounds, "_sector_block", building)
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     verdicts = fb.verify_bounds(space, specs, X)
     assert sorted(solved) == straddled
@@ -235,14 +233,15 @@ def test_slack_and_ratio_read_the_upper_end_of_a_bracket():
 
 def test_certificate_proves_the_dense_top(dense):
     # lambda_max from eigvalsh lies in the bracket [theta, theta + 2 c_n]; only
-    # the upper end is proved
-    m = 10
-    space = fb.make_space(m)
+    # the upper end is proved.  The pair operators' Grams pass the Lanczos
+    # cap from m = 11 on
     for operator in SPECS:
-        X = draw(operator, trial_rng(75, m), m)
+        m = 10 if operator == "dGamma" else 12
+        space = fb.make_space(m)
+        X = jw.pair_form_of(operator, draw(operator, trial_rng(75, m), m))
         certified = _gram_extremes(space, operator, X)
         reference = dense(space, operator, X)
-        for n, dim in enumerate(gram_dims(m, operator)):
+        for n, dim in enumerate(jw.gram_dims(m, operator)):
             if dim <= _LANCZOS_STEPS:
                 assert np.array_equal(certified[n], reference[n])
                 continue

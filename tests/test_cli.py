@@ -229,7 +229,7 @@ def test_every_exponent_validated_before_building(capsys, monkeypatch):
     def must_not_build(*args, **kwargs):
         raise AssertionError("operator built before every exponent was validated")
 
-    monkeypatch.setattr(cli.bounds, "ladder_matrix", must_not_build)
+    monkeypatch.setattr(fock, "ladder_entries", must_not_build)
     code = cli.main(["verify-bounds", "--which", "Delta", "--r", "1", "3", "--m", "4"])
     assert code == cli.EXIT_VALIDATION_ERROR
     captured = capsys.readouterr()
@@ -242,7 +242,7 @@ def test_non_skew_matrix_file_rejected_before_building(entry, tmp_path, capsys, 
     def must_not_build(*args, **kwargs):
         raise AssertionError("pair operator built from a non-skew matrix")
 
-    monkeypatch.setattr(cli.bounds, "ladder_matrix", must_not_build)
+    monkeypatch.setattr(fock, "ladder_entries", must_not_build)
     C = np.zeros((3, 3))
     C[1, 2] = C[2, 1] = entry
     path = tmp_path / "c.json"
@@ -428,6 +428,21 @@ def test_verify_algebra_exits_1_on_a_misplaced_entry(misplace_row, capsys):
         assert moved and code == cli.EXIT_VERIFICATION_FAILURE
         assert rows["algebra/m=3/grading"]["metric"] == 1
         assert not rows["algebra/m=3/grading"]["pass"]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["verify-bounds", "--which", "dGamma", "--r", "2", "--m", "3", "--trials", "1"], "dGamma"),
+    (["verify-bounds", "--which", "Delta", "--r", "2", "--m", "4", "--trials", "1"], "Delta"),
+    (["gaussian-check", "--m", "4", "--trials", "1"], "DeltaPlus")])
+def test_a_row_outside_its_sector_is_a_verification_failure(argv, kind, misplace_row,
+                                                            capsys):
+    # Delta's build is on the pair form of its argument, behind the same guard
+    moved = misplace_row(past_end=False, kind=kind)
+    assert cli.main(argv) == cli.EXIT_VERIFICATION_FAILURE
+    captured = capsys.readouterr()
+    assert moved == [kind] and captured.out == ""
+    assert captured.err.startswith("verification failure: ")
+    assert "sector shift" in captured.err and "Traceback" not in captured.err
 
 
 def test_verify_algebra_builds_each_operator_once_per_trial(monkeypatch, capsys):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import LADDERS, FockOperator, FockSpace, graded_entries, ladder_matrix, make_space
+from . import fock
+from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
 from .quadratics import one_body, pair_form, pair_weights, require_representable
 from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _loewner_tolerance, _require_self_adjoint, _schatten
@@ -235,13 +236,13 @@ def _sector_block(space: FockSpace, operator: str, X, n: int) -> np.ndarray:
     dimension at most 51 at m = 10 and 393 at m = 14 (the largest
     coefficient of (1 + x + x^2)^K (1 + x)^(m - 2K)).  It is wide exactly
     where Q_n is, which holds for every m <= 18.  The entries come from
-    `graded_entries`, so a row outside the sector raises GradingError,
+    `fock.ladder_entries`, so a row outside the sector raises GradingError,
     and the full sector block is never formed.
     """
     shift = LADDERS[operator][1]
     if shift == 0:
         return ladder_matrix(space, operator, X, sector=n)
-    (rows, cols), values, _ = graded_entries(space, operator, X, sector=n)
+    (rows, cols), values, _ = fock.ladder_entries(space, operator, X, n)
     kept_rows, kept_cols = (_kept(space, operator, k) for k in (n + shift, n))
     keep = kept_cols[cols]
     block = np.zeros((kept_rows.sum(), kept_cols.sum()), dtype=complex)

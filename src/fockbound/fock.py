@@ -5,11 +5,12 @@ bitmasks (bit j-1 set iff mode j occupied) and ordered canonically by
 (particle number, bitmask ascending).  a+_j and a_j carry the Jordan-Wigner
 sign (-1)^{#occupied modes below j}, which makes the anticommutation
 relations hold exactly.  `ladder_matrix` builds every operator straight from
-the bitmasks, in full or one particle-number sector block at a time.  Which
-basis state a term sends where, and with which sign, depends only on
-(m, operator, sector), so `_ladder_pattern` walks the bitmasks once per key
-and process and caches that coefficient-free pattern; each build gathers its
-coefficients onto it.
+the bitmasks, one particle-number sector block at a time; a whole-space
+operator is its sector blocks put in place.  Which basis state a term sends
+where, and with which sign, depends only on (m, operator, sector), so
+`_ladder_pattern` walks the bitmasks once per key and process and caches that
+coefficient-free pattern; `ladder_entries`, its one reader, checks the
+walked rows and gathers each build's coefficients onto it.
 """
 
 from __future__ import annotations
@@ -146,27 +147,25 @@ LADDERS = {"creation": ("+", 1), "annihilation": ("-", -1), "dGamma": ("+-", 0),
 
 
 @lru_cache(maxsize=None)
-def _ladder_pattern(m: int, name: str, sector: int | None):
-    """The coefficient-free entries of `name` on m modes: (rows, cols, term, sign, shape).
+def _ladder_pattern(m: int, name: str, sector: int):
+    """The coefficient-free entries of `name` from sector n: (rows, cols, term, sign, shape).
 
     The bitmask walk of every one of the m^k index tuples, in term order
-    (row-major over the coefficient array), as if every coefficient were 1.
-    Each term is applied to every basis bitmask at once, rightmost factor
-    first; `term` is an entry's flat coefficient index and `sign` its
-    Jordan-Wigner sign.  With `sector=n` only the block from the n-particle
-    sector to the (n + shift)-particle sector is walked.  The arrays are
-    read-only and take 11 bytes per entry (int32 rows and cols, int16 term,
-    int8 sign), as every caller in the process shares them.
+    (row-major over the coefficient array), as if every coefficient were 1,
+    on the block from the n-particle to the (n + shift)-particle sector.
+    Each term is applied to every bitmask of sector n at once, rightmost
+    factor first; `term` is an entry's flat coefficient index and `sign` its
+    Jordan-Wigner sign.  The arrays are read-only and take 11 bytes per entry
+    (int32 rows and cols, int16 term, int8 sign), as every caller in the
+    process shares them.
     """
     space = _space(m)
     kinds, shift = LADDERS[name]
     terms = np.unravel_index(np.arange(m ** len(kinds)), (m,) * len(kinds))
-    if sector is None:
-        cols, row0, nrows = space.masks, 0, space.dim
-    else:  # sectors are contiguous in the canonical order; out of range ones empty
-        c0, c1, row0, r1 = np.searchsorted(
-            space.occupations, [sector, sector + 1, sector + shift, sector + shift + 1])
-        cols, nrows = space.masks[c0:c1], r1 - row0
+    # sectors are contiguous in the canonical order; out of range ones are empty
+    c0, c1, row0, r1 = np.searchsorted(
+        space.occupations, [sector, sector + 1, sector + shift, sector + shift + 1])
+    cols = space.masks[c0:c1]
     masks = np.repeat(cols[None, :], terms[0].size, axis=0)
     alive = np.ones(masks.shape, dtype=bool)
     parity = np.zeros(masks.shape, dtype=np.int64)
@@ -182,28 +181,30 @@ def _ladder_pattern(m: int, name: str, sector: int | None):
                (1 - 2 * (parity[term, col] & 1)).astype(np.int8))
     for a in pattern:
         a.setflags(write=False)
-    return *pattern, (nrows, cols.size)
+    return *pattern, (r1 - row0, cols.size)
 
 
-def ladder_entries(space: FockSpace, name: str, coeffs, sector: int | None = None):
-    """Entries ((rows, cols), values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1].
+def ladder_entries(space: FockSpace, name: str, coeffs, sector: int):
+    """Entries ((rows, cols), values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1]
+    from the n-particle sector, n = `sector`, to the (n + shift)-particle sector.
 
     The entries of `_ladder_pattern(space.m, name, sector)` whose coefficient
     is nonzero, each with value coefficient * sign, so no operator matrix is
-    ever multiplied.  With `sector=n`, an integer, only the block from the
-    n-particle sector to the (n + shift)-particle sector is built.  A
-    position recurs once for each term that reaches it, in term order.  The
-    returned arrays are fresh; the cached pattern is never handed out.
+    ever multiplied.  A position recurs once for each term that reaches it,
+    in term order.  A walked row outside the block (a target whose particle
+    number is not n + shift, which `np.add.at` would wrap) raises
+    GradingError.  The returned arrays are fresh; the cached pattern is never
+    handed out.
     """
-    kinds, _ = LADDERS[name]
+    kinds, shift = LADDERS[name]
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (space.m,) * len(kinds):
         raise ValueError(f"{name} needs {len(kinds)}-index coefficients over {space.m} modes")
-    if sector is not None:
-        if not isinstance(sector, (int, np.integer)):
-            raise ValueError(f"sector must be an integer, got {sector!r}")
-        sector = int(sector)
-    rows, cols, term, sign, shape = _ladder_pattern(space.m, name, sector)
+    if not isinstance(sector, (int, np.integer)):
+        raise ValueError(f"sector must be an integer, got {sector!r}")
+    rows, cols, term, sign, shape = _ladder_pattern(space.m, name, int(sector))
+    if rows.min(initial=0) < 0 or rows.max(initial=-1) >= shape[0]:
+        raise GradingError(f"{name} entries leave the sector shift {shift}")
     c = coeffs.ravel()[term]
     keep = c != 0  # as np.nonzero(coeffs): drops -0.0, keeps NaN
     c = c[keep]
@@ -211,23 +212,9 @@ def ladder_entries(space: FockSpace, name: str, coeffs, sector: int | None = Non
     return (rows[keep], cols[keep]), c, shape
 
 
-def graded_entries(space: FockSpace, name: str, coeffs, sector: int | None = None):
-    """`ladder_entries`, with GradingError for a row outside the block.
-
-    A row outside the block means a target bitmask whose particle number is
-    not the sector's n + shift; `np.add.at` would wrap a negative one into
-    the last row, so every build that sums entries reads them from here.
-    """
+def ladder_matrix(space: FockSpace, name: str, coeffs, sector: int) -> np.ndarray:
+    """The `ladder_entries` summed into a dense block in term order, as the sum is written."""
     (rows, cols), values, shape = ladder_entries(space, name, coeffs, sector)
-    if rows.min(initial=0) < 0 or rows.max(initial=-1) >= shape[0]:
-        raise GradingError(f"{name} entries leave the sector shift {LADDERS[name][1]}")
-    return (rows, cols), values, shape
-
-
-def ladder_matrix(space: FockSpace, name: str, coeffs,
-                  sector: int | None = None) -> np.ndarray:
-    """The `graded_entries` summed into a dense matrix in term order, as the sum is written."""
-    (rows, cols), values, shape = graded_entries(space, name, coeffs, sector)
     out = np.zeros(shape, dtype=complex)
     np.add.at(out, (rows, cols), values)
     return out
@@ -248,8 +235,15 @@ def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
 
 
 def ladder_operator(space: FockSpace, name: str, coeffs) -> FockOperator:
-    """`ladder_matrix` on the whole space, tagged with the shift of LADDERS[name]."""
-    return FockOperator(space, ladder_matrix(space, name, coeffs), LADDERS[name][1])
+    """Every `ladder_matrix(..., sector=n)` block put in its place on the whole space,
+    tagged with the shift of LADDERS[name].  Every other entry is exactly 0."""
+    shift = LADDERS[name][1]
+    starts = np.searchsorted(space.occupations, np.arange(space.m + 2))
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    for n in range(max(0, -shift), min(space.m, space.m - shift) + 1):
+        out[starts[n + shift]:starts[n + shift + 1], starts[n]:starts[n + 1]] = \
+            ladder_matrix(space, name, coeffs, sector=n)
+    return FockOperator(space, out, shift)
 
 
 def creation(space: FockSpace, j: int) -> FockOperator:

@@ -4,7 +4,8 @@ d_gamma(B)   = sum_{j,k} B[k,j] a+_k a_j      (number preserving, shift 0)
 delta(A)     = sum_{j,k} A[k,j] a_k  a_j      (pair annihilation, shift -2)
 delta_plus(C)= sum_{j,k} C[k,j] a+_k a+_j     (pair creation,     shift +2)
 
-Each is one fock.ladder_matrix call with the one-body matrix as coefficients.
+Each is fock.ladder_operator with the one-body matrix as coefficients: its
+sector blocks, one fock.ladder_matrix call each, put in place.
 
 delta and delta_plus require skew arguments (A^T = -A with the entrywise
 transpose); symmetric parts would cancel identically, so non-skew input is

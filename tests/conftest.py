@@ -35,24 +35,26 @@ def corrupt_block(monkeypatch):
 
 @pytest.fixture
 def misplace_row(monkeypatch):
-    """misplace_row(past_end, kind=None) makes the first nonempty build of `kind`
-    (of any operator if None) through fock.ladder_entries return its first row
-    as -1, or as the block's row count if `past_end`: a target state outside
-    the block, which is where a wrong particle number lands.  It returns the
-    list of kinds moved, so a test can tell that the patch bit."""
-    entries = fock.ladder_entries
+    """misplace_row(past_end, kind=None) makes the first nonempty walk of `kind`
+    (of any operator if None) that fock.ladder_entries reads from
+    fock._ladder_pattern a copy with its first row moved to -1, or to the
+    block's row count if `past_end`: a target state outside the block, which
+    is where a wrong particle number lands.  Later reads get the cached walk.
+    It returns the list of kinds moved, so a test can tell that the patch bit."""
+    pattern = fock._ladder_pattern
 
     def misplace(past_end, kind=None):
         moved = []
 
-        def misplaced(space, name, coeffs, sector=None):
-            (rows, cols), values, shape = entries(space, name, coeffs, sector)
+        def misplaced(m, name, sector):
+            rows, *rest, shape = pattern(m, name, sector)
             if kind in (None, name) and rows.size and not moved:
+                rows = rows.copy()
                 rows[0] = shape[0] if past_end else -1
                 moved.append(name)
-            return (rows, cols), values, shape
+            return rows, *rest, shape
 
-        monkeypatch.setattr(fock, "ladder_entries", misplaced)
+        monkeypatch.setattr(fock, "_ladder_pattern", misplaced)
         return moved
 
     return misplace

@@ -314,13 +314,17 @@ def test_cached_entries_equal_an_uncached_walk_bit_for_bit(name, kind):
         sp = fb.make_space(m)
         coeffs = ladder_coeffs(trial_rng(93, m), m, name, kind)
         for sector in [None, *range(-3, m + 4)]:
-            (rows, cols), values, shape = fb.fock.ladder_entries(sp, name, coeffs, sector)
             (want_rows, want_cols), want, want_shape = walked_entries(sp, name, coeffs, sector)
+            block = np.zeros(want_shape, dtype=complex)
+            np.add.at(block, (want_rows, want_cols), want)
+            if sector is None:  # the whole space is its sector blocks put in place
+                built = fb.fock.ladder_operator(sp, name, coeffs).matrix
+                assert np.array_equal(bits(built), bits(block)), m
+                continue
+            (rows, cols), values, shape = fb.fock.ladder_entries(sp, name, coeffs, sector)
             assert shape == want_shape, (m, sector)
             assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
             assert np.array_equal(bits(values), bits(want)), (m, sector)
-            block = np.zeros(want_shape, dtype=complex)
-            np.add.at(block, (want_rows, want_cols), want)
             built = fb.fock.ladder_matrix(sp, name, coeffs, sector=sector)
             assert np.array_equal(bits(built), bits(block)), (m, sector)
 
@@ -348,6 +352,29 @@ def test_non_integral_sector_rejected(sector):
     # searchsorted would read 2.5 as sector 3
     with pytest.raises(ValueError, match="sector must be an integer"):
         fb.fock.ladder_matrix(fb.make_space(4), "dGamma", np.ones((4, 4)), sector=sector)
+
+
+@pytest.mark.parametrize("build", [fb.fock.ladder_entries, fb.fock.ladder_matrix])
+@pytest.mark.parametrize("sector", [None, 2.5])
+def test_sector_is_a_required_integer(build, sector):
+    # there is no whole-space walk; a whole-space operator is ladder_operator
+    with pytest.raises(ValueError, match="sector must be an integer"):
+        build(fb.make_space(4), "dGamma", np.ones((4, 4)), sector)
+    with pytest.raises(TypeError):
+        build(fb.make_space(4), "dGamma", np.ones((4, 4)))
+
+
+@pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
+def test_ladder_entries_rejects_a_walked_row_outside_its_block(name, misplace_row):
+    # the check reads the walk itself, so a misplaced row raises whatever its coefficient
+    sp = fb.make_space(4)
+    coeffs = ladder_coeffs(trial_rng(6, 4), 4, name, "random")
+    for past_end in (False, True):
+        moved = misplace_row(past_end)
+        with pytest.raises(fb.fock.GradingError, match="sector shift"):
+            fb.fock.ladder_entries(sp, name, coeffs, 2)
+        assert moved == [name]
+        assert fb.fock.ladder_entries(sp, name, coeffs, 2)[2][0] > 0  # the cached walk
 
 
 @pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))

@@ -64,7 +64,7 @@ def test_ladder_matrix_rejects_wrong_coefficient_shape():
     for name, coeffs in (("dGamma", np.ones(3)), ("creation", np.eye(3)),
                          ("Delta", np.zeros((2, 2)))):
         with pytest.raises(ValueError):
-            fb.fock.ladder_matrix(sp, name, coeffs)
+            fb.fock.ladder_matrix(sp, name, coeffs, sector=0)
 
 
 def dense_verdict(sp, spec, X):

@@ -52,21 +52,21 @@ def _series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def _paired_gram_eigs(C) -> np.ndarray:
-    """Eigenvalues of C*C for a skew C, one per pair by `pair_weights`' rule (descending)."""
+def _pair_weights(C) -> np.ndarray:
+    """The m // 2 pair weights w_k of a skew C, largest first: its singular values
+    read by `pair_weights`' rule, as the bound checks read them."""
     C = require_skew(C, "C")
-    evals = np.linalg.eigvalsh(C.conj().T @ C)[::-1]
-    return pair_weights(np.clip(evals, 0.0, None))
+    return pair_weights(np.linalg.svd(C, compute_uv=False))[: len(C) // 2]
 
 
-def _determinant(pairs: np.ndarray, z: np.ndarray, convention: float) -> np.ndarray:
-    """det(Id + 4 z^2 C*C)^convention at each z, from C*C's paired eigenvalues.
+def _determinant(weights: np.ndarray, z: np.ndarray, convention: float) -> np.ndarray:
+    """det(Id + 4 z^2 C*C)^convention at each z, from C's pair weights.
 
-    C*C of a skew C has its eigenvalues in equal pairs, so the determinant is
-    the square of the product over one eigenvalue per pair, and the square
-    root (convention 1/2) is that product: a polynomial in z^2, no branch cut.
+    C*C has the eigenvalues w_k^2, each twice (and a 0 at odd m), so the
+    determinant is the square of prod_k (1 + 4 z^2 w_k^2), and the square root
+    (convention 1/2) is that product: a polynomial in z^2, no branch cut.
     """
-    half = np.prod(1.0 + 4.0 * np.multiply.outer(z**2, pairs), axis=-1)
+    half = np.prod(1.0 + 4.0 * np.multiply.outer(z**2, weights * weights), axis=-1)
     return half if convention == 0.5 else half * half
 
 
@@ -75,20 +75,61 @@ def _rel_diff(series: np.ndarray, det: np.ndarray) -> float:
     return float((np.abs(series - det) / (1.0 + np.abs(series))).max(initial=0.0))
 
 
-def _calibrate(series: np.ndarray, pairs: np.ndarray, z: np.ndarray) -> float:
+def _calibrate(series: np.ndarray, weights: np.ndarray, z: np.ndarray) -> float:
     """The convention (1/2 or 1) whose determinant is nearer the series on z; 1/2 on a tie."""
-    return min((0.5, 1.0), key=lambda conv: _rel_diff(series, _determinant(pairs, z, conv)))
+    return min((0.5, 1.0), key=lambda conv: _rel_diff(series, _determinant(weights, z, conv)))
 
 
-def _zeros(pairs: np.ndarray, convention: float) -> np.ndarray:
-    """+-i/(2 mu) for each paired singular value mu > 0, twice under convention 1.
+def _zeros(weights: np.ndarray, convention: float) -> np.ndarray:
+    """+-i/(2 w) for each weight w given, twice under convention 1."""
+    zero = 1j / (2 * weights)
+    return np.tile(np.column_stack([zero, -zero]), 1 if convention == 0.5 else 2).ravel()
 
-    Pairs up to NORM_TOL times the largest are eigensolver noise of a
-    rank-deficient C*C, which sqrt would inflate; the floor is relative, so a
-    small C keeps its zeros."""
-    mu = np.sqrt(pairs[pairs > NORM_TOL * pairs.max(initial=0.0)])
-    reps = 1 if convention == 0.5 else 2
-    return np.tile(np.column_stack([1j / (2 * mu), -1j / (2 * mu)]), reps).ravel()
+
+def _weight_error(C, weights: np.ndarray) -> float:
+    """A bound on the error of every SVD weight against the weights the series is built from.
+
+    The computed singular values are exact for C + E with |E|_2 <= m u |C|_2
+    (LAPACK's normwise backward error, p(m) = m), and the series is built
+    from the skew part of C, whose weights are within |C + C^T|_2 / 2 of C's
+    (`pair_weights`); |.|_F bounds |.|_2.
+    """
+    return (len(C) * UNIT_ROUNDOFF * weights.max(initial=0.0)
+            + float(np.linalg.norm(C + C.T)) / 2.0)
+
+
+def _predicted(weights: np.ndarray) -> np.ndarray:
+    """(n!)^2 e_n(4 w^2) for n = 0..len(w): |Dp^n Omega|^2 as the weights give it.
+
+    Dp of the pair form is sum_k 2 w_k times the creation of pair k, so the
+    series is prod_k (1 + 4 w_k^2 z^2); its elementary symmetric sums e_n are
+    sums of positive terms, formed without cancellation by np.poly.
+    """
+    e = np.atleast_1d(np.poly(-4.0 * weights * weights))
+    return e * np.array([float(math.factorial(n)) ** 2 for n in range(e.size)])
+
+
+def _counted_pairs(C, weights: np.ndarray) -> int:
+    """How many pairs, largest weight first, both sides resolve together to EIGEN_TOL.
+
+    The zero +-i/(2 w_k) moves relatively as w_k does.  The formula reads w_k
+    from the SVD to within `_weight_error` d, a relative error d / w_k.  The
+    series reads w_k from c_k = |Dp^k Omega|^2: the computed |Dp^k Omega| is
+    within F_k = sqrt(`_rounding_floors`) of the exact one, so c_k moves
+    relatively by at most about 2 F_k / sqrt(c_k), and c_(k-1) by less; the
+    root -k^2 c_(k-1) / c_k, which is -1 / (4 w_k^2) for well separated
+    weights, by the sum, and w_k by half of that.  Pair k counts iff
+        d / w_k + 2 F_k / sqrt(c_k) <= EIGEN_TOL,
+    with c_k and F_k evaluated on the coefficients the weights predict
+    (`_predicted`), so the count is one decision on C alone that both sides
+    then read, and the pairs after the first that fails are left out on both.
+    """
+    predicted = _predicted(weights)
+    root = np.sqrt(predicted[1:])
+    floors = np.sqrt(_rounding_floors(predicted, C)[1:])
+    resolved = (weights > 0) & (_weight_error(C, weights) * root + 2.0 * floors * weights
+                                <= EIGEN_TOL * weights * root)
+    return int(np.argmin(np.append(resolved, False)))
 
 
 def omega_series(space: FockSpace, C, z: complex) -> complex:
@@ -101,23 +142,26 @@ def omega_determinant(C, z: complex,
     """det(Id + 4 z^2 C*C)^exponent_convention for a skew C, with exponent 1 or 1/2."""
     if exponent_convention not in (0.5, 1.0):
         raise ValueError(f"exponent convention must be 1 or 1/2, got {exponent_convention}")
-    return complex(_determinant(_paired_gram_eigs(C), np.complex128(z), exponent_convention))
+    return complex(_determinant(_pair_weights(C), np.complex128(z), exponent_convention))
 
 
 def calibrate_convention(space: FockSpace, C, z_samples) -> float:
     """Exponent convention (1 or 1/2) matching the exact series on z_samples."""
     z = np.asarray(z_samples, dtype=complex)
-    return _calibrate(_series(pair_coefficients(space, C), z), _paired_gram_eigs(C), z)
+    return _calibrate(_series(pair_coefficients(space, C), z), _pair_weights(C), z)
 
 
 def omega_zeros(C, exponent_convention: float = DEFAULT_CONVENTION) -> np.ndarray:
-    """Zeros of omega: +-i/(2 mu) for each paired singular value mu > 0."""
-    return _zeros(_paired_gram_eigs(C), exponent_convention)
+    """Zeros of omega: +-i/(2 w) for each of the `_counted_pairs` weights w."""
+    weights = _pair_weights(C)
+    return _zeros(weights[: _counted_pairs(C, weights)], exponent_convention)
 
 
 def omega_polynomial_roots(space: FockSpace, C) -> np.ndarray:
     """Zeros of the exact series polynomial, via companion-matrix roots in z^2."""
-    return _polynomial_roots(pair_coefficients(space, C), C)
+    weights = _pair_weights(C)
+    return _polynomial_roots(pair_coefficients(space, C), C, weights,
+                             _counted_pairs(C, weights))
 
 
 def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
@@ -149,12 +193,23 @@ def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
     return (floors * (1.0 + 1e-6)) ** 2
 
 
-def _polynomial_roots(coeffs: np.ndarray, C) -> np.ndarray:
-    """Roots in z of sum_n coeffs[n] z^(2n) / (n!)^2, without the trailing terms
-    that are rounding of an exact 0 (a rank-deficient C, `_rounding_floors`)."""
-    kept = np.nonzero(coeffs > _rounding_floors(coeffs, C))[0]
-    poly = np.array([c / math.factorial(n) ** 2
-                     for n, c in enumerate(coeffs[: kept.max(initial=0) + 1])])
+def _polynomial_roots(coeffs: np.ndarray, C, weights: np.ndarray, count: int) -> np.ndarray:
+    """Roots in z of sum_n coeffs[n] z^(2n) / (n!)^2 up to n = `count`, the
+    `_counted_pairs`, if the tail it drops is what the pairs left out give.
+
+    Exactly, c_n <= (n!)^2 e_n(4 (w + d)^2) for the weights w within their
+    error d (`_weight_error`), and the computed |Dp^n Omega| is within F_n of
+    the exact one (`_rounding_floors`).  So every dropped sqrt(c_n) must be at
+    most sqrt((n!)^2 e_n(4 (w + d)^2)) + F_n, with 1e-6 for the rounding of
+    the check; a tail above that is a pair the weights do not show, and then
+    every coefficient is kept, which gives more roots than zeros.
+    """
+    most = _predicted(weights + _weight_error(C, weights))
+    floors = np.sqrt(_rounding_floors(coeffs, C))
+    tail = slice(count + 1, None)
+    if np.all(np.sqrt(coeffs[tail]) <= (np.sqrt(most[tail]) + floors[tail]) * (1.0 + 1e-6)):
+        coeffs = coeffs[: count + 1]
+    poly = np.array([c / math.factorial(n) ** 2 for n, c in enumerate(coeffs)])
     if poly.size < 2:
         return np.array([], dtype=complex)
     root = np.sqrt(np.roots(poly[::-1]).astype(complex))
@@ -229,16 +284,18 @@ def default_z_grid(extent: float = 2.0, points_per_axis: int = 5) -> np.ndarray:
 def gaussian_report(space: FockSpace, C) -> GaussianReport:
     """The series against the determinant on default_z_grid(), with the convention
     calibrated on its first five points, and the formula zeros against the roots
-    of the series polynomial.  C*C is solved once, for every z and the zeros."""
-    pairs = _paired_gram_eigs(C)
+    of the series polynomial.  One SVD of C gives its pair weights, for every z and
+    the zeros, and one `_counted_pairs` decision says which zeros both sides compare."""
+    weights = _pair_weights(C)
+    count = _counted_pairs(C, weights)
     coeffs = pair_coefficients(space, C)
     z = default_z_grid()
     series = _series(coeffs, z)
-    convention = _calibrate(series[:5], pairs, z[:5])
-    det = _determinant(pairs, z, convention)
+    convention = _calibrate(series[:5], weights, z[:5])
+    det = _determinant(weights, z, convention)
     max_rel_diff = _rel_diff(series, det)
-    zeros = _zeros(pairs, convention)
-    matched = zeros_match(zeros, _polynomial_roots(coeffs, C))
+    zeros = _zeros(weights[:count], convention)
+    matched = zeros_match(zeros, _polynomial_roots(coeffs, C, weights, count))
     return GaussianReport(
         m=space.m, coefficients=coeffs, convention=convention, z_grid=z,
         series_values=series, determinant_values=det,

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import fockbound as fb
-from fockbound import quadratics
+from fockbound import gaussian, quadratics
 from fockbound.gaussian import (_rounding_floors, calibrate_convention, default_z_grid,
                                 zeros_match)
+from fockbound.quadratics import pair_form, pair_weights
 from fockbound.rng import skew_matrix, trial_rng, unitary_matrix
 
 ROTATION = np.array([[0, -1], [1, 0]], dtype=complex)
@@ -202,7 +203,8 @@ def test_determinant_convention_one_is_the_determinant(m):
 
 
 def test_gaussian_report_solves_c_star_c_once(monkeypatch):
-    calls = {"eigvalsh": 0, "is_skew": 0}
+    # the singular values of C are the square roots of C*C's eigenvalues: one SVD
+    calls = {"eigvalsh": 0, "svd": 0, "is_skew": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -211,9 +213,10 @@ def test_gaussian_report_solves_c_star_c_once(monkeypatch):
         return counted
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     monkeypatch.setattr(quadratics, "is_skew", counting("is_skew", quadratics.is_skew))
     assert fb.gaussian_report(fb.make_space(6), skew_matrix(trial_rng(8, 0), 6)).passed
-    assert calls["eigvalsh"] == 1 and calls["is_skew"] <= 2
+    assert calls["svd"] == 1 and calls["eigvalsh"] == 0 and calls["is_skew"] <= 2
 
 
 @pytest.mark.parametrize("m", [1, 4, 7, 10])
@@ -221,7 +224,8 @@ def test_pointwise_wrappers_equal_the_report_arrays(m):
     sp = fb.make_space(m)
     C = skew_matrix(trial_rng(9, m), m)
     rep = fb.gaussian_report(sp, C)
-    pairs = np.clip(np.linalg.eigvalsh(C.conj().T @ C)[::-1], 0.0, None)[::2]
+    weights = pair_weights(np.linalg.svd(C, compute_uv=False))[: m // 2]
+    pairs = weights * weights  # the eigenvalues of C*C, one per pair
     for z, series, det in zip(rep.z_grid, rep.series_values, rep.determinant_values):
         # the per-point loops that the arrays replace; the square of convention 1
         # was a Python complex product, which may differ from numpy's in the last bits
@@ -238,8 +242,8 @@ def test_pointwise_wrappers_equal_the_report_arrays(m):
 @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4])
 @pytest.mark.parametrize("m", [4, 6])
 def test_gaussian_report_keeps_the_zeros_of_a_small_c(m, scale):
-    # the zero filter is relative to the largest pair eigenvalue; an absolute
-    # floor of NORM_TOL dropped every zero of C below about 1e-5
+    # the pair count compares relative errors, so it holds at every scale; an
+    # absolute floor of NORM_TOL once dropped every zero of C below about 1e-5
     rep = fb.gaussian_report(fb.make_space(m), scale * skew_matrix(trial_rng(1, 0), m))
     assert rep.zeros.size == m
     assert rep.passed
@@ -282,3 +286,43 @@ def test_rounding_floor_keeps_every_coefficient_of_a_full_rank_c(m):
         C = skew_matrix(trial_rng(62, m, t), m)
         coeffs = fb.pair_coefficients(fb.make_space(m), C)
         assert np.all(coeffs > _rounding_floors(coeffs, C))
+
+
+def small_pair_cases(m, eps):
+    """pair_form([1, eps], m) and five unitary rotations U^T C0 U of it."""
+    C0 = pair_form([1.0, eps], m)
+    rotations = (unitary_matrix(trial_rng(5 + k, m), m) for k in range(5))
+    return [C0] + [U.T @ C0 @ U for U in rotations]
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+@pytest.mark.parametrize("m", [4, 5])
+def test_a_small_pair_weight_counts_on_both_sides_or_neither(m, eps):
+    # the eigenvalues of C*C put eps^2 under a NORM_TOL cut-off that the series
+    # coefficient 64 eps^2 passed, and rounded it to about 1e-6 relative: 2
+    # formula zeros against 4 roots, or 4 zeros that missed the roots
+    for C in small_pair_cases(m, eps):
+        rep = fb.gaussian_report(fb.make_space(m), C)
+        assert rep.zeros_matched and rep.passed, (m, eps)
+        if eps >= 1e-5:  # both sides resolve the small pair
+            assert rep.zeros.size == 4
+        if eps <= 1e-8:  # the SVD alone moves eps by more than EIGEN_TOL eps
+            assert rep.zeros.size == 2
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_formula_zeros_and_series_roots_count_the_same_pairs(m):
+    # one decision for both sides, also at the edge of the rule
+    sp = fb.make_space(m)
+    for eps in np.geomspace(1e-5, 1e-8, 31):
+        for C in small_pair_cases(m, eps):
+            zeros, roots = fb.omega_zeros(C), fb.omega_polynomial_roots(sp, C)
+            assert zeros.size == roots.size and zeros_match(zeros, roots), (m, eps)
+
+
+def test_a_dropped_series_tail_must_be_what_the_left_out_pairs_give():
+    C = pair_form([1.0, 1e-9], 4)
+    coeffs, weights = fb.pair_coefficients(fb.make_space(4), C), gaussian._pair_weights(C)
+    assert gaussian._polynomial_roots(coeffs, C, weights, 1).size == 2
+    coeffs[2] = 1e-6  # a pair of weight about 1.2e-4, which the weights do not show
+    assert gaussian._polynomial_roots(coeffs, C, weights, 1).size == 4

@@ -98,19 +98,24 @@ def _power_sums(p: float, ends) -> np.ndarray:
 def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     """Fit the growth exponent of sector norms for the power_decay(s) family.
 
-    The partial sums S(n) of j^(s/2-1) grow like n^(s/2) / (s/2) + zeta(1 - s/2);
-    the increments S(n) - S(n // 2) cancel the constant, which bends a log-log
-    fit at small s.  Their slope over the top decade of the grid passes iff
-    |slope - s/2| <= SLOPE_TOL.  The grid starts at 10, so n_max >= 11 is the
-    least that puts two points in the fit.
+    The partial sums S(n) of j^p, p = s/2 - 1, grow as (Euler-Maclaurin)
+        S(n) = n^(s/2) / (s/2) + zeta(1 - s/2) + n^p / 2 + O(n^(p-1)).
+    The increments S(n) - S(n/2), each less its two end terms n^p / 2 and
+    (n/2)^p / 2, cancel the constant and the end term, which bend a log-log
+    fit at small s and small n, and leave a power of n times
+    (1 - 2^(-s/2)) / (s/2), up to O(n^(p-1)).  Every grid point is even, so
+    n/2 is exact.  Their slope over the top decade of the grid passes iff
+    |slope - s/2| <= SLOPE_TOL.  The grid is 2k for k on a 60-point log grid
+    from 5 to n_max / 2, so n_max >= 12 is the least that puts two points
+    (10 and 12) in the fit.
     _power_sums runs j as float64, which holds every integer up to 2^53 exactly.
     The time is linear in n_max, so above MAX_SWEEP_TERMS it raises ResourceError
     before any sum.
     """
     if not 0.0 < s < 2.0:
         raise ValueError(f"power_decay needs 0 < s < 2, got {s}")
-    if n_max < 11:
-        raise ValueError(f"sweep needs n_max >= 11 for two points in its fit window, "
+    if n_max < 12:
+        raise ValueError(f"sweep needs n_max >= 12 for two even points in its fit window, "
                          f"got {n_max}")
     if n_max > 2**53:
         raise ValueError(f"sweep needs n_max <= 2**53, the last integer float64 holds "
@@ -118,14 +123,16 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     if n_max > MAX_SWEEP_TERMS:
         raise ResourceError(f"sweep sums n_max terms, linear in time; n_max must be "
                             f"<= {MAX_SWEEP_TERMS}, got {n_max}")
-    grid = np.geomspace(10, n_max, 60).astype(int)
+    half = np.geomspace(5, n_max / 2, 60).astype(int)
     # already sorted, so np.unique (which imports numpy.ma) is a neighbour test
-    n_grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    half = n_grid // 2  # j^(s/2-1) is sorted descending; one call sums both
-    both = _power_sums(s / 2.0 - 1.0, np.concatenate((half, n_grid)))
+    half = half[np.concatenate(([True], half[1:] != half[:-1]))]
+    n_grid, p = 2 * half, s / 2.0 - 1.0
+    # j^p is sorted descending; one call sums both
+    both = _power_sums(p, np.concatenate((half, n_grid)))
     sums = both[half.size:]
+    ends = 0.5 * (n_grid.astype(float) ** p - half.astype(float) ** p)
     window = n_grid >= n_max / 10
-    slope = _loglog_slope(n_grid[window], (sums - both[:half.size])[window])
+    slope = _loglog_slope(n_grid[window], (sums - both[:half.size] - ends)[window])
     return SweepResult(
         s=s, n=n_grid, partial_sums=sums, slope=slope,
         fit_window=(int(n_grid[window][0]), int(n_grid[window][-1])),

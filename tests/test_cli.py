@@ -361,8 +361,8 @@ def strict_json(text):
 
 
 CAR_ARGV = ["verify-car", "--m", "3", "--trials", "3"]
-# two grid points at n = 10..12 leave the fitted slope off by 0.05 (a failing row)
-FAILING_SWEEP_ARGV = ["sweep-sharpness", "--s", "1.0", "--n-max", "12"]
+# the fewest grid points a sweep fits, n = 10 and 12
+SMALL_SWEEP_ARGV = ["sweep-sharpness", "--s", "1.0", "--n-max", "12"]
 ROW_RULE_CASES = [
     CAR_ARGV,
     *(["verify-bounds", "--which", which, "--r", "2", "--m", "4", "--trials", "2"]
@@ -373,7 +373,7 @@ ROW_RULE_CASES = [
     ["gaussian-check", "--m", "4", "--trials", "2"],
     ["sweep-sharpness", "--s", "1.0", "--n-max", "20000"],
     ["sweep-sharpness", "--s", "0.5", "--n-max", "5000"],
-    FAILING_SWEEP_ARGV,
+    SMALL_SWEEP_ARGV,
     ["report"],
 ]
 
@@ -382,7 +382,7 @@ ROW_RULE_CASES = [
 def test_every_row_passes_iff_metric_within_tolerance(argv, tmp_path, capsys):
     if argv == ["report"]:
         parts = [tmp_path / "car.json", tmp_path / "sweep.json"]
-        for part, part_argv in zip(parts, [CAR_ARGV, FAILING_SWEEP_ARGV]):
+        for part, part_argv in zip(parts, [CAR_ARGV, SMALL_SWEEP_ARGV]):
             cli.main(part_argv + ["--output", str(part)])
         argv = ["report", *map(str, parts)]
     code, out = run(argv, capsys)
@@ -582,7 +582,7 @@ def test_sweep_n_max_below_11_is_a_validation_error(n_max, capsys):
     code = cli.main(["sweep-sharpness", "--s", "1.0", "--n-max", n_max])
     captured = capsys.readouterr()
     assert code == cli.EXIT_VALIDATION_ERROR
-    assert captured.out == "" and "n_max >= 11" in captured.err
+    assert captured.out == "" and "n_max >= 12" in captured.err
     assert "Traceback" not in captured.err
 
 
@@ -607,10 +607,18 @@ def test_sweep_n_max_past_1e9_is_a_resource_error(monkeypatch, capsys):
     assert "1000000000" in captured.err
 
 
-def test_sweep_n_max_11_runs(capsys):
-    code, out = run(["sweep-sharpness", "--s", "1.0", "--n-max", "11"], capsys)
-    assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION_FAILURE)
-    assert "n in (10, 11)" in json.loads(out)["checks"][0]["statement"]
+def test_sweep_n_max_12_runs(capsys):
+    code, out = run(["sweep-sharpness", "--s", "1.0", "--n-max", "12"], capsys)
+    assert code == cli.EXIT_OK
+    assert "n in (10, 12)" in json.loads(out)["checks"][0]["statement"]
+
+
+def test_sweep_n_max_11_is_a_validation_error(capsys):
+    # the grid is even, so n = 10 is the only point of the fit
+    code = cli.main(["sweep-sharpness", "--s", "1.0", "--n-max", "11"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert captured.out == "" and "n_max >= 12" in captured.err
 
 
 @pytest.mark.parametrize("which", ["literature_dGamma", "literature_Delta",

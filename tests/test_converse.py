@@ -88,19 +88,38 @@ def test_streamed_sweep_sums_equal_one_cumsum(s, n_max):
     assert np.array_equal(sweep.partial_sums, cumulative[sweep.n - 1])
 
 
-@pytest.mark.parametrize("n_max", [0, -3, 5, 10])
+@pytest.mark.parametrize("n_max", [0, -3, 5, 10, 11])
 def test_sweep_rejects_a_fit_window_below_two_points(n_max):
-    with pytest.raises(ValueError, match="n_max >= 11"):
+    # the grid is even, so n_max = 11 holds only n = 10
+    with pytest.raises(ValueError, match="n_max >= 12"):
         fb.sharpness_sweep(1.0, n_max=n_max)
-    assert fb.sharpness_sweep(1.0, n_max=11).fit_window == (10, 11)
+    assert fb.sharpness_sweep(1.0, n_max=12).fit_window == (10, 12)
 
 
-@pytest.mark.parametrize("n_max", [11, 12, 50, 10**5, 10**9])
+@pytest.mark.parametrize("n_max", [12, 13, 50, 10**5, 10**9])
 def test_sweep_grid_equals_np_unique(n_max, monkeypatch):
     # the grid alone is under test, so no sum is taken
     monkeypatch.setattr(fb.converse, "_power_sums", lambda p, ends: np.asarray(ends, float))
-    grid = np.unique(np.geomspace(10, n_max, 60).astype(int))
+    grid = 2 * np.unique(np.geomspace(5, n_max / 2, 60).astype(int))
     assert np.array_equal(fb.sharpness_sweep(1.0, n_max=n_max).n, grid)
+
+
+SWEEP_S = [0.01, 0.05, 0.1, 0.2, 0.5, 1.0, 1.5, 1.9, 1.99]
+
+
+@pytest.mark.parametrize("n_max", [11, 12, 13, 20, 28, 50, 100, 100_000])
+def test_sweep_slope_at_small_n_max(n_max):
+    # n // 2 for odd n and the uncancelled end term n^(s/2-1) / 2 put the slope
+    # off by up to 1.13 at n_max = 11 and above SLOPE_TOL for some s at every
+    # n_max up to 26; at the default the end term was the 1e-5 left over
+    if n_max < 12:
+        with pytest.raises(ValueError, match="n_max >= 12"):
+            fb.sharpness_sweep(1.0, n_max=n_max)
+        return
+    for s in SWEEP_S:
+        sweep = fb.sharpness_sweep(s, n_max=n_max)
+        error = abs(sweep.slope - s / 2)
+        assert sweep.passed and error <= (1e-7 if n_max == 100_000 else 0.006), (s, error)
 
 
 def test_sweep_sharpness_leaves_numpy_ma_unimported():

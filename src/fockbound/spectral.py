@@ -83,16 +83,28 @@ def loewner_leq(X, Y, tol: float | None = None,
     Y = _require_self_adjoint(Y, "rhs")
     if X.shape != Y.shape:
         raise ValueError(f"shape mismatch: {X.shape} vs {Y.shape}")
-    diff = Y - X
-    eigs = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
+    with np.errstate(over="ignore"):
+        diff = Y - X
+    if not np.isfinite(diff).all():
+        raise ValueError(f"{rhs_id} - {lhs_id} is not finite: the operands' difference "
+                         "overflows")
+    diff *= 0.5  # halved before the sum, so that diff + diff^H cannot overflow
+    eigs = np.linalg.eigvalsh(diff + diff.conj().T)
     return BoundVerdict(lhs_id=lhs_id, rhs_id=rhs_id, slack_min=float(eigs.min()),
                         tolerance=_loewner_tolerance(eigs) if tol is None else tol)
 
 
 def _loewner_tolerance(slack_eigs) -> float:
     """EIGEN_TOL (1 + |slack|_2), the default allowance of every Loewner verdict, from
-    the slack's eigenvalues."""
-    return EIGEN_TOL * (1.0 + float(np.nanmax(np.abs(slack_eigs))))
+    the slack's eigenvalues.
+
+    Every caller passes finite eigenvalues: `loewner_leq` rejects a Y - X that
+    is not finite, and the sector verdicts read the extremes of a finite Gram
+    against the right-hand sides of a representable argument.  So np.max
+    reads all of them; a NaN that got here anyway would give a NaN tolerance,
+    which fails the verdict, where np.nanmax would skip it.
+    """
+    return EIGEN_TOL * (1.0 + float(np.max(np.abs(slack_eigs))))
 
 
 def psd_power(X, p: float) -> np.ndarray:

@@ -117,6 +117,15 @@ def test_loewner_rejects_non_finite_operands(bad):
             fb.loewner_leq(lhs, rhs)
 
 
+def test_loewner_rejects_operands_whose_difference_overflows():
+    # each operand is finite, but Y - X is not: a NaN slack and tolerance before
+    with pytest.raises(ValueError, match="not finite"):
+        fb.loewner_leq(np.diag([-1.7e308, 1.0]), np.diag([1.7e308, 1.0]))
+    # a finite difference near the float maximum gives a finite verdict
+    verdict = fb.loewner_leq(np.diag([-0.9e308, 1.0]), np.diag([0.8e308, 1.0]))
+    assert verdict.slack_min == 0.0 and math.isfinite(verdict.tolerance) and verdict.passed
+
+
 def test_loewner_reflexive_and_transitive():
     X = psd_matrix(trial_rng(1, 1), 4)
     assert fb.loewner_leq(X, X).passed

@@ -100,14 +100,14 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
 
     The partial sums S(n) of j^p, p = s/2 - 1, grow as (Euler-Maclaurin)
         S(n) = n^(s/2) / (s/2) + zeta(1 - s/2) + n^p / 2 + O(n^(p-1)).
-    The increments S(n) - S(n/2), each less its two end terms n^p / 2 and
-    (n/2)^p / 2, cancel the constant and the end term, which bend a log-log
-    fit at small s and small n, and leave a power of n times
-    (1 - 2^(-s/2)) / (s/2), up to O(n^(p-1)).  Every grid point is even, so
-    n/2 is exact.  Their slope over the top decade of the grid passes iff
-    |slope - s/2| <= SLOPE_TOL.  The grid is 2k for k on a 60-point log grid
-    from 5 to n_max / 2, so n_max >= 12 is the least that puts two points
-    (10 and 12) in the fit.
+    The constant bends a log-log fit at small s, and the end term n^p / 2
+    at small n.  So the fit reads the increments S(n) - S(n/2), in which the
+    constant cancels, less their end terms (n^p - (n/2)^p) / 2: that leaves
+    n^(s/2) (1 - 2^(-s/2)) / (s/2), up to O(n^(p-1)).  Every grid point is
+    even, so n/2 is exact.  The slope over the top decade of the grid passes
+    iff |slope - s/2| <= SLOPE_TOL.  The grid is 2k for k on a 60-point log
+    grid from 5 to n_max / 2, so n_max >= 12 is the least that puts two
+    points (10 and 12) in the fit.
     _power_sums runs j as float64, which holds every integer up to 2^53 exactly.
     The time is linear in n_max, so above MAX_SWEEP_TERMS it raises ResourceError
     before any sum.

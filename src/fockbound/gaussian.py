@@ -194,25 +194,34 @@ def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
 
 
 def _polynomial_roots(coeffs: np.ndarray, C, weights: np.ndarray, count: int) -> np.ndarray:
-    """Roots in z of sum_n coeffs[n] z^(2n) / (n!)^2 up to n = `count`, the
-    `_counted_pairs`, if the tail it drops is what the pairs left out give.
+    """Roots in z of sum_n coeffs[n] z^(2n) / (n!)^2 for the `count` pairs that
+    `_counted_pairs` keeps, if the tail it leaves out is what the other pairs give.
 
-    Exactly, c_n <= (n!)^2 e_n(4 (w + d)^2) for the weights w within their
-    error d (`_weight_error`), and the computed |Dp^n Omega| is within F_n of
-    the exact one (`_rounding_floors`).  So every dropped sqrt(c_n) must be at
-    most sqrt((n!)^2 e_n(4 (w + d)^2)) + F_n, with 1e-6 for the rounding of
-    the check; a tail above that is a pair the weights do not show, and then
-    every coefficient is kept, which gives more roots than zeros.
+    Trailing coefficients up to `_rounding_floors` are rounding of an exact 0
+    (a rank-deficient C) and are dropped.  The roots in y = z^2 of the rest
+    are -1 / (4 w_k^2), so the `count` pairs of largest weight are the `count`
+    roots of least |y|; they are kept from the whole polynomial, not from a
+    cut one, whose roots the left-out pairs would move.  Exactly,
+    c_n <= (n!)^2 e_n(4 (w + d)^2) for the weights w within their error d
+    (`_weight_error`), and the computed |Dp^n Omega| is within F_n of the
+    exact one.  So every sqrt(c_n) past n = `count` must be at most
+    sqrt((n!)^2 e_n(4 (w + d)^2)) + F_n, with 1e-6 for the rounding of the
+    check; a tail above that is a pair the weights do not show, and then every
+    root is returned, more than the zeros.
     """
-    most = _predicted(weights + _weight_error(C, weights))
-    floors = np.sqrt(_rounding_floors(coeffs, C))
-    tail = slice(count + 1, None)
-    if np.all(np.sqrt(coeffs[tail]) <= (np.sqrt(most[tail]) + floors[tail]) * (1.0 + 1e-6)):
-        coeffs = coeffs[: count + 1]
-    poly = np.array([c / math.factorial(n) ** 2 for n, c in enumerate(coeffs)])
+    floors = _rounding_floors(coeffs, C)
+    kept = np.nonzero(coeffs > floors)[0]
+    poly = np.array([c / math.factorial(n) ** 2
+                     for n, c in enumerate(coeffs[: kept.max(initial=0) + 1])])
     if poly.size < 2:
         return np.array([], dtype=complex)
-    root = np.sqrt(np.roots(poly[::-1]).astype(complex))
+    y = np.roots(poly[::-1]).astype(complex)
+    most = _predicted(weights + _weight_error(C, weights))
+    tail = slice(count + 1, None)
+    if np.all(np.sqrt(coeffs[tail])
+              <= (np.sqrt(most[tail]) + np.sqrt(floors[tail])) * (1.0 + 1e-6)):
+        y = y[np.argsort(np.abs(y))[:count]]
+    root = np.sqrt(y)
     return np.column_stack([root, -root]).ravel()
 
 

@@ -288,9 +288,9 @@ def test_rounding_floor_keeps_every_coefficient_of_a_full_rank_c(m):
         assert np.all(coeffs > _rounding_floors(coeffs, C))
 
 
-def small_pair_cases(m, eps):
-    """pair_form([1, eps], m) and five unitary rotations U^T C0 U of it."""
-    C0 = pair_form([1.0, eps], m)
+def rotated_pair_forms(weights, m):
+    """pair_form(weights, m) and five unitary rotations U^T C0 U of it."""
+    C0 = pair_form(weights, m)
     rotations = (unitary_matrix(trial_rng(5 + k, m), m) for k in range(5))
     return [C0] + [U.T @ C0 @ U for U in rotations]
 
@@ -301,12 +301,12 @@ def test_a_small_pair_weight_counts_on_both_sides_or_neither(m, eps):
     # the eigenvalues of C*C put eps^2 under a NORM_TOL cut-off that the series
     # coefficient 64 eps^2 passed, and rounded it to about 1e-6 relative: 2
     # formula zeros against 4 roots, or 4 zeros that missed the roots
-    for C in small_pair_cases(m, eps):
+    for C in rotated_pair_forms([1.0, eps], m):
         rep = fb.gaussian_report(fb.make_space(m), C)
         assert rep.zeros_matched and rep.passed, (m, eps)
         if eps >= 1e-5:  # both sides resolve the small pair
             assert rep.zeros.size == 4
-        if eps <= 1e-8:  # the SVD alone moves eps by more than EIGEN_TOL eps
+        if eps <= 1e-8:  # the SVD's error bound alone is above EIGEN_TOL eps
             assert rep.zeros.size == 2
 
 
@@ -315,9 +315,19 @@ def test_formula_zeros_and_series_roots_count_the_same_pairs(m):
     # one decision for both sides, also at the edge of the rule
     sp = fb.make_space(m)
     for eps in np.geomspace(1e-5, 1e-8, 31):
-        for C in small_pair_cases(m, eps):
+        for C in rotated_pair_forms([1.0, eps], m):
             zeros, roots = fb.omega_zeros(C), fb.omega_polynomial_roots(sp, C)
             assert zeros.size == roots.size and zeros_match(zeros, roots), (m, eps)
+
+
+@pytest.mark.parametrize("weights", [[1.0, 1e-4, 1e-5], [1.0, 1e-5, 1e-7]])
+@pytest.mark.parametrize("m", [6, 7])
+def test_a_left_out_pair_does_not_move_the_counted_zeros(m, weights):
+    # the series roots of the counted pairs come from the whole polynomial; a
+    # polynomial cut after them would move the root of 1e-4 by about 1e-2
+    for C in rotated_pair_forms(weights, m):
+        rep = fb.gaussian_report(fb.make_space(m), C)
+        assert rep.zeros.size == 4 and rep.zeros_matched and rep.passed, (m, weights)
 
 
 def test_a_dropped_series_tail_must_be_what_the_left_out_pairs_give():

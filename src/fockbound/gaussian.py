@@ -103,9 +103,12 @@ def _predicted(weights: np.ndarray) -> np.ndarray:
 
     Dp of the pair form is sum_k 2 w_k times the creation of pair k, so the
     series is prod_k (1 + 4 w_k^2 z^2); its elementary symmetric sums e_n are
-    sums of positive terms, formed without cancellation by np.poly.
+    multiplied out one factor at a time, from positive terms without cancellation.
     """
-    e = np.atleast_1d(np.poly(-4.0 * weights * weights))
+    e = np.zeros(weights.size + 1)
+    e[0] = 1.0
+    for a in 4.0 * weights * weights:
+        e[1:] += a * e[:-1]
     return e * np.array([float(math.factorial(n)) ** 2 for n in range(e.size)])
 
 

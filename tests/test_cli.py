@@ -394,6 +394,20 @@ def test_every_row_passes_iff_metric_within_tolerance(argv, tmp_path, capsys):
     assert code == (cli.EXIT_OK if body["all_pass"] else cli.EXIT_VERIFICATION_FAILURE)
 
 
+def test_report_with_a_failing_part_exits_1(tmp_path, capsys, corrupt_block):
+    # a valid sweep no longer fails, so the failing part is a corrupted CAR run
+    flips = corrupt_block("creation", 1)
+    parts = [tmp_path / "car.json", tmp_path / "sweep.json"]
+    for part, part_argv in zip(parts, [CAR_ARGV, SMALL_SWEEP_ARGV]):
+        cli.main(part_argv + ["--output", str(part)])
+    code, out = run(["report", *map(str, parts)], capsys)
+    body = strict_json(out)
+    assert flips and code == cli.EXIT_VERIFICATION_FAILURE and not body["all_pass"]
+    assert all(row["pass"] == (row["metric"] <= row["tolerance"]) for row in body["checks"])
+    assert {row["check_id"] for row in body["checks"] if not row["pass"]} <= \
+        {f"car/m=3/{key}" for key in fock.CAR_TOL}
+
+
 def algebra_rows(m, trials=1, seed=9):
     rows = cli.run_verify_algebra(argparse.Namespace(m=m, trials=trials, seed=seed))
     return {row["check_id"].rsplit("/", 1)[1]: row for row in rows}

@@ -8,16 +8,13 @@ from .converse import (ConvergenceCertificate, RecoveryReport, SweepResult,
                        schatten_recovery_check, sector_norm_diagonal,
                        sharpness_sweep, trace_bound_check)
 from .fock import (CarReport, FockOperator, FockSpace, FockVector,
-                   ResourceError, annihilation, anticommutator, commutator,
-                   creation, make_space, number_operator, op_a, op_adag,
-                   slater_state, vacuum, verify_car)
+                   ResourceError, commutator, make_space, number_operator, op_a,
+                   op_adag, slater_state, vacuum, verify_car)
 from .gaussian import (GaussianReport, OrderEstimate, exp_order_estimate,
-                       gaussian_report, gaussian_state, omega_determinant,
-                       omega_polynomial_roots, omega_series, omega_zeros,
-                       pair_coefficients)
+                       gaussian_report, omega_determinant, omega_polynomial_roots,
+                       omega_series, omega_zeros, pair_coefficients)
 from .quadratics import (check_commutator, check_grading, d_gamma, delta,
-                         delta_plus, is_skew, require_skew, skew_part,
-                         slater_expectation)
+                         delta_plus, is_skew, require_skew, skew_part)
 from .spectral import (BoundVerdict, CauchySchwarzResult, SingularDecomposition,
                        cauchy_schwarz_check, hoelder_check, jensen_check,
                        loewner_leq, psd_power, schatten_norm, svd)

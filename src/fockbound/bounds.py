@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .fock import LADDERS, FockOperator, FockSpace, ladder_matrix, make_space
+from .fock import LADDERS, FockOperator, FockSpace, make_space
 from .quadratics import one_body, pair_form, pair_weights, require_representable
 from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _loewner_tolerance, _require_self_adjoint, _schatten
@@ -237,11 +237,11 @@ def _sector_block(space: FockSpace, operator: str, X, n: int) -> np.ndarray:
     coefficient of (1 + x + x^2)^K (1 + x)^(m - 2K)).  It is wide exactly
     where Q_n is, which holds for every m <= 18.  The entries come from
     `fock.ladder_entries`, so a row outside the sector raises GradingError,
-    and the full sector block is never formed.
+    and a pair operator's full sector block is never formed.  dGamma keeps
+    every state, so its block is `fock.ladder_matrix`'s bit for bit: the
+    same entries summed in the same order.
     """
     shift = LADDERS[operator][1]
-    if shift == 0:
-        return ladder_matrix(space, operator, X, sector=n)
     (rows, cols), values, _ = fock.ladder_entries(space, operator, X, n)
     kept_rows, kept_cols = (_kept(space, operator, k) for k in (n + shift, n))
     keep = kept_cols[cols]
@@ -386,7 +386,10 @@ def basic_estimate_check(space: FockSpace, lam, p: float,
 
     Both sides are diagonal in the occupation basis, so the verdict is the
     minimum over n of Lambda_p n^(1/q) minus the largest n-term sum of lam --
-    no eigensolver involved.
+    no eigensolver involved.  Lambda_p is read as every bound's right-hand
+    side reads its norm (`spectral._schatten`), relative to the largest
+    lam_j: it is finite wherever the p-norm is, and 2^k lam scales the slack
+    by exactly 2^k.
     """
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (space.m,):
@@ -395,16 +398,11 @@ def basic_estimate_check(space: FockSpace, lam, p: float,
         raise ValueError("lambda entries must be nonnegative")
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    if math.isinf(p):
-        big = float(lam.max(initial=0.0))
-        inv_q = 1.0
-    else:
-        big = float(np.sum(lam**p) ** (1.0 / p))
-        inv_q = 1.0 - 1.0 / p
-    top = np.concatenate(([0.0], np.cumsum(np.sort(lam)[::-1])))
-    n = np.arange(space.m + 1, dtype=float)
-    rhs = big * np.ones_like(n) if inv_q == 0.0 else big * n**inv_q
-    slack = float((rhs - top).min())
+    ordered = np.sort(lam)[::-1]
+    big = _schatten(ordered, p)
+    # 1/q = 1 - 1/p is 1 at p = inf, and n**0.0 is 1 at p = 1
+    rhs = big * np.arange(space.m + 1, dtype=float)**(1.0 - 1.0 / p)
+    slack = float((rhs - np.concatenate(([0.0], np.cumsum(ordered)))).min())
     if tol is None:
         tol = IDENTITY_TOL * (1.0 + big * max(1.0, space.m))
     return BoundVerdict(lhs_id="basic_lhs", rhs_id=f"basic_rhs(p={p})",

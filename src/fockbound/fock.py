@@ -6,11 +6,13 @@ bitmasks (bit j-1 set iff mode j occupied) and ordered canonically by
 sign (-1)^{#occupied modes below j}, which makes the anticommutation
 relations hold exactly.  `ladder_matrix` builds every operator straight from
 the bitmasks, one particle-number sector block at a time; a whole-space
-operator is its sector blocks put in place.  Which basis state a term sends
-where, and with which sign, depends only on (m, operator, sector), so
-`_ladder_pattern` walks the bitmasks once per key and process and caches that
-coefficient-free pattern; `ladder_entries`, its one reader, checks the
-walked rows and gathers each build's coefficients onto it.
+operator (`ladder_operator`: `op_a`, `op_adag` and the quadratics) is its
+sector blocks put in place, and a single mode's a_j is `op_a` of the basis
+vector e_j.  Which basis state a term sends where, and with which sign,
+depends only on (m, operator, sector), so `_ladder_pattern` walks the
+bitmasks once per key and process and caches that coefficient-free pattern;
+`ladder_entries`, its one reader, checks the walked rows and gathers each
+build's coefficients onto it.
 """
 
 from __future__ import annotations
@@ -72,25 +74,11 @@ class FockOperator:
             return FockVector(self.space, self.matrix @ other.amplitudes)
         return NotImplemented
 
-    def __add__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        shift = self.grading_shift if self.grading_shift == other.grading_shift else None
-        return FockOperator(self.space, self.matrix + other.matrix, shift)
-
     def __sub__(self, other):
         if not isinstance(other, FockOperator):
             return NotImplemented
         shift = self.grading_shift if self.grading_shift == other.grading_shift else None
         return FockOperator(self.space, self.matrix - other.matrix, shift)
-
-    def __mul__(self, scalar):
-        return FockOperator(self.space, scalar * self.matrix, self.grading_shift)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FockOperator(self.space, -self.matrix, self.grading_shift)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +92,6 @@ class FockVector:
     def inner(self, other: "FockVector") -> complex:
         """(self, other), antilinear in self."""
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def anticommutator(x: FockOperator, y: FockOperator) -> FockOperator:
-    return x @ y + y @ x
 
 
 def commutator(x: FockOperator, y: FockOperator) -> FockOperator:
@@ -226,8 +210,9 @@ def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
     The keys run |shift| past 0..m on both sides.  Blocks there have an empty
     side, so a product of two blocks next to an edge sector is an exact zero
     block of the right shape instead of a wrapped-around index.  Every block
-    is held at once; the bound and Gaussian checks, which need one sector at
-    a time, call `ladder_matrix(..., sector=n)` themselves.
+    is held at once; the checks that need one sector at a time build it
+    themselves: the bound checks from `ladder_entries` (`bounds._sector_block`),
+    the Gaussian pair powers with `ladder_matrix(..., sector=n)`.
     """
     shift = abs(LADDERS[name][1])
     return {n: ladder_matrix(space, name, coeffs, sector=n)
@@ -244,18 +229,6 @@ def ladder_operator(space: FockSpace, name: str, coeffs) -> FockOperator:
         out[starts[n + shift]:starts[n + shift + 1], starts[n]:starts[n + 1]] = \
             ladder_matrix(space, name, coeffs, sector=n)
     return FockOperator(space, out, shift)
-
-
-def creation(space: FockSpace, j: int) -> FockOperator:
-    """a^dagger_j on the occupation basis, Jordan-Wigner signs over modes below j."""
-    _check_mode(space, j)
-    return ladder_operator(space, "creation", np.eye(space.m)[j - 1])
-
-
-def annihilation(space: FockSpace, j: int) -> FockOperator:
-    """a_j, the adjoint of creation(space, j)."""
-    _check_mode(space, j)
-    return ladder_operator(space, "annihilation", np.eye(space.m)[j - 1])
 
 
 def _check_vector(space: FockSpace, f) -> np.ndarray:

@@ -1,8 +1,10 @@
-"""Pair-coherent (BCS-type) states exp(z*pair_creator)Omega and their overlap.
+"""Overlap of the pair-coherent (BCS-type) states exp(z Dp)Omega, Dp = delta_plus(C).
 
 The self-overlap omega(z) is computed two ways: exactly on the Fock space as
-the terminating series sum_n z^(2n)/(n!)^2 |Dp^n Omega|^2, and from the
-one-body data as a determinant-type product over paired singular values of C.
+the terminating series sum_n z^(2n)/(n!)^2 |Dp^n Omega|^2, from the pair
+powers Dp^n Omega pushed through Dp's sector blocks (the state itself is
+never assembled; tests/jw_oracle.py builds it on the whole space), and from
+the one-body data as a determinant-type product over paired singular values of C.
 The exponent convention of the determinant formula (1 vs 1/2) is calibrated
 against the series oracle rather than assumed; 1/2 is the convention that
 matches and ships as the default.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, FockVector, ladder_matrix
+from .fock import FockSpace, ladder_matrix
 from .quadratics import one_body, pair_weights, require_skew
 from .tolerances import EIGEN_TOL, NORM_TOL, UNIT_ROUNDOFF
 
@@ -34,14 +36,6 @@ def _pair_powers(space: FockSpace, C) -> list[np.ndarray]:
 def pair_coefficients(space: FockSpace, C) -> np.ndarray:
     """|Dp^n Omega|^2 for n = 0..floor(m/2); Dp^n Omega vanishes beyond m/2."""
     return np.array([float(np.real(np.vdot(v, v))) for v in _pair_powers(space, C)])
-
-
-def gaussian_state(space: FockSpace, C, z: complex) -> FockVector:
-    """sum_{n=0}^{m//2} z^n Dp^n Omega / n!, the terminating exponential."""
-    total = np.zeros(space.dim, dtype=complex)
-    for n, v in enumerate(_pair_powers(space, C)):
-        total[space.occupations == 2 * n] = z**n / math.factorial(n) * v
-    return FockVector(space, total)
 
 
 def _series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:

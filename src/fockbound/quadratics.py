@@ -5,7 +5,10 @@ delta(A)     = sum_{j,k} A[k,j] a_k  a_j      (pair annihilation, shift -2)
 delta_plus(C)= sum_{j,k} C[k,j] a+_k a+_j     (pair creation,     shift +2)
 
 Each is fock.ladder_operator with the one-body matrix as coefficients: its
-sector blocks, one fock.ladder_matrix call each, put in place.
+sector blocks, one fock.ladder_matrix call each, put in place.  The checks
+never form them whole: check_commutator multiplies fock.sector_blocks, and
+the bound checks build their blocks in bounds._sector_block.  Every one-body
+argument is checked by one_body, the same check for builders and checks.
 
 delta and delta_plus require skew arguments (A^T = -A with the entrywise
 transpose); symmetric parts would cancel identically, so non-skew input is
@@ -20,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (LADDERS, FockOperator, FockSpace, ladder_matrix, ladder_operator,
-                   sector_blocks, slater_state)
-from .tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
+from .fock import LADDERS, FockOperator, FockSpace, ladder_operator, sector_blocks
+from .tolerances import ENTRY_TOL, NORM_TOL
 
 
 def _as_one_body(space: FockSpace, X, name: str = "operator") -> np.ndarray:
@@ -152,8 +154,7 @@ def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
     """The identity sector by sector: on the n-particle sector the commutator is
     Delta_{n+2->n} Delta+_{n->n+2} - Delta+_{n-2->n} Delta_{n->n-2}, and every
     entry of the whole-space residual outside these blocks vanishes exactly."""
-    A = require_skew(_as_one_body(space, A, "A"), "A")
-    C = require_skew(_as_one_body(space, C, "C"), "C")
+    A, C = one_body(space, "Delta", A), one_body(space, "DeltaPlus", C)
     require_representable(space, A, "A")
     require_representable(space, C, "C")
     da, dpc = sector_blocks(space, "Delta", A), sector_blocks(space, "DeltaPlus", C)
@@ -180,17 +181,3 @@ def check_grading(op: FockOperator) -> bool:
     scale = 1.0 + float(np.abs(op.matrix).max(initial=0.0))
     leak = float(np.abs(op.matrix[forbidden]).max(initial=0.0))
     return leak <= ENTRY_TOL * scale
-
-
-def slater_expectation(space: FockSpace, B, modes) -> complex:
-    """<slater(S), d_gamma(B) slater(S)> on the dGamma block of sector |S|, where
-    slater(S) lies; cross-checked against sum_{j in S} B_jj."""
-    B = _as_one_body(space, B, "B")
-    n = len(modes)
-    phi = slater_state(space, modes).amplitudes[space.occupations == n]
-    value = complex(np.vdot(phi, ladder_matrix(space, "dGamma", B, sector=n) @ phi))
-    diagonal_sum = complex(sum(B[j - 1, j - 1] for j in modes))
-    if abs(value - diagonal_sum) > IDENTITY_TOL * (1.0 + abs(diagonal_sum)):
-        raise AssertionError(
-            f"slater expectation {value} disagrees with diagonal sum {diagonal_sum}")
-    return value

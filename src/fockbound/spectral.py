@@ -147,10 +147,7 @@ def hoelder_check(mu, ops, p: float, q: float,
     if np.any(mu < 0):
         raise ValueError("coefficients must be nonnegative")
     lhs = sum(mj * np.asarray(c, dtype=complex) for mj, c in zip(mu, ops))
-    if math.isinf(p):
-        scalar = float(mu.max(initial=0.0))
-    else:
-        scalar = float(np.sum(mu**p) ** (1.0 / p))
+    scalar = _schatten(np.sort(mu)[::-1], p)
     if math.isinf(q):
         # limit q -> inf: (sum c_j^q)^(1/q) has no direct finite form, so
         # restrict to finite q; the p = inf, q = 1 orientation covers the

@@ -4,7 +4,9 @@ Each a+_j is a dense 2^m x 2^m matrix with the Jordan-Wigner sign
 (-1)^{#occupied modes below j}; a_j is its adjoint; the smeared and quadratic
 operators are sums of scaled copies and dense products of these.  This is the
 construction the package used before its bitmask builder, kept unchanged as
-the oracle the builder is compared against at small m.
+the oracle the builder is compared against at small m.  The package has no
+single-mode constructor of its own (a_j is op_a of the basis vector e_j), so
+creation, annihilation and the matrix anticommutator live only here.
 
 verify_car and check_commutator are the whole-space versions of the CAR suite
 and the commutator identity that the package used before it checked them
@@ -13,7 +15,9 @@ sector by sector, with the dense operators of this module.
 run_verify_algebra, pair_coefficients, gaussian_state and slater_expectation
 are the package's whole-space versions from before those too read sector
 blocks: they apply the package's own whole-space operators (d_gamma, delta,
-delta_plus and check_grading) to whole-space vectors.
+delta_plus and check_grading) to whole-space vectors.  The package keeps no
+gaussian_state or slater_expectation; the tests compare these two against
+its sector blocks directly.
 
 sector_extremes is the whole-sector path that bounds._gram_extremes took for
 Delta and DeltaPlus before it solved the small blocks of their pair form:
@@ -34,8 +38,7 @@ from fockbound import quadratics
 from fockbound.cli import _check
 from fockbound.fock import (CAR_TOL, LADDERS, CarReport, FockOperator, FockSpace,
                             FockVector, _check_mode, _check_vector, _space,
-                            anticommutator, ladder_matrix, make_space, slater_state,
-                            vacuum)
+                            ladder_matrix, make_space, slater_state, vacuum)
 from fockbound.quadratics import (CommutatorReport, _as_one_body, pair_form, pair_weights,
                                   require_skew)
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
@@ -71,6 +74,11 @@ def creation(space: FockSpace, j: int) -> FockOperator:
 def annihilation(space: FockSpace, j: int) -> FockOperator:
     _check_mode(space, j)
     return FockOperator(space, _annihilation_matrix(space.m, j), grading_shift=-1)
+
+
+def anticommutator(x: FockOperator, y: FockOperator) -> np.ndarray:
+    """The matrix of {x, y} = xy + yx."""
+    return x.matrix @ y.matrix + y.matrix @ x.matrix
 
 
 def op_a(space: FockSpace, f) -> FockOperator:
@@ -142,10 +150,9 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> CarReport:
         pairing = complex(np.sum(f * g))  # (fbar, g) with the antilinear-first inner product
         proj = adf @ op_a(space, f.conj())
         res = {
-            "anticommutator_aa": np.abs(anticommutator(af, ag).matrix).max(),
-            "anticommutator_adad": np.abs(anticommutator(adf, adg).matrix).max(),
-            "anticommutator_mixed": np.abs(
-                anticommutator(af, adg).matrix - pairing * eye).max(),
+            "anticommutator_aa": np.abs(anticommutator(af, ag)).max(),
+            "anticommutator_adad": np.abs(anticommutator(adf, adg)).max(),
+            "anticommutator_mixed": np.abs(anticommutator(af, adg) - pairing * eye).max(),
             "adjoint_relation": np.abs(
                 af.dagger().matrix - op_adag(space, f.conj()).matrix).max(),
             "projection_identity": np.abs(

@@ -244,6 +244,27 @@ def test_basic_estimate_fast_path_diagonal_vs_fock():
         slack_fock, abs=1e-12)
 
 
+def test_basic_estimate_large_lambda():
+    # each lam_j**2 overflows, the 2-norm sqrt(3) 1e160 does not; lam = c (1, 1, 1)
+    # saturates the bound at n = 3, where both sides are 3e160 to rounding
+    v = fb.basic_estimate_check(fb.make_space(3), [1e160] * 3, 2)
+    assert math.isfinite(v.tolerance) and v.passed
+    assert abs(v.slack_min) <= 1e-15 * 3e160
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(lam=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), min_size=1, max_size=6),
+       p=st.one_of(st.floats(1.0, 50.0), st.just(math.inf)), k=st.integers(-300, 300))
+def test_basic_estimate_slack_scales_exactly_by_powers_of_two(lam, p, k):
+    # the p-norm is formed relative to the largest lam_j, so 2^k lam scales every
+    # step by exactly 2^k, with no lam_j**p to overflow or underflow
+    lam = np.array(lam)
+    space = fb.make_space(lam.size)
+    slack = fb.basic_estimate_check(space, lam, p).slack_min
+    assert fb.basic_estimate_check(space, np.ldexp(lam, k), p).slack_min == \
+        math.ldexp(slack, k)
+
+
 def test_sector_monotonicity_against_literature_bound():
     # whenever the r = inf bound applies, each sector obeys it individually
     sp = fb.make_space(5)

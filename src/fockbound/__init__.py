@@ -8,8 +8,8 @@ from .converse import (ConvergenceCertificate, RecoveryReport, SweepResult,
                        schatten_recovery_check, sector_norm_diagonal,
                        sharpness_sweep, trace_bound_check)
 from .fock import (CarReport, FockOperator, FockSpace, FockVector,
-                   ResourceError, commutator, make_space, number_operator, op_a,
-                   op_adag, slater_state, vacuum, verify_car)
+                   ResourceError, make_space, number_operator, op_a, op_adag,
+                   slater_state, vacuum, verify_car)
 from .gaussian import (GaussianReport, OrderEstimate, exp_order_estimate,
                        gaussian_report, omega_determinant, omega_polynomial_roots,
                        omega_series, omega_zeros, pair_coefficients)

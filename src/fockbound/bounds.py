@@ -318,8 +318,7 @@ def _sector_verdict(spec: BoundSpec, rhs: np.ndarray, extremes: np.ndarray,
     upper = extremes[:, 1] + extremes[:, 2]
     positive = rhs > 0
     ratio = float((upper[positive] / rhs[positive]).max(initial=0.0))
-    return BoundVerdict(f"{spec.which}_lhs", f"{spec.which}_rhs(r={spec.r})",
-                        float((rhs - upper).min()), tol), ratio
+    return BoundVerdict(float((rhs - upper).min()), tol), ratio
 
 
 def _sector_verdicts(space: FockSpace, specs, X,
@@ -380,8 +379,7 @@ def verify_bound(space: FockSpace, spec: BoundSpec, X,
     return verify_bounds(space, [spec], X, tol)[0]
 
 
-def basic_estimate_check(space: FockSpace, lam, p: float,
-                         tol: float | None = None) -> BoundVerdict:
+def basic_estimate_check(space: FockSpace, lam, p: float) -> BoundVerdict:
     """sum_j lam_j a+_j a_j <= Lambda_p N^(1/q), decided by exact subset sums.
 
     Both sides are diagonal in the occupation basis, so the verdict is the
@@ -403,10 +401,8 @@ def basic_estimate_check(space: FockSpace, lam, p: float,
     # 1/q = 1 - 1/p is 1 at p = inf, and n**0.0 is 1 at p = 1
     rhs = big * np.arange(space.m + 1, dtype=float)**(1.0 - 1.0 / p)
     slack = float((rhs - np.concatenate(([0.0], np.cumsum(ordered)))).min())
-    if tol is None:
-        tol = IDENTITY_TOL * (1.0 + big * max(1.0, space.m))
-    return BoundVerdict(lhs_id="basic_lhs", rhs_id=f"basic_rhs(p={p})",
-                        slack_min=slack, tolerance=tol)
+    return BoundVerdict(slack_min=slack,
+                        tolerance=IDENTITY_TOL * (1.0 + big * max(1.0, space.m)))
 
 
 def basic_estimate_bruteforce(space: FockSpace, lam, p: float) -> float:

@@ -350,6 +350,8 @@ def validate_args(args: argparse.Namespace) -> None:
         raise ValueError(f"--m must be >= 1, got {args.m}")
     if getattr(args, "trials", 1) <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if not np.isfinite(getattr(args, "diag", None) or []).all():
         raise ValueError(f"--diag entries must be finite, got {args.diag}")
     if not 0.0 <= (getattr(args, "tolerance", None) or 0.0) < math.inf:

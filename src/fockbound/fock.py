@@ -60,10 +60,6 @@ class FockOperator:
     matrix: np.ndarray
     grading_shift: int | None = None
 
-    def dagger(self) -> "FockOperator":
-        shift = None if self.grading_shift is None else -self.grading_shift
-        return FockOperator(self.space, self.matrix.conj().T, shift)
-
     def __matmul__(self, other):
         if isinstance(other, FockOperator):
             shift = None
@@ -74,28 +70,11 @@ class FockOperator:
             return FockVector(self.space, self.matrix @ other.amplitudes)
         return NotImplemented
 
-    def __sub__(self, other):
-        if not isinstance(other, FockOperator):
-            return NotImplemented
-        shift = self.grading_shift if self.grading_shift == other.grading_shift else None
-        return FockOperator(self.space, self.matrix - other.matrix, shift)
-
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
     space: FockSpace
     amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "FockVector") -> complex:
-        """(self, other), antilinear in self."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def commutator(x: FockOperator, y: FockOperator) -> FockOperator:
-    return x @ y - y @ x
 
 
 @lru_cache(maxsize=None)
@@ -244,7 +223,7 @@ def op_a(space: FockSpace, f) -> FockOperator:
 
 
 def op_adag(space: FockSpace, f) -> FockOperator:
-    """a^dagger(f) = sum_j f_j a^dagger_j; satisfies op_a(f).dagger() == op_adag(conj(f))."""
+    """a^dagger(f) = sum_j f_j a^dagger_j; its matrix is op_a(conj(f)).matrix.conj().T."""
     return ladder_operator(space, "creation", _check_vector(space, f))
 
 
@@ -288,9 +267,6 @@ CAR_TOL = {"anticommutator_aa": IDENTITY_TOL, "anticommutator_adad": IDENTITY_TO
 class CarReport:
     """Worst scaled residuals of the anticommutation-relation suite over all trials."""
 
-    m: int
-    trials: int
-    seed: int
     residuals: dict
     passed: bool  # every residual within its CAR_TOL
 
@@ -343,5 +319,5 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> CarReport:
             # an infinite scale would hide any residual, so the ratio is unknown
             ratio = val / key_scale if key_scale < math.inf else math.nan
             worst[key] = float(np.maximum(worst[key], ratio))
-    return CarReport(m=space.m, trials=trials, seed=seed, residuals=worst,
+    return CarReport(residuals=worst,
                      passed=all(worst[key] <= tol for key, tol in CAR_TOL.items()))

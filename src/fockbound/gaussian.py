@@ -269,7 +269,6 @@ def exp_order_estimate(coeffs, degree_step: int = 1) -> OrderEstimate:
 class GaussianReport:
     """Series-vs-determinant comparison for one skew C on default_z_grid()."""
 
-    m: int
     coefficients: np.ndarray
     convention: float
     z_grid: np.ndarray
@@ -282,8 +281,9 @@ class GaussianReport:
     passed: bool
 
 
-def default_z_grid(extent: float = 2.0, points_per_axis: int = 5) -> np.ndarray:
-    re = np.linspace(-extent, extent, points_per_axis)
+def default_z_grid() -> np.ndarray:
+    """The 5 x 5 grid of z with real and imaginary parts in {-2, -1, 0, 1, 2}."""
+    re = np.linspace(-2.0, 2.0, 5)
     return (re[:, None] + 1j * re[None, :]).ravel()
 
 
@@ -303,7 +303,7 @@ def gaussian_report(space: FockSpace, C) -> GaussianReport:
     zeros = _zeros(weights[:count], convention)
     matched = zeros_match(zeros, _polynomial_roots(coeffs, C, weights, count))
     return GaussianReport(
-        m=space.m, coefficients=coeffs, convention=convention, z_grid=z,
+        coefficients=coeffs, convention=convention, z_grid=z,
         series_values=series, determinant_values=det,
         max_abs_diff=float(np.abs(series - det).max(initial=0.0)), max_rel_diff=max_rel_diff,
         zeros=zeros, zeros_matched=matched,

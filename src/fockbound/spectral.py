@@ -31,8 +31,6 @@ class SingularDecomposition:
 class BoundVerdict:
     """Outcome of a Loewner-order check: pass iff slack_min >= -tolerance."""
 
-    lhs_id: str
-    rhs_id: str
     slack_min: float
     tolerance: float
 
@@ -76,8 +74,7 @@ def _require_self_adjoint(X, name: str) -> np.ndarray:
     return X
 
 
-def loewner_leq(X, Y, tol: float | None = None,
-                lhs_id: str = "lhs", rhs_id: str = "rhs") -> BoundVerdict:
+def loewner_leq(X, Y) -> BoundVerdict:
     """Verdict on X <= Y in the Loewner order, via lambda_min(Y - X)."""
     X = _require_self_adjoint(X, "lhs")
     Y = _require_self_adjoint(Y, "rhs")
@@ -86,12 +83,10 @@ def loewner_leq(X, Y, tol: float | None = None,
     with np.errstate(over="ignore"):
         diff = Y - X
     if not np.isfinite(diff).all():
-        raise ValueError(f"{rhs_id} - {lhs_id} is not finite: the operands' difference "
-                         "overflows")
+        raise ValueError("rhs - lhs is not finite: the operands' difference overflows")
     diff *= 0.5  # halved before the sum, so that diff + diff^H cannot overflow
     eigs = np.linalg.eigvalsh(diff + diff.conj().T)
-    return BoundVerdict(lhs_id=lhs_id, rhs_id=rhs_id, slack_min=float(eigs.min()),
-                        tolerance=_loewner_tolerance(eigs) if tol is None else tol)
+    return BoundVerdict(slack_min=float(eigs.min()), tolerance=_loewner_tolerance(eigs))
 
 
 def _loewner_tolerance(slack_eigs) -> float:
@@ -118,8 +113,7 @@ def psd_power(X, p: float) -> np.ndarray:
     return (v * w**p) @ v.conj().T
 
 
-def jensen_check(weights, ops, p: float, q: float,
-                 tol: float | None = None) -> BoundVerdict:
+def jensen_check(weights, ops, p: float, q: float) -> BoundVerdict:
     """(sum_j w_j c_j^p)^(1/p) <= w^(1/p - 1/q) (sum_j w_j c_j^q)^(1/q), w = sum w_j."""
     if not 1 <= p <= q or math.isinf(q):
         raise ValueError(f"need 1 <= p <= q < inf, got p={p}, q={q}")
@@ -130,7 +124,7 @@ def jensen_check(weights, ops, p: float, q: float,
     lhs = psd_power(sum(wj * psd_power(c, p) for wj, c in zip(weights, ops)), 1.0 / p)
     rhs = w ** (1.0 / p - 1.0 / q) * psd_power(
         sum(wj * psd_power(c, q) for wj, c in zip(weights, ops)), 1.0 / q)
-    return loewner_leq(lhs, rhs, tol=tol, lhs_id="jensen_lhs", rhs_id="jensen_rhs")
+    return loewner_leq(lhs, rhs)
 
 
 def _conj_exponents(p: float, q: float) -> None:
@@ -139,8 +133,7 @@ def _conj_exponents(p: float, q: float) -> None:
         raise ValueError(f"exponents must be conjugate (1/p + 1/q = 1), got p={p}, q={q}")
 
 
-def hoelder_check(mu, ops, p: float, q: float,
-                  tol: float | None = None) -> BoundVerdict:
+def hoelder_check(mu, ops, p: float, q: float) -> BoundVerdict:
     """sum_j mu_j c_j <= (sum mu_j^p)^(1/p) (sum c_j^q)^(1/q) for PSD c_j."""
     _conj_exponents(p, q)
     mu = np.asarray(mu, dtype=float)
@@ -154,7 +147,7 @@ def hoelder_check(mu, ops, p: float, q: float,
         # remaining case.
         raise ValueError("q = inf not supported; use p = inf, q = 1 orientation")
     rhs = scalar * psd_power(sum(psd_power(c, q) for c in ops), 1.0 / q)
-    return loewner_leq(lhs, rhs, tol=tol, lhs_id="hoelder_lhs", rhs_id="hoelder_rhs")
+    return loewner_leq(lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -164,8 +157,7 @@ class CauchySchwarzResult:
     identity_passed: bool
 
 
-def cauchy_schwarz_check(a_ops, b_ops, sigma: int,
-                         tol: float | None = None) -> CauchySchwarzResult:
+def cauchy_schwarz_check(a_ops, b_ops, sigma: int) -> CauchySchwarzResult:
     """sigma sum_{jk} a_j* b_k* b_j a_k <= sum_{jk} a_j* b_k* b_k a_j.
 
     Also verifies the closed form
@@ -191,7 +183,6 @@ def cauchy_schwarz_check(a_ops, b_ops, sigma: int,
             closed += d.conj().T @ d
     residual = float(np.abs((rhs - sigma * lhs) - closed / 2).max(initial=0.0))
     scale = 1.0 + float(np.abs(rhs).max(initial=0.0) + np.abs(lhs).max(initial=0.0))
-    verdict = loewner_leq(sigma * lhs, rhs, tol=tol,
-                          lhs_id=f"cs_lhs(sigma={sigma:+d})", rhs_id="cs_rhs")
-    return CauchySchwarzResult(verdict=verdict, identity_residual=residual,
+    return CauchySchwarzResult(verdict=loewner_leq(sigma * lhs, rhs),
+                               identity_residual=residual,
                                identity_passed=residual <= IDENTITY_TOL * scale)

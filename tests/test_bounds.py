@@ -270,7 +270,7 @@ def test_sector_monotonicity_against_literature_bound():
     sp = fb.make_space(5)
     B = complex_matrix(trial_rng(25, 0), 5)
     q = fb.d_gamma(sp, B)
-    lhs = (q.dagger() @ q).matrix
+    lhs = q.matrix.conj().T @ q.matrix
     op_norm = fb.schatten_norm(B, math.inf)
     for n in range(6):
         idx = np.nonzero(sp.occupations == n)[0]

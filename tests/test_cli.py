@@ -552,6 +552,16 @@ def test_too_many_modes_stays_a_resource_error(argv, capsys):
     assert capsys.readouterr().err.startswith("resource error: ")
 
 
+# verify-bounds with --diag draws nothing, and its seed is still checked
+@pytest.mark.parametrize("argv", MODE_ARGVS + [
+    ["verify-bounds", "--which", "dGamma", "--r", "2", "--diag", "1", "2"]])
+def test_negative_seed_is_a_validation_error(argv, capsys):
+    code = cli.main([*argv, "--m", "2", "--trials", "1", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_VALIDATION_ERROR
+    assert captured.out == "" and "--seed must be >= 0" in captured.err
+
+
 def operator_args(tmp_path, which, m, scale):
     """--diag of scale * (1..m) for dGamma; else a skew --matrix-file with
     entries of scale * (1..m^2) above the diagonal."""

@@ -29,7 +29,7 @@ def test_gaussian_state_m2_hand_case():
     state = jw.gaussian_state(sp, mu * ROTATION, z)
     pair_amp = state.amplitudes[sp.index_of[0b11]]
     assert pair_amp == pytest.approx(-2 * mu * z)
-    assert state.norm()**2 == pytest.approx(1 + 4 * mu**2 * z**2)
+    assert np.linalg.norm(state.amplitudes)**2 == pytest.approx(1 + 4 * mu**2 * z**2)
 
 
 def test_gaussian_state_even_sectors_only():
@@ -75,7 +75,7 @@ def test_omega_series_matches_state_pairing():
     for z in (0.3, 1.0 + 0.5j, -0.2 + 1.1j):
         left = jw.gaussian_state(sp, C, np.conj(z))
         right = jw.gaussian_state(sp, C, z)
-        paired = left.inner(right)
+        paired = np.vdot(left.amplitudes, right.amplitudes)
         assert fb.omega_series(sp, C, z) == pytest.approx(paired, abs=1e-10)
 
 
@@ -337,3 +337,19 @@ def test_a_dropped_series_tail_must_be_what_the_left_out_pairs_give():
     assert gaussian._polynomial_roots(coeffs, C, weights, 1).size == 2
     coeffs[2] = 1e-6  # a pair of weight about 1.2e-4, which the weights do not show
     assert gaussian._polynomial_roots(coeffs, C, weights, 1).size == 4
+
+
+@pytest.mark.xfail(strict=True, reason="zeros are matched root by root, and rounding "
+                   "moves a cluster of k roots apart by about u^(1/k)")
+@pytest.mark.parametrize("weights, m, k", [
+    ([1.0, 1.0, 1.0], 6, None), ([1.0, 1.0, 1.0, 1.0], 8, None),
+    ([0.7, 0.7, 0.7, 0.3], 8, None),
+    *(([1.0, 3e-6, 1e-6], 6, k) for k in (1, 2, 4, 5))])
+def test_repeated_pair_weights_match_their_zeros(weights, m, k):
+    # the flat weights, and a counted weight 3e-6 next to a left-out 1e-6,
+    # rotated by U^T C0 U; the series equals the determinant in every case
+    C = pair_form(weights, m)
+    if k is not None:
+        U = unitary_matrix(trial_rng(40 + k, m), m)
+        C = U.T @ C @ U
+    assert fb.gaussian_report(fb.make_space(m), C).zeros_matched

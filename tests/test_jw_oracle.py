@@ -72,7 +72,7 @@ def test_ladder_matrix_rejects_wrong_coefficient_shape():
 def dense_verdict(sp, spec, X):
     build = {"dGamma": jw.d_gamma, "Delta": jw.delta, "DeltaPlus": jw.delta_plus}
     q = build[spec.operator](sp, X)
-    lhs = (q.dagger() @ q).matrix
+    lhs = q.matrix.conj().T @ q.matrix
     norms = {"r": fb.schatten_norm(X, spec.r), "2": fb.schatten_norm(X, 2),
              "inf": fb.schatten_norm(X, math.inf)}
     rhs = fb.rhs_operator(sp, spec, norms).matrix
@@ -153,7 +153,7 @@ def test_gram_extremes_equal_dense(m, operator):
         rng = trial_rng(38, m, t)
         X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
         q = build[operator](sp, X)
-        gram = (q.dagger() @ q).matrix
+        gram = q.matrix.conj().T @ q.matrix
         extremes = _gram_extremes(sp, operator, jw.pair_form_of(operator, X))
         for n in range(m + 1):
             idx = np.nonzero(sp.occupations == n)[0]

@@ -1,4 +1,4 @@
-"""Which library functions no command-line path reaches.
+"""Which library functions no command-line path reaches, and which options no call sets.
 
 The tiny invocations of the benchmark's workloads (perfbench/workloads.py)
 and a few more that use the options they leave out run through `cli.main`
@@ -6,11 +6,18 @@ under `sys.setprofile`.  Every top-level function and method defined in
 `src/fockbound` that none of them enters must be named in UNREACHED, and
 every name there must still be unreached.  So library code that only tests
 call is a listed, deliberate choice, and the list shrinks when a command
-starts to use a function or the function is deleted."""
+starts to use a function or the function is deleted.
 
+The options ratchet reads the source instead: every optional parameter of a
+function defined in `src/fockbound` must be passed, by keyword or by
+position, by some call of a function of that name in `src/`, `tests/` or
+`perfbench/`.  An option that nothing turns on is dead surface."""
+
+import ast
 import importlib
 import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,11 +33,9 @@ UNREACHED = sorted([
     "bounds.bound_sweep", "bounds.rhs_operator", "bounds.verify_bound",
     "converse.decay_family", "converse.decay_values", "converse.sector_norm_diagonal",
     "converse.trace_bound_check",
-    "fock.FockOperator.__matmul__", "fock.FockOperator.__sub__",
-    "fock.FockOperator.dagger", "fock.FockVector.inner", "fock.FockVector.norm",
-    "fock._check_mode", "fock._check_vector", "fock.commutator", "fock.ladder_operator",
-    "fock.number_operator", "fock.op_a", "fock.op_adag", "fock.slater_state",
-    "fock.vacuum",
+    "fock.FockOperator.__matmul__", "fock._check_mode", "fock._check_vector",
+    "fock.ladder_operator", "fock.number_operator", "fock.op_a", "fock.op_adag",
+    "fock.slater_state", "fock.vacuum",
     "gaussian.calibrate_convention", "gaussian.omega_determinant",
     "gaussian.omega_polynomial_roots", "gaussian.omega_series", "gaussian.omega_zeros",
     "quadratics.check_grading", "quadratics.d_gamma", "quadratics.delta",
@@ -100,3 +105,51 @@ def test_unreached_library_functions_are_exactly_the_listed_ones(tmp_path, capsy
     assert codes == [cli.EXIT_OK] * len(argvs)
     assert sorted(name for code, name in functions.items() if code not in entered) == \
         UNREACHED
+
+
+def calls_by_name() -> dict:
+    """Function name -> [(positional count, keyword names)] of every call of that name."""
+    calls = {}
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((SRC.parents[1] / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    # a *args or **kwargs in the call may pass any option
+                    star = any(isinstance(arg, ast.Starred) for arg in node.args)
+                    keywords = {kw.arg for kw in node.keywords}
+                    calls.setdefault(name, []).append(
+                        (math.inf if star else len(node.args), keywords))
+    return calls
+
+
+def optional_parameters() -> list[tuple[str, str, int | None]]:
+    """(module.function, parameter, its index among a call's positional arguments, or
+    None if keyword-only) of every parameter with a default in src/fockbound."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            bound = 1 if id(node) in methods else 0  # self, which a call does not pass
+            first = len(positional) - len(args.defaults)
+            found += [(f"{path.stem}.{node.name}", arg.arg, i - bound)
+                      for i, arg in enumerate(positional) if i >= first]
+            found += [(f"{path.stem}.{node.name}", arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def test_every_option_is_set_by_some_call():
+    calls = calls_by_name()
+    unset = [f"{function}({param})" for function, param, index in optional_parameters()
+             if not any(param in keywords or None in keywords
+                        or (index is not None and count > index)
+                        for count, keywords in calls.get(function.split(".")[1], []))]
+    assert unset == []

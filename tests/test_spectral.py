@@ -236,9 +236,9 @@ def test_cauchy_schwarz_validation():
 
 
 def test_bound_verdict_invariant():
-    v = fb.BoundVerdict("x", "y", slack_min=-1e-9, tolerance=1e-8)
+    v = fb.BoundVerdict(slack_min=-1e-9, tolerance=1e-8)
     assert v.passed
-    v = fb.BoundVerdict("x", "y", slack_min=-1e-7, tolerance=1e-8)
+    v = fb.BoundVerdict(slack_min=-1e-7, tolerance=1e-8)
     assert not v.passed
 
 

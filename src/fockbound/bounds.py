@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from . import fock
-from .fock import LADDERS, FockOperator, FockSpace, make_space
+from .fock import LADDERS, FockOperator, FockSpace, ResourceError, make_space
 from .quadratics import one_body, pair_form, pair_weights, require_representable
 from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _loewner_tolerance, _require_self_adjoint, _schatten
@@ -202,72 +203,18 @@ def _cholesky_certifies(gram: np.ndarray, theta: float, shift: float) -> bool:
         gram.flat[::len(gram) + 1] = diagonal
 
 
-# bits 0, 2, 4, ...: the first mode of every canonical pair (2k, 2k + 1)
-_FIRST_OF_PAIR = np.int64(0x5555555555555555)
+def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float, float, float]:
+    """(lambda_min, top, width) of Q_n* Q_n, Q = dGamma(X), from the Gram of the
+    sector block that `fock.ladder_matrix` builds.
 
-
-def _kept(space: FockSpace, operator: str, n: int) -> np.ndarray:
-    """Which states of sector n the blocks of `operator` keep, in basis order.
-
-    dGamma keeps every state.  Delta and DeltaPlus keep the states where no
-    pair (2k, 2k + 1) holds only its second mode; see `_sector_block`.
+    With `certify`, the Ritz values (theta_min, theta_max) of `_lanczos` are
+    kept, however wide the bracket, if Cholesky succeeds on
+    (theta_max + c_n) I - G: that proves lambda_max <= top + width,
+    width = 2 c_n (`_certificate_shift`).  Otherwise a dense eigvalsh gives
+    the exact ends and width 0.
     """
-    lo, hi = np.searchsorted(space.occupations, [n, n + 1])
-    masks = space.masks[lo:hi]
-    if LADDERS[operator][1] == 0:
-        return np.ones(masks.size, dtype=bool)
-    return ((masks >> 1) & ~masks & _FIRST_OF_PAIR) == 0
-
-
-def _sector_block(space: FockSpace, operator: str, X, n: int) -> np.ndarray:
-    """The block of sector n whose Gram has the extremes of Q_n* Q_n.
-
-    For dGamma it is Q_n itself.  Delta and DeltaPlus take X in pair form
-    (`quadratics.pair_form`), so Q(X) = sum_k 2 w_k times the removal
-    (Delta) or creation (DeltaPlus) of both modes of pair k.  It leaves each
-    singly occupied pair as it is, so Q_n splits into blocks, one for each
-    set of singly occupied pairs and choice of the mode filled in each.  On
-    the other pairs a block acts as hard-core pair bosons, with a
-    Jordan-Wigner sign that does not depend on the state, so blocks that
-    differ only in the modes filled are equal entry for entry.  The block
-    returned keeps the `_kept` rows and columns, one copy of each distinct
-    block.  Its Gram is block diagonal and has the eigenvalues of Q_n* Q_n
-    without their multiplicities: the same lambda_min and lambda_max, at
-    dimension at most 51 at m = 10 and 393 at m = 14 (the largest
-    coefficient of (1 + x + x^2)^K (1 + x)^(m - 2K)).  It is wide exactly
-    where Q_n is, which holds for every m <= 18.  The entries come from
-    `fock.ladder_entries`, so a row outside the sector raises GradingError,
-    and a pair operator's full sector block is never formed.  dGamma keeps
-    every state, so its block is `fock.ladder_matrix`'s bit for bit: the
-    same entries summed in the same order.
-    """
-    shift = LADDERS[operator][1]
-    (rows, cols), values, _ = fock.ladder_entries(space, operator, X, n)
-    kept_rows, kept_cols = (_kept(space, operator, k) for k in (n + shift, n))
-    keep = kept_cols[cols]
-    block = np.zeros((kept_rows.sum(), kept_cols.sum()), dtype=complex)
-    np.add.at(block, ((np.cumsum(kept_rows) - 1)[rows[keep]],
-                      (np.cumsum(kept_cols) - 1)[cols[keep]]), values[keep])
-    return block
-
-
-def _sector_extremes(space: FockSpace, operator: str, X, n: int,
-                     certify: bool) -> tuple[float, float, float]:
-    """(lambda_min, top, width) of Q_n* Q_n, Q = `operator` built from X, from the
-    Gram of `_sector_block`.
-
-    q* q and q q* share their nonzero eigenvalues, so the Gram is formed on
-    the smaller side.  A wide block (fewer rows than columns, as Delta and
-    DeltaPlus have on about half of the sectors) gives q* q a rank below its
-    dimension, so lambda_min = 0 exactly.  With `certify`,
-    the Ritz values (theta_min, theta_max) of `_lanczos` are kept, however
-    wide the bracket, if Cholesky succeeds on (theta_max + c_n) I - G: that
-    proves lambda_max <= top + width, width = 2 c_n (`_certificate_shift`).
-    Otherwise a dense eigvalsh gives the exact ends and width 0.
-    """
-    q = _sector_block(space, operator, X, n)
-    wide = q.shape[0] < q.shape[1]
-    gram = q @ q.conj().T if wide else q.conj().T @ q
+    q = fock.ladder_matrix(space, "dGamma", X, sector=n)
+    gram = q.conj().T @ q
     del q  # before the n x n temporaries of the checks below
     gram = _require_self_adjoint(gram, "lhs")
     gram += gram.conj().T  # exactly Hermitian, as (G + G^H) / 2
@@ -276,33 +223,115 @@ def _sector_extremes(space: FockSpace, operator: str, X, n: int,
         low, top = _lanczos(gram)
         shift = _certificate_shift(gram, top)
         if _cholesky_certifies(gram, top, shift):
-            return (0.0 if wide else low), top, 2.0 * shift
+            return low, top, 2.0 * shift
     eigs = np.linalg.eigvalsh(gram)
-    return (0.0 if wide else eigs[0]), eigs[-1], 0.0
+    return eigs[0], eigs[-1], 0.0
+
+
+_PAIR_BUDGET = 2**30  # bytes of the largest stack of pair blocks, Grams and eigenvalues
+
+
+def _pair_stack_bytes(pairs: int) -> int:
+    """Bytes of the largest stack `_pair_extremes` holds on `pairs` pairs: C(pairs, f)
+    blocks of C(f, q - 1) x C(f, q), their Grams of order d = the smaller side, and
+    d eigenvalues each, 8 bytes a number."""
+    return max((8 * math.comb(pairs, f) * (r * c + min(r, c) * (min(r, c) + 1))
+                for f in range(pairs + 1) for q in range(1, f + 1)
+                for r, c in [(math.comb(f, q - 1), math.comb(f, q))]), default=0)
+
+
+def _require_pair_budget(m: int) -> None:
+    """Raise ResourceError, before anything is allocated, if a stack of `_pair_extremes`
+    on m modes would pass _PAIR_BUDGET.  Stacks grow with the pairs, so they are
+    counted up and the check stops at the first count past it, however large m is."""
+    for pairs in range(m // 2 + 1):
+        if (need := _pair_stack_bytes(pairs)) > _PAIR_BUDGET:
+            raise ResourceError(f"pair blocks on {m} modes pass the {_PAIR_BUDGET / 2**30:g} "
+                                f"GiB budget: at {2 * pairs} modes a stack takes "
+                                f"{need / 2**30:.3g} GiB")
+
+
+def _pair_extremes(m: int, operator: str, weights) -> np.ndarray:
+    """(lambda_min, lambda_max, 0) of Q_n* Q_n for every sector n, Q = `operator`
+    (Delta or DeltaPlus) of `pair_form(weights, m)`, from m and the weights alone.
+
+    Q moves each of the K pairs between empty and full with weight 2 w_k and a
+    Jordan-Wigner sign that does not depend on the state; a singly filled pair
+    and an odd m's unpaired mode are spectators.  So Q_n* Q_n is the direct sum,
+    over the set F of pairs not singly filled and the number p of them full,
+    n = (K - |F|) + u + 2p with u the unpaired mode's filling, of the Grams of the
+    hard-core boson lowering (Delta) or raising (DeltaPlus) L on the p-subsets of
+    F, with entries 2 |w_k| (a diagonal phase similarity removes the phases).
+    The lowerings of one shape (|F|, q) are stacked into one eigvalsh on the
+    smaller side; the lowering from q-subsets is Delta's from p = q and,
+    transposed, DeltaPlus's from p = q - 1.  A sector with a wide or empty block
+    has lambda_min = 0 exactly.  The ends are exact to rounding, width 0.
+    """
+    _require_pair_budget(m)
+    pairs, spare = divmod(m, 2)
+    x = 2.0 * np.abs(np.asarray(weights)[:pairs])
+    lowers = operator == "Delta"
+    extremes = np.zeros((m + 1, 3))
+    extremes[:, 0] = math.inf
+    kernel = np.zeros(m + 1, dtype=bool)  # sectors with a wide or empty block
+    for free in range(pairs + 1):
+        n = pairs - free + (0 if lowers else 2 * free)  # where Q moves no pair
+        kernel[n:n + spare + 1] = True  # u = 0 and, at odd m, u = 1
+        stack = x[np.array(list(combinations(range(pairs), free)), dtype=np.intp)]
+        for q in range(1, free + 1):
+            # column j of L removes each pair of the j-th q-subset, onto the row of the rest
+            below = {s: i for i, s in enumerate(combinations(range(free), q - 1))}
+            subsets = list(combinations(range(free), q))
+            rows = [[below[s[:i] + s[i + 1:]] for i in range(q)] for s in subsets]
+            lower = np.zeros((len(stack), len(below), len(subsets)))
+            lower[:, rows, np.arange(len(subsets))[:, None]] = stack[:, subsets]
+            r, c = lower.shape[1:]
+            eigs = np.linalg.eigvalsh(lower @ lower.transpose(0, 2, 1) if r < c
+                                      else lower.transpose(0, 2, 1) @ lower)
+            n = pairs - free + 2 * (q if lowers else q - 1)
+            ends = extremes[n:n + spare + 1]
+            ends[:, 1] = np.maximum(ends[:, 1], eigs[:, -1].max())
+            wide = r < c if lowers else c < r  # Delta maps columns onto rows
+            if wide:
+                kernel[n:n + spare + 1] = True
+            else:
+                ends[:, 0] = np.minimum(ends[:, 0], eigs[:, 0].min())
+    extremes[kernel, 0] = 0.0
+    return extremes
+
+
+def bound_space(m: int, operator: str) -> FockSpace:
+    """The space of a bound check on `operator`: `make_space(m)` for dGamma, whose
+    blocks need the occupation basis; for the pair operators, which read m alone,
+    a space that builds none, held to the pair budget before X is drawn."""
+    if not LADDERS[operator][1]:
+        return make_space(m)
+    _require_pair_budget(m)
+    return FockSpace(m)
 
 
 def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
-    """`_sector_extremes` of every sector n: the left side of every bound on Q*Q.
+    """(lambda_min, top, width) of Q_n* Q_n for every sector n: the left side of
+    every bound on Q*Q.
 
     No exponent r, right-hand side or tolerance enters it; the caller
-    validates X, and passes Delta and DeltaPlus their X in pair form.  An
-    empty block gives zeros with no eigensolve, and a Gram larger than
-    _LANCZOS_STEPS tries the certificate.  Dense sectors come first, in order
-    of n, then the Lanczos sectors from the largest down, so their largest
-    temporaries come while the heap is smallest (a lower peak RSS).
+    validates X, and passes Delta and DeltaPlus their X in pair form, whose
+    weights `_pair_extremes` reads.  dGamma takes `_sector_extremes` of each
+    sector, and a Gram larger than _LANCZOS_STEPS tries the certificate.
+    Dense sectors come first, in order of n, then the Lanczos sectors from the
+    largest down, so their largest temporaries come while the heap is
+    smallest (a lower peak RSS).
     """
-    shift = LADDERS[operator][1]
-    if shift and not np.array_equal(X, pair_form(X.diagonal(1)[::2], space.m)):
-        raise ValueError(f"{operator} sector extremes need X in pair form")
-    sizes = [_kept(space, operator, n).sum() for n in range(space.m + 1)]
-    # each sector's Gram is on the smaller side of Q_n; an empty block has none
-    dims = [min(sizes[n], sizes[n + shift]) if 0 <= n + shift <= space.m else 0
-            for n in range(space.m + 1)]
+    if LADDERS[operator][1]:
+        weights = X.diagonal(1)[::2]
+        if not np.array_equal(X, pair_form(weights, space.m)):
+            raise ValueError(f"{operator} sector extremes need X in pair form")
+        return _pair_extremes(space.m, operator, weights)
+    dims = [math.comb(space.m, n) for n in range(space.m + 1)]
     lanczos = [dim > _LANCZOS_STEPS for dim in dims]
     extremes = np.zeros((space.m + 1, 3))
     for n in sorted(range(space.m + 1), key=lambda n: (lanczos[n], -dims[n] * lanczos[n])):
-        if dims[n]:
-            extremes[n] = _sector_extremes(space, operator, X, n, lanczos[n])
+        extremes[n] = _sector_extremes(space, X, n, lanczos[n])
     return extremes
 
 
@@ -329,7 +358,7 @@ def _sector_verdicts(space: FockSpace, specs, X,
     For Delta and DeltaPlus the same SVD gives the pair weights: a skew A is
     U^T C0 U with C0 = pair_form(pair_weights(mu)), and Gamma(U) Q(A) Gamma(U)*
     = Q(C0), where Gamma(U) keeps every sector.  So the sector extremes are
-    read from C0, whose blocks are small (`_sector_block`).
+    read from the weights of C0 (`_pair_extremes`).
 
     A row's tolerance is `tol`, else `_loewner_tolerance` over both ends of
     every sector.  A certified sector where some row's slack at the upper
@@ -362,7 +391,7 @@ def _sector_verdicts(space: FockSpace, specs, X,
         if not unproved.size:
             break
         for n in unproved:
-            extremes[n] = _sector_extremes(space, operator, X, n, certify=False)
+            extremes[n] = _sector_extremes(space, X, n, certify=False)
     return [_sector_verdict(spec, row, extremes, row_tol)
             for spec, row, row_tol in zip(specs, rhs, tols)]
 

@@ -114,7 +114,7 @@ def run_verify_bounds(cfg: argparse.Namespace) -> list[dict]:
     if len(specs) > 1 and not bounds.reads_r_norm(which):
         raise ValueError(f"{which} reads no r-norm, so every --r gives the same "
                          f"verdict; pass one --r, got {len(specs)}")
-    space = make_space(cfg.m)
+    space = bounds.bound_space(cfg.m, specs[0].operator)
     skew = LADDERS[specs[0].operator][1] != 0
     explicit = cfg.diag is not None or cfg.matrix_file is not None
     checks = []

@@ -39,13 +39,30 @@ class GradingError(AssertionError):
 
 @dataclass(frozen=True, eq=False)
 class FockSpace:
-    """Fock space over C^m with the canonical (particle number, bitmask) basis."""
+    """Fock space over C^m with the canonical (particle number, bitmask) basis.
+
+    Only m is held; the basis arrays are built on first use, once per m and
+    process, and only for m <= MAX_MODES (`_basis`).  The pair-operator bounds
+    read m alone, so their spaces go past that guard (`bounds.bound_space`).
+    """
 
     m: int
-    dim: int
-    masks: np.ndarray        # basis index -> occupation bitmask
-    index_of: np.ndarray     # occupation bitmask -> basis index
-    occupations: np.ndarray  # basis index -> particle number
+
+    @property
+    def dim(self) -> int:
+        return 2**self.m
+
+    @property
+    def masks(self) -> np.ndarray:  # basis index -> occupation bitmask
+        return _basis(self.m)[0]
+
+    @property
+    def index_of(self) -> np.ndarray:  # occupation bitmask -> basis index
+        return _basis(self.m)[1]
+
+    @property
+    def occupations(self) -> np.ndarray:  # basis index -> particle number
+        return _basis(self.m)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +95,11 @@ class FockVector:
 
 
 @lru_cache(maxsize=None)
-def _space(m: int) -> FockSpace:
+def _basis(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(masks, index_of, occupations) of the canonical basis on m modes, read-only."""
+    if m > MAX_MODES:
+        raise ResourceError(f"the occupation basis on {m} modes has 2^{m} states; "
+                            f"it is built for at most {MAX_MODES} modes")
     all_masks = np.arange(2**m, dtype=np.int64)
     order = np.lexsort((all_masks, np.bitwise_count(all_masks)))
     masks = all_masks[order]
@@ -87,15 +108,14 @@ def _space(m: int) -> FockSpace:
     occupations = np.bitwise_count(masks).astype(np.int64)
     for a in (masks, index_of, occupations):
         a.setflags(write=False)
-    return FockSpace(m=m, dim=2**m, masks=masks, index_of=index_of,
-                     occupations=occupations)
+    return masks, index_of, occupations
 
 
 def make_space(m: int) -> FockSpace:
-    """Fock space over m modes; guarded to m <= 14."""
+    """Fock space over m modes; guarded to m <= MAX_MODES, as its basis is."""
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_MODES:
         raise ResourceError(f"number of modes must be an integer in [1, {MAX_MODES}], got {m!r}")
-    return _space(int(m))
+    return FockSpace(int(m))
 
 
 def _check_mode(space: FockSpace, j: int) -> None:
@@ -122,7 +142,7 @@ def _ladder_pattern(m: int, name: str, sector: int):
     (int32 rows and cols, int16 term, int8 sign), as every caller in the
     process shares them.
     """
-    space = _space(m)
+    space = FockSpace(m)
     kinds, shift = LADDERS[name]
     terms = np.unravel_index(np.arange(m ** len(kinds)), (m,) * len(kinds))
     # sectors are contiguous in the canonical order; out of range ones are empty
@@ -190,8 +210,8 @@ def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
     side, so a product of two blocks next to an edge sector is an exact zero
     block of the right shape instead of a wrapped-around index.  Every block
     is held at once; the checks that need one sector at a time build it
-    themselves: the bound checks from `ladder_entries` (`bounds._sector_block`),
-    the Gaussian pair powers with `ladder_matrix(..., sector=n)`.
+    themselves with `ladder_matrix(..., sector=n)`: the dGamma bounds
+    (`bounds._sector_extremes`) and the Gaussian pair powers.
     """
     shift = abs(LADDERS[name][1])
     return {n: ladder_matrix(space, name, coeffs, sector=n)

@@ -22,8 +22,12 @@ its sector blocks directly.
 sector_extremes is the whole-sector path that bounds._gram_extremes took for
 Delta and DeltaPlus before it solved the small blocks of their pair form:
 the full block Q_n of any skew A and a dense eigvalsh of its Gram.
-pair_form_of and gram_dims give, for a test, the argument and the Gram
-dimensions of the path that replaced it.
+kept_extremes is the path that came next, before the pair Grams were read
+from the weights alone: from the bitmask walk of Q(C0), the block that keeps
+one copy of each distinct pair block (kept_block) and a dense eigvalsh of its
+Gram.  pair_form_of gives, for a test, the argument bounds._gram_extremes
+takes, and gram_dims the Gram dimensions of dGamma's sectors and of the
+kept blocks.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import numpy as np
 from fockbound import quadratics
 from fockbound.cli import _check
 from fockbound.fock import (CAR_TOL, LADDERS, CarReport, FockOperator, FockSpace,
-                            FockVector, _check_mode, _check_vector, _space,
+                            FockVector, _check_mode, _check_vector, ladder_entries,
                             ladder_matrix, make_space, slater_state, vacuum)
 from fockbound.quadratics import (CommutatorReport, _as_one_body, pair_form, pair_weights,
                                   require_skew)
@@ -47,7 +51,7 @@ from fockbound.tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
 
 @lru_cache(maxsize=None)
 def _creation_matrix(m: int, j: int) -> np.ndarray:
-    space = _space(m)
+    space = make_space(m)
     bit = np.int64(1 << (j - 1))
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     cols = np.nonzero((space.masks & bit) == 0)[0]
@@ -261,6 +265,63 @@ def sector_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
     return extremes
 
 
+# bits 0, 2, 4, ...: the first mode of every canonical pair (2k, 2k + 1)
+_FIRST_OF_PAIR = np.int64(0x5555555555555555)
+
+
+def kept(space: FockSpace, operator: str, n: int) -> np.ndarray:
+    """Which states of sector n the kept blocks of `operator` keep, in basis order.
+
+    dGamma keeps every state.  Delta and DeltaPlus keep the states where no
+    pair (2k, 2k + 1) holds only its second mode; see kept_block.
+    """
+    lo, hi = np.searchsorted(space.occupations, [n, n + 1])
+    masks = space.masks[lo:hi]
+    if LADDERS[operator][1] == 0:
+        return np.ones(masks.size, dtype=bool)
+    return ((masks >> 1) & ~masks & _FIRST_OF_PAIR) == 0
+
+
+def kept_block(space: FockSpace, operator: str, X, n: int) -> np.ndarray:
+    """The block of sector n, from the bitmask walk of Q(X), whose Gram has the
+    extremes of Q_n* Q_n.
+
+    Delta and DeltaPlus take X in pair form, so Q(X) = sum_k 2 w_k times the
+    removal (Delta) or creation (DeltaPlus) of both modes of pair k.  It
+    leaves each singly occupied pair as it is, so Q_n splits into blocks, one
+    for each set of singly occupied pairs and choice of the mode filled in
+    each; blocks that differ only in the modes filled are equal entry for
+    entry.  The block returned keeps the `kept` rows and columns, one copy of
+    each distinct block: its Gram is block diagonal with the eigenvalues of
+    Q_n* Q_n without their multiplicities, at dimension at most 51 at m = 10
+    and 393 at m = 14.  dGamma keeps every state, so its block is
+    ladder_matrix's.
+    """
+    shift = LADDERS[operator][1]
+    (rows, cols), values, _ = ladder_entries(space, operator, X, n)
+    kept_rows, kept_cols = (kept(space, operator, k) for k in (n + shift, n))
+    keep = kept_cols[cols]
+    block = np.zeros((kept_rows.sum(), kept_cols.sum()), dtype=complex)
+    np.add.at(block, ((np.cumsum(kept_rows) - 1)[rows[keep]],
+                      (np.cumsum(kept_cols) - 1)[cols[keep]]), values[keep])
+    return block
+
+
+def kept_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
+    """(lambda_min, lambda_max, 0) of Q_n* Q_n for every sector n from the Gram of
+    kept_block on its smaller side, by a dense eigvalsh.  A wide block has
+    lambda_min = 0 exactly; an empty one gives zeros."""
+    extremes = np.zeros((space.m + 1, 3))
+    for n in range(space.m + 1):
+        q = kept_block(space, operator, X, n)
+        if q.size:
+            wide = q.shape[0] < q.shape[1]
+            gram = q @ q.conj().T if wide else q.conj().T @ q
+            eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
+            extremes[n, :2] = (0.0 if wide else eigs[0]), eigs[-1]
+    return extremes
+
+
 def pair_form_of(operator: str, X) -> np.ndarray:
     """The argument bounds._gram_extremes takes for X: X for dGamma, and for Delta
     and DeltaPlus the pair form of X's singular values, as verify_bounds forms it."""
@@ -270,8 +331,9 @@ def pair_form_of(operator: str, X) -> np.ndarray:
 
 
 def gram_dims(m: int, operator: str) -> list[int]:
-    """The dimension of the Gram each sector's eigensolve runs on, the smaller side
-    of its block.  dGamma's block is C(m, n + shift) x C(m, n).  A pair operator's
+    """The dimension of the Gram on the smaller side of each sector's block: the
+    one dGamma's eigensolve runs on, and for a pair operator kept_block's.
+    dGamma's block is C(m, n + shift) x C(m, n).  A pair operator's kept block
     keeps the states where no pair (2k, 2k + 1) holds only its second mode: each
     pair holds 0, 1 or 2 particles, and an odd m's last mode 0 or 1, so sector n
     keeps the coefficient of x^n in (1 + x + x^2)^(m // 2) (1 + x)^(m % 2)."""

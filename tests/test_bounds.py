@@ -296,10 +296,11 @@ def test_bound_sweep_empty_family():
 
 @pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])
 def test_each_sector_solves_the_smaller_gram(operator, monkeypatch):
-    # dGamma's Q_n* Q_n is C(m, n) square and Q_n Q_n* is C(m, n + shift)
-    # square; a pair operator's block keeps one copy of each distinct block of
-    # its pair form, 3 of the 6 states of sector 1 at m = 6.  The eigensolve
-    # takes the smaller side, and an empty block takes none
+    # dGamma's Q_n* Q_n is C(m, n) square, one eigensolve per sector.  A pair
+    # operator's Q_n* Q_n is a direct sum of the Grams of pair lowerings L from
+    # the q-subsets of |F| free pairs, C(|F|, q - 1) x C(|F|, q); the C(K, |F|)
+    # of one shape are stacked, and each Gram is on the smaller side of L.  An
+    # empty block takes no eigensolve
     m = 6
     shapes, solve = [], np.linalg.eigvalsh
 
@@ -312,7 +313,12 @@ def test_each_sector_solves_the_smaller_gram(operator, monkeypatch):
     rng = trial_rng(26, 0)
     X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
     assert all(v.passed for v in fb.verify_bounds(fb.make_space(m), specs, X))
-    assert shapes == [(d, d) for d in jw.gram_dims(m, operator) if d]
+    if operator == "dGamma":
+        assert shapes == [(d, d) for d in jw.gram_dims(m, operator) if d]
+    else:
+        sides = [(math.comb(m // 2, free), min(math.comb(free, q - 1), math.comb(free, q)))
+                 for free in range(1, m // 2 + 1) for q in range(1, free + 1)]
+        assert shapes == [(stack, d, d) for stack, d in sides]
 
 
 @pytest.mark.parametrize("which,entry", [("dGamma", 1e160), ("dGamma", 1e200),

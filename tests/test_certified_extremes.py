@@ -66,16 +66,28 @@ def assert_tops(extremes, expected):
 
 
 @pytest.mark.parametrize("m", range(1, 9))
-def test_dgamma_sector_block_is_the_ladder_matrix_bit_for_bit(m):
-    # dGamma keeps every state, so the kept-block build is the whole sector block,
-    # its entries summed in the order fock.ladder_matrix sums them
-    space = fb.make_space(m)
+def test_dgamma_sector_block_is_the_ladder_matrix_bit_for_bit(m, monkeypatch):
+    # each dGamma sector solves the Gram of the whole sector block that
+    # fock.ladder_matrix builds, read once through the module: its extremes are
+    # those of that block's Gram bit for bit
+    space, ladder_matrix, built = fb.make_space(m), fock.ladder_matrix, []
+
+    def recording(*args, **kwargs):
+        built.append((args, kwargs))
+        return ladder_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(fock, "ladder_matrix", recording)
     for seed in (0, 1, 2):
         B = complex_matrix(trial_rng(97, seed, m), m)
         for n in range(m + 1):
-            block = bounds._sector_block(space, "dGamma", B, n)
-            whole = fock.ladder_matrix(space, "dGamma", B, sector=n)
-            assert block.shape == whole.shape and block.tobytes() == whole.tobytes()
+            built.clear()
+            extremes = bounds._sector_extremes(space, B, n, certify=False)
+            assert built == [((space, "dGamma", B), {"sector": n})]
+            whole = ladder_matrix(space, "dGamma", B, sector=n)
+            gram = whole.conj().T @ whole
+            gram = (gram + gram.conj().T) * 0.5
+            eigs = np.linalg.eigvalsh(gram)
+            assert np.array(extremes).tobytes() == np.array([eigs[0], eigs[-1], 0.0]).tobytes()
 
 
 @pytest.mark.parametrize("m", [10, 11, 12])
@@ -126,12 +138,14 @@ def flat_pair_tops(m, weight, operator):
 
 
 @pytest.mark.parametrize("operator", ["Delta", "DeltaPlus"])
-@pytest.mark.parametrize("m", [10, 11, 12, 13, 14])
-def test_flat_pairs_top_is_the_johnson_graph_formula(m, operator, large_eigensolves):
+@pytest.mark.parametrize("m", [10, 11, 12, 13, 14, 16, 18, 20])
+def test_flat_pairs_top_is_the_johnson_graph_formula(m, operator):
+    # past m = 14 too, where the space of a pair bound builds no basis; every
+    # sector's ends are exact, with width 0
     weight = 0.8 - 0.6j
-    extremes = _gram_extremes(fb.make_space(m), operator, flat_pairs(m, weight))
+    extremes = _gram_extremes(bounds.bound_space(m, operator), operator, flat_pairs(m, weight))
     assert_tops(extremes, flat_pair_tops(m, weight, operator))
-    assert large_eigensolves == []
+    assert not extremes[:, 2].any()
 
 
 def test_flat_pairs_formula_at_small_m_against_dense():
@@ -187,15 +201,16 @@ def test_failed_certificate_falls_back_to_eigvalsh(monkeypatch, dense):
     assert np.array_equal(extremes, dense(space, operator, X))
 
 
-@pytest.mark.parametrize("operator", ["dGamma", "Delta"])
-def test_bracket_that_straddles_a_row_is_solved_again(operator, monkeypatch):
+# the case named Delta ran on Delta's kept blocks at m = 14; pair rows now take
+# exact ends with no bracket, so it keeps its name and runs dGamma at m = 11
+@pytest.mark.parametrize("m", [pytest.param(10, id="dGamma"), pytest.param(11, id="Delta")])
+def test_bracket_that_straddles_a_row_is_solved_again(m, monkeypatch):
     # a width of 20 theta on the Grams above dimension 200 puts their upper
     # ends above rows that pass at theta, so exactly those certified sectors
     # are solved again by eigvalsh; they hold every row's least slack, so the
-    # verdicts are those of the all-dense path bit for bit.  Delta's pair-form
-    # Grams pass dimension 200 from m = 13 on; at m = 14 the four middle ones
-    # (266 to 393) hold every row's least slack, as at m = 13 they do not
-    m = {"dGamma": 10, "Delta": 14}[operator]
+    # verdicts are those of the all-dense path bit for bit.  Those are the
+    # middle one (252) at m = 10 and the four middle ones (330 to 462) at m = 11
+    operator = "dGamma"
     space, specs = fb.make_space(m), SPECS[operator]
     X = draw(operator, trial_rng(74, m), m)
     with monkeypatch.context() as patch:
@@ -214,18 +229,18 @@ def test_bracket_that_straddles_a_row_is_solved_again(operator, monkeypatch):
     assert all(verdict.passed for verdict in reference)
 
     sectors, solved = [], []
-    build, solve = bounds._sector_block, np.linalg.eigvalsh
+    build, solve = fock.ladder_matrix, np.linalg.eigvalsh
 
-    def building(space, operator, X, n):
-        sectors.append(n)
-        return build(space, operator, X, n)
+    def building(space, operator, X, sector):
+        sectors.append(sector)
+        return build(space, operator, X, sector=sector)
 
     def recording(a, *args, **kwargs):
         if a.shape[0] > _LANCZOS_STEPS:
             solved.append(sectors[-1])
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(bounds, "_sector_block", building)
+    monkeypatch.setattr(fock, "ladder_matrix", building)
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     verdicts = fb.verify_bounds(space, specs, X)
     assert sorted(solved) == straddled
@@ -246,10 +261,10 @@ def test_slack_and_ratio_read_the_upper_end_of_a_bracket():
 
 def test_certificate_proves_the_dense_top(dense):
     # lambda_max from eigvalsh lies in the bracket [theta, theta + 2 c_n]; only
-    # the upper end is proved.  The pair operators' Grams pass the Lanczos
-    # cap from m = 11 on
-    for operator in SPECS:
-        m = 10 if operator == "dGamma" else 12
+    # the upper end is proved.  dGamma's Grams pass the Lanczos cap from m = 9
+    # on; the pair operators take exact ends, so their cases run dGamma at m = 11
+    operator = "dGamma"
+    for m in (10, 11):
         space = fb.make_space(m)
         X = jw.pair_form_of(operator, draw(operator, trial_rng(75, m), m))
         certified = _gram_extremes(space, operator, X)

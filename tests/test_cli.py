@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from fockbound import cli, fock, gaussian
+from fockbound import bounds, cli, fock, gaussian
 
 
 def run(argv, capsys):
@@ -444,19 +444,25 @@ def test_verify_algebra_exits_1_on_a_misplaced_entry(misplace_row, capsys):
         assert not rows["algebra/m=3/grading"]["pass"]
 
 
+# Delta's bound rows read only its pair weights and walk no entries, so its
+# case runs verify-algebra, whose Delta(A) builds read the walk
 @pytest.mark.parametrize("argv, kind", [
     (["verify-bounds", "--which", "dGamma", "--r", "2", "--m", "3", "--trials", "1"], "dGamma"),
-    (["verify-bounds", "--which", "Delta", "--r", "2", "--m", "4", "--trials", "1"], "Delta"),
+    (["verify-algebra", "--m", "4", "--trials", "1"], "Delta"),
     (["gaussian-check", "--m", "4", "--trials", "1"], "DeltaPlus")])
 def test_a_row_outside_its_sector_is_a_verification_failure(argv, kind, misplace_row,
                                                             capsys):
-    # Delta's build is on the pair form of its argument, behind the same guard
     moved = misplace_row(past_end=False, kind=kind)
     assert cli.main(argv) == cli.EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
-    assert moved == [kind] and captured.out == ""
-    assert captured.err.startswith("verification failure: ")
-    assert "sector shift" in captured.err and "Traceback" not in captured.err
+    assert moved == [kind] and "Traceback" not in captured.err
+    if argv[0] == "verify-algebra":  # the trial counts in the report's grading row
+        rows = {row["check_id"]: row for row in json.loads(captured.out)["checks"]}
+        assert rows["algebra/m=4/grading"]["metric"] == 1
+        assert not rows["algebra/m=4/grading"]["pass"]
+    else:
+        assert captured.out == "" and captured.err.startswith("verification failure: ")
+        assert "sector shift" in captured.err
 
 
 def test_verify_algebra_builds_each_operator_once_per_trial(monkeypatch, capsys):
@@ -546,10 +552,63 @@ def test_nonpositive_modes_are_a_validation_error(argv, m, capsys):
     assert captured.out == "" and "--m must be >= 1" in captured.err
 
 
+# the first m past each guard: the occupation basis stops at 14 modes, and a
+# pair row, which builds none, at 28, where one stack of its Grams passes the
+# budget (1.16 GiB against 1 GiB)
 @pytest.mark.parametrize("argv", MODE_ARGVS)
 def test_too_many_modes_stays_a_resource_error(argv, capsys):
-    assert cli.main([*argv, "--m", "15", "--trials", "1"]) == cli.EXIT_RESOURCE_ERROR
+    m = "28" if "Delta" in argv else "15"
+    assert cli.main([*argv, "--m", m, "--trials", "1"]) == cli.EXIT_RESOURCE_ERROR
     assert capsys.readouterr().err.startswith("resource error: ")
+
+
+def test_dgamma_bound_past_14_modes_is_a_resource_error(capsys):
+    argv = ["verify-bounds", "--which", "dGamma", "--r", "2", "--m", "15", "--trials", "1"]
+    assert cli.main(argv) == cli.EXIT_RESOURCE_ERROR
+    assert capsys.readouterr().err.startswith("resource error: ")
+
+
+def test_pair_budget_ends_between_27_and_28_modes():
+    # 27 modes hold 13 pairs, whose largest stack takes 0.25 GiB; 28 hold 14,
+    # 1.16 GiB.  Read from the estimate, as a check at 27 takes tens of seconds
+    assert bounds._pair_stack_bytes(13) <= bounds._PAIR_BUDGET < bounds._pair_stack_bytes(14)
+    assert bounds.bound_space(27, "DeltaPlus").m == 27
+    with pytest.raises(fock.ResourceError, match="budget"):
+        bounds.bound_space(28, "DeltaPlus")
+
+
+def test_pair_rows_walk_no_bitmasks(capsys):
+    # the five pair rows of BOUNDS at m = 10 read only m and the pair weights:
+    # no entry pattern is walked and no occupation basis is built
+    fock._ladder_pattern.cache_clear()
+    fock._basis.cache_clear()
+    for which in ("Delta", "DeltaPlus", "literature_Delta", "literature_DeltaPlus",
+                  "improved_r2"):
+        code, _ = run(["verify-bounds", "--which", which, "--r", "2", "--m", "10",
+                       "--trials", "2"], capsys)
+        assert code == cli.EXIT_OK
+    assert fock._ladder_pattern.cache_info().currsize == 0
+    assert fock._basis.cache_info().currsize == 0
+
+
+def test_pair_row_past_its_budget_exits_3_before_drawing(monkeypatch, capsys):
+    # with the budget just below the estimate at m = 10, the check stops on the
+    # estimate alone, before an argument is drawn or a block formed; at the
+    # estimate itself it goes on to draw
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("drawn or solved")
+
+    monkeypatch.setattr(cli, "skew_matrix", must_not_run)
+    monkeypatch.setattr(np.linalg, "eigvalsh", must_not_run)
+    monkeypatch.setattr(bounds, "_PAIR_BUDGET", bounds._pair_stack_bytes(5) - 1)
+    for which, m in (("Delta", "10"), ("improved_r2", "11")):
+        code = cli.main(["verify-bounds", "--which", which, "--r", "2", "--m", m])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_RESOURCE_ERROR and captured.out == ""
+        assert captured.err.startswith("resource error: ") and "budget" in captured.err
+    monkeypatch.setattr(bounds, "_PAIR_BUDGET", bounds._pair_stack_bytes(5))
+    with pytest.raises(AssertionError, match="drawn or solved"):
+        cli.main(["verify-bounds", "--which", "Delta", "--r", "2", "--m", "10"])
 
 
 # verify-bounds with --diag draws nothing, and its seed is still checked

@@ -1,7 +1,7 @@
-"""Delta and DeltaPlus bounds decided from the pair form C0 of their argument:
-against the whole-sector path of jw_oracle.py, and by relations that need no
-oracle (covariance, adjoint duality, the pairing rule's error), at every m up
-to the guard; and the memory that an m = 14 check takes."""
+"""Delta and DeltaPlus bounds decided from the pair weights of their argument:
+against the whole-sector and kept-block paths of jw_oracle.py up to m = 14,
+and by relations that need no oracle (covariance, adjoint duality, the
+pairing rule's error) up to m = 20; and the memory that an m = 14 check takes."""
 
 import math
 import tracemalloc
@@ -58,12 +58,12 @@ def test_pair_form_verdicts_equal_the_whole_sector_path(m, operator, seed, monke
 
 
 @settings(max_examples=12, deadline=None, database=None, derandomize=True)
-@given(m=st.integers(9, 14), operator=st.sampled_from(sorted(PAIR_SPECS)), seed=SEEDS)
+@given(m=st.integers(9, 20), operator=st.sampled_from(sorted(PAIR_SPECS)), seed=SEEDS)
 def test_verdicts_are_covariant(m, operator, seed):
     # Gamma(U) carries Q(U^T A U) into Q(A) and keeps every sector, so the
     # verdicts agree to rounding: 1e-4 of a tolerance is 1e-12 of the largest
     # |rhs(n) - lambda| over the sectors
-    space, specs = fb.make_space(m), PAIR_SPECS[operator]
+    space, specs = bounds.bound_space(m, operator), PAIR_SPECS[operator]
     rng = trial_rng(92, m, seed)
     A, U = skew_matrix(rng, m), unitary_matrix(rng, m)
     before = fb.verify_bounds(space, specs, A)
@@ -74,12 +74,12 @@ def test_verdicts_are_covariant(m, operator, seed):
         assert new.tolerance == pytest.approx(old.tolerance, rel=1e-9)
 
 
-@settings(max_examples=14, deadline=None, database=None, derandomize=True)
-@given(m=st.integers(1, 14), seed=SEEDS)
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(m=st.integers(1, 20), seed=SEEDS)
 def test_delta_and_delta_plus_of_the_adjoint_share_their_tops(m, seed):
     # Delta(A)* = DeltaPlus(A^H), so Delta(A) on sector n and DeltaPlus(A^H) on
     # sector n - 2 are adjoint blocks with one nonzero spectrum of the Gram
-    space = fb.make_space(m)
+    space = bounds.bound_space(m, "Delta")
     A = skew_matrix(trial_rng(93, m, seed), m)
     delta = bounds._gram_extremes(space, "Delta", jw.pair_form_of("Delta", A))
     plus = bounds._gram_extremes(space, "DeltaPlus", jw.pair_form_of("DeltaPlus", A.conj().T))
@@ -105,20 +105,64 @@ def test_pairing_rule_moves_the_weights_by_at_most_half_the_asymmetry(m, seed):
 
 
 def test_pair_operator_blocks_are_built_only_from_the_pair_form(monkeypatch):
-    # every build of a Delta or DeltaPlus check reads the coefficients of C0
-    entries, seen = fock.ladder_entries, []
+    # a Delta or DeltaPlus check reads only m and the weights of C0, the pair
+    # form of its argument's singular values: it walks no entries and builds no
+    # occupation basis
+    def must_not_walk(*args, **kwargs):
+        raise AssertionError("a pair bound walked the ladder entries")
 
-    def recording(space, name, coeffs, sector=None):
-        seen.append(np.asarray(coeffs))
-        return entries(space, name, coeffs, sector)
+    pair_extremes, seen = bounds._pair_extremes, []
 
-    monkeypatch.setattr(fock, "ladder_entries", recording)
+    def recording(m, operator, weights):
+        seen.append((m, operator, np.array(weights)))
+        return pair_extremes(m, operator, weights)
+
+    monkeypatch.setattr(fock, "ladder_entries", must_not_walk)
+    monkeypatch.setattr(bounds, "_pair_extremes", recording)
     m = 7
+    fock._basis.cache_clear()
     for operator, specs in PAIR_SPECS.items():
         A = skew_matrix(trial_rng(95, m), m)
         assert all(v.passed for v in fb.verify_bounds(fb.make_space(m), specs, A))
-    assert len(seen) > 0
-    assert all(np.array_equal(c, pair_form(c.diagonal(1)[::2], m)) for c in seen)
+        weights = pair_weights(np.linalg.svd(A, compute_uv=False))
+        assert [(c, o) for c, o, _ in seen] == [(m, operator)]
+        np.testing.assert_array_equal(seen.pop()[2], weights[: m // 2])
+    assert fock._basis.cache_info().currsize == 0
+
+
+WEIGHT_KINDS = ("random", "flat", "tied", "zero")
+
+
+def draw_weights(kind, rng, pairs):
+    """Complex pair weights: random; all equal; drawn from two values; or random
+    with about half of them 0."""
+    if kind == "flat":
+        return np.full(pairs, 0.8 - 0.6j)
+    if kind == "tied":
+        return np.where(rng.random(pairs) < 0.5, 1.3, 0.4j)
+    w = rng.standard_normal(pairs) + 1j * rng.standard_normal(pairs)
+    return w * (rng.random(pairs) < 0.5) if kind == "zero" else w
+
+
+@pytest.mark.parametrize("kind", WEIGHT_KINDS)
+@pytest.mark.parametrize("m", range(1, 15))
+@settings(max_examples=3, deadline=None, database=None, derandomize=True)
+@given(operator=st.sampled_from(sorted(PAIR_SPECS)), seed=SEEDS)
+def test_pair_grams_equal_the_kept_block_oracle(m, kind, operator, seed):
+    # the direct sum of boson Grams against the kept block of Q(C0) walked from
+    # the bitmasks: the same ends to rounding, lambda_min = 0 exactly wherever
+    # the kept block is wide, and width 0 throughout
+    space = fb.make_space(m)
+    C0 = pair_form(draw_weights(kind, trial_rng(98, m, seed), m // 2), m)
+    extremes = bounds._gram_extremes(space, operator, C0)
+    oracle = jw.kept_extremes(space, operator, C0)
+    atol = 1e-12 * (1.0 + oracle[:, 1].max())
+    np.testing.assert_allclose(extremes[:, :2], oracle[:, :2], rtol=1e-12, atol=atol)
+    kept = [jw.kept(space, operator, n).sum() for n in range(m + 1)]
+    shift = fock.LADDERS[operator][1]
+    wide = [0 <= n + shift <= m and kept[n + shift] < kept[n] for n in range(m + 1)]
+    assert not extremes[wide, 0].any()
+    assert not extremes[:, 2].any()
 
 
 @pytest.mark.parametrize("operator", sorted(PAIR_SPECS))
@@ -128,7 +172,7 @@ def test_kept_block_is_wide_exactly_where_the_sector_block_is(operator):
     shift = fock.LADDERS[operator][1]
     for m in range(1, fock.MAX_MODES + 1):
         space = fb.make_space(m)
-        kept = [int(bounds._kept(space, operator, n).sum()) for n in range(m + 1)]
+        kept = [int(jw.kept(space, operator, n).sum()) for n in range(m + 1)]
         sides = [(n, n + shift) for n in range(m + 1) if 0 <= n + shift <= m]
         assert [min(kept[a], kept[b]) for a, b in sides] == \
             [d for n, d in enumerate(jw.gram_dims(m, operator)) if 0 <= n + shift <= m]
@@ -145,8 +189,8 @@ def test_gram_extremes_reject_a_pair_argument_not_in_pair_form():
 @pytest.mark.parametrize("operator", sorted(PAIR_SPECS))
 def test_m14_pair_bound_peaks_below_64_mib(operator):
     # the whole middle sector block alone took 165 MB; a pair-form check
-    # holds the bitmask walk of one sector and Grams of at most 393 rows.
-    # The walk is cleared first, so the peak counts it.  About 0.4 s each
+    # holds stacks of pair Grams of at most 35 rows and walks no bitmasks.
+    # The walk is cleared first, so a peak would count one
     fock._ladder_pattern.cache_clear()
     space = fb.make_space(14)
     A = skew_matrix(trial_rng(97, 14), 14)

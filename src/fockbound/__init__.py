@@ -15,8 +15,8 @@ from .gaussian import (GaussianReport, OrderEstimate, exp_order_estimate,
                        omega_series, omega_zeros, pair_coefficients)
 from .quadratics import (check_commutator, check_grading, d_gamma, delta,
                          delta_plus, is_skew, require_skew, skew_part)
-from .spectral import (BoundVerdict, CauchySchwarzResult, SingularDecomposition,
-                       cauchy_schwarz_check, hoelder_check, jensen_check,
-                       loewner_leq, psd_power, schatten_norm, svd)
+from .spectral import (BoundVerdict, CauchySchwarzResult, cauchy_schwarz_check,
+                       hoelder_check, jensen_check, loewner_leq, psd_power,
+                       schatten_norm)
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fock
 from .fock import LADDERS, FockOperator, FockSpace, ResourceError, make_space
-from .quadratics import one_body, pair_form, pair_weights, require_representable
+from .quadratics import one_body, pair_weights, require_representable
 from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _loewner_tolerance, _require_self_adjoint, _schatten
 from .tolerances import IDENTITY_TOL, UNIT_ROUNDOFF
@@ -253,7 +253,9 @@ def _require_pair_budget(m: int) -> None:
 
 def _pair_extremes(m: int, operator: str, weights) -> np.ndarray:
     """(lambda_min, lambda_max, 0) of Q_n* Q_n for every sector n, Q = `operator`
-    (Delta or DeltaPlus) of `pair_form(weights, m)`, from m and the weights alone.
+    (Delta or DeltaPlus) of the Youla form C0 on m modes with pair weights
+    `weights` (C0[2k, 2k + 1] = w_k = -C0[2k + 1, 2k]), from m and the weights
+    alone; only the first K = m // 2 weights are read.
 
     Q moves each of the K pairs between empty and full with weight 2 w_k and a
     Jordan-Wigner sign that does not depend on the state; a singly filled pair
@@ -310,32 +312,29 @@ def bound_space(m: int, operator: str) -> FockSpace:
     return FockSpace(m)
 
 
-def _gram_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
+def _gram_extremes(space: FockSpace, operator: str, arg) -> np.ndarray:
     """(lambda_min, top, width) of Q_n* Q_n for every sector n: the left side of
     every bound on Q*Q.
 
     No exponent r, right-hand side or tolerance enters it; the caller
-    validates X, and passes Delta and DeltaPlus their X in pair form, whose
-    weights `_pair_extremes` reads.  dGamma takes `_sector_extremes` of each
-    sector, and a Gram larger than _LANCZOS_STEPS tries the certificate.
-    Dense sectors come first, in order of n, then the Lanczos sectors from the
-    largest down, so their largest temporaries come while the heap is
-    smallest (a lower peak RSS).
+    validates the argument: the pair weights for Delta and DeltaPlus, which
+    `_pair_extremes` reads, and X itself for dGamma.  dGamma takes
+    `_sector_extremes` of each sector, and a Gram larger than _LANCZOS_STEPS
+    tries the certificate.  Dense sectors come first, in order of n, then the
+    Lanczos sectors from the largest down, so their largest temporaries come
+    while the heap is smallest (a lower peak RSS).
     """
     if LADDERS[operator][1]:
-        weights = X.diagonal(1)[::2]
-        if not np.array_equal(X, pair_form(weights, space.m)):
-            raise ValueError(f"{operator} sector extremes need X in pair form")
-        return _pair_extremes(space.m, operator, weights)
+        return _pair_extremes(space.m, operator, arg)
     dims = [math.comb(space.m, n) for n in range(space.m + 1)]
     lanczos = [dim > _LANCZOS_STEPS for dim in dims]
     extremes = np.zeros((space.m + 1, 3))
     for n in sorted(range(space.m + 1), key=lambda n: (lanczos[n], -dims[n] * lanczos[n])):
-        extremes[n] = _sector_extremes(space, X, n, lanczos[n])
+        extremes[n] = _sector_extremes(space, arg, n, lanczos[n])
     return extremes
 
 
-def _sector_verdict(spec: BoundSpec, rhs: np.ndarray, extremes: np.ndarray,
+def _sector_verdict(rhs: np.ndarray, extremes: np.ndarray,
                     tol: float) -> tuple[BoundVerdict, float]:
     """The verdict on Q*Q <= rhs(N), and the saturation ratio max_n upper(n) / rhs(n).
 
@@ -355,10 +354,10 @@ def _sector_verdicts(space: FockSpace, specs, X,
     """`_sector_verdict` for every spec on one Q.  X is validated before any norm
     is formed; the bounds read X only through its singular values, so one SVD
     gives every rhs(n), and one `_gram_extremes` pass serves every spec.
-    For Delta and DeltaPlus the same SVD gives the pair weights: a skew A is
-    U^T C0 U with C0 = pair_form(pair_weights(mu)), and Gamma(U) Q(A) Gamma(U)*
-    = Q(C0), where Gamma(U) keeps every sector.  So the sector extremes are
-    read from the weights of C0 (`_pair_extremes`).
+    For Delta and DeltaPlus the same SVD gives the pair weights w =
+    pair_weights(mu): a skew A is U^T C0 U with C0 the Youla form of w, and
+    Gamma(U) Q(A) Gamma(U)* = Q(C0), where Gamma(U) keeps every sector.  So
+    the sector extremes are read from w alone (`_pair_extremes`).
 
     A row's tolerance is `tol`, else `_loewner_tolerance` over both ends of
     every sector.  A certified sector where some row's slack at the upper
@@ -380,9 +379,8 @@ def _sector_verdicts(space: FockSpace, specs, X,
     norms = {"2": _schatten(mu, 2), "inf": _schatten(mu, math.inf)}
     rhs = np.array([_profile(spec, {**norms, "r": _schatten(mu, spec.r)},
                              np.arange(space.m + 1)) for spec in specs])
-    if LADDERS[operator][1]:
-        X = pair_form(pair_weights(mu), space.m)
-    extremes = _gram_extremes(space, operator, X)
+    extremes = _gram_extremes(space, operator,
+                              pair_weights(mu) if LADDERS[operator][1] else X)
     while True:
         tols = [tol if tol is not None else _loewner_tolerance(row[:, None] - extremes[:, :2])
                 for row in rhs]
@@ -392,8 +390,7 @@ def _sector_verdicts(space: FockSpace, specs, X,
             break
         for n in unproved:
             extremes[n] = _sector_extremes(space, X, n, certify=False)
-    return [_sector_verdict(spec, row, extremes, row_tol)
-            for spec, row, row_tol in zip(specs, rhs, tols)]
+    return [_sector_verdict(row, extremes, row_tol) for row, row_tol in zip(rhs, tols)]
 
 
 def verify_bounds(space: FockSpace, specs, X,
@@ -467,7 +464,7 @@ def bound_sweep(ms, spec: BoundSpec, trials: int, seed: int) -> list[SweepRow]:
     """
     rows: list[SweepRow] = []
     for m in ms:
-        space = make_space(m)
+        space = bound_space(m, spec.operator)
         skew = LADDERS[spec.operator][1] != 0
         for t in range(trials):
             rng = trial_rng(seed, m, t)

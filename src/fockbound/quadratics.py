@@ -66,10 +66,11 @@ def require_skew(A, name: str = "operator") -> np.ndarray:
 def pair_weights(values) -> np.ndarray:
     """One value per Youla pair: values[0], values[2], ... of a descending list.
 
-    A skew A is U^T C0 U with U unitary and C0 = `pair_form(w, m)`, which
-    holds K = m // 2 canonical pairs of weight w_k >= 0 (D. C. Youla, Canad.
-    J. Math. 13 (1961) 694-704).  So the singular values of A are each w_k
-    twice, and 0 once more at odd m.  Pairing rule: with the singular values
+    A skew A is U^T C0 U with U unitary and C0 the Youla normal form, which
+    holds K = m // 2 canonical pairs (2k, 2k + 1) of weight
+    w_k = C0[2k, 2k + 1] = -C0[2k + 1, 2k] >= 0, every other entry 0 (D. C.
+    Youla, Canad. J. Math. 13 (1961) 694-704).  So the singular values of A
+    are each w_k twice, and 0 once more at odd m.  Pairing rule: with the singular values
     mu in descending order, w_k = mu[2k] is the larger of each pair, and at
     odd m the last value is the unpaired 0.  The eigenvalues of A* A, the
     squares, pair by the same rule.
@@ -83,20 +84,6 @@ def pair_weights(values) -> np.ndarray:
     the rounding of the SVD alone.
     """
     return np.asarray(values)[::2]
-
-
-def pair_form(weights, m: int) -> np.ndarray:
-    """The Youla normal form C0 on m modes: C0[2k, 2k + 1] = w_k = -C0[2k + 1, 2k].
-
-    The first K = m // 2 weights fill the pairs (2k, 2k + 1); every other
-    entry is 0.  At odd m the last mode is unpaired, so the unpaired value
-    that `pair_weights` gives last is not read.
-    """
-    C0 = np.zeros((m, m), dtype=complex)
-    k = np.arange(m // 2)
-    C0[2 * k, 2 * k + 1] = np.asarray(weights)[: m // 2]
-    C0[2 * k + 1, 2 * k] = -C0[2 * k, 2 * k + 1]
-    return C0
 
 
 def require_representable(space: FockSpace, X, name: str) -> None:

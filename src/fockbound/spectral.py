@@ -16,18 +16,6 @@ from .tolerances import EIGEN_TOL, IDENTITY_TOL
 
 
 @dataclass(frozen=True)
-class SingularDecomposition:
-    """B = sum_j values[j] * (right_basis[:, j], .) left_basis[:, j]."""
-
-    values: np.ndarray       # nonincreasing, >= 0
-    left_basis: np.ndarray   # orthonormal columns f_j
-    right_basis: np.ndarray  # orthonormal columns e_j
-
-    def reconstruct(self) -> np.ndarray:
-        return self.left_basis @ np.diag(self.values) @ self.right_basis.conj().T
-
-
-@dataclass(frozen=True)
 class BoundVerdict:
     """Outcome of a Loewner-order check: pass iff slack_min >= -tolerance."""
 
@@ -37,12 +25,6 @@ class BoundVerdict:
     @property
     def passed(self) -> bool:
         return self.slack_min >= -self.tolerance
-
-
-def svd(B) -> SingularDecomposition:
-    B = np.atleast_2d(np.asarray(B, dtype=complex))
-    u, mu, vh = np.linalg.svd(B)
-    return SingularDecomposition(values=mu, left_basis=u, right_basis=vh.conj().T)
 
 
 def schatten_norm(B, r) -> float:

@@ -23,11 +23,11 @@ sector_extremes is the whole-sector path that bounds._gram_extremes took for
 Delta and DeltaPlus before it solved the small blocks of their pair form:
 the full block Q_n of any skew A and a dense eigvalsh of its Gram.
 kept_extremes is the path that came next, before the pair Grams were read
-from the weights alone: from the bitmask walk of Q(C0), the block that keeps
-one copy of each distinct pair block (kept_block) and a dense eigvalsh of its
-Gram.  pair_form_of gives, for a test, the argument bounds._gram_extremes
-takes, and gram_dims the Gram dimensions of dGamma's sectors and of the
-kept blocks.
+from the weights alone: from the bitmask walk of Q(C0), with C0 =
+pair_form(w, m) the Youla form as a matrix, the block that keeps one copy of
+each distinct pair block (kept_block) and a dense eigvalsh of its Gram.
+gram_argument gives, for a test, the argument bounds._gram_extremes takes,
+and gram_dims the Gram dimensions of dGamma's sectors and of the kept blocks.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ from fockbound.cli import _check
 from fockbound.fock import (CAR_TOL, LADDERS, CarReport, FockOperator, FockSpace,
                             FockVector, _check_mode, _check_vector, ladder_entries,
                             ladder_matrix, make_space, slater_state, vacuum)
-from fockbound.quadratics import (CommutatorReport, _as_one_body, pair_form, pair_weights,
-                                  require_skew)
+from fockbound.quadratics import CommutatorReport, _as_one_body, pair_weights, require_skew
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from fockbound.tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
 
@@ -265,6 +264,20 @@ def sector_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
     return extremes
 
 
+def pair_form(weights, m: int) -> np.ndarray:
+    """The Youla normal form C0 on m modes: C0[2k, 2k + 1] = w_k = -C0[2k + 1, 2k].
+
+    The first K = m // 2 weights fill the pairs (2k, 2k + 1); every other
+    entry is 0.  At odd m the last mode is unpaired, so the unpaired value
+    that `pair_weights` gives last is not read.
+    """
+    C0 = np.zeros((m, m), dtype=complex)
+    k = np.arange(m // 2)
+    C0[2 * k, 2 * k + 1] = np.asarray(weights)[: m // 2]
+    C0[2 * k + 1, 2 * k] = -C0[2 * k, 2 * k + 1]
+    return C0
+
+
 # bits 0, 2, 4, ...: the first mode of every canonical pair (2k, 2k + 1)
 _FIRST_OF_PAIR = np.int64(0x5555555555555555)
 
@@ -322,12 +335,12 @@ def kept_extremes(space: FockSpace, operator: str, X) -> np.ndarray:
     return extremes
 
 
-def pair_form_of(operator: str, X) -> np.ndarray:
+def gram_argument(operator: str, X) -> np.ndarray:
     """The argument bounds._gram_extremes takes for X: X for dGamma, and for Delta
-    and DeltaPlus the pair form of X's singular values, as verify_bounds forms it."""
+    and DeltaPlus the pair weights of X's singular values, as verify_bounds forms them."""
     if LADDERS[operator][1] == 0:
         return X
-    return pair_form(pair_weights(np.linalg.svd(X, compute_uv=False)), len(X))
+    return pair_weights(np.linalg.svd(X, compute_uv=False))
 
 
 def gram_dims(m: int, operator: str) -> list[int]:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fockbound as fb
 import jw_oracle as jw
-from fockbound.bounds import WHICH, basic_estimate_bruteforce
+from fockbound.bounds import WHICH, basic_estimate_bruteforce, bound_space
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng
 
 
@@ -292,6 +292,23 @@ def test_bound_sweep_deterministic():
 
 def test_bound_sweep_empty_family():
     assert fb.bound_sweep([], fb.BoundSpec("dGamma", 2), trials=3, seed=0) == []
+
+
+def test_bound_sweep_takes_pair_rows_past_14_modes():
+    # a pair row's sweep takes the space verify-bounds takes, which builds no
+    # occupation basis, and gives verify_bound's slack on the same draw
+    spec = fb.BoundSpec("Delta", 2)
+    fb.fock._basis.cache_clear()
+    [row] = fb.bound_sweep([16], spec, trials=1, seed=0)
+    assert fb.fock._basis.cache_info().currsize == 0
+    X = skew_matrix(trial_rng(0, 16, 0), 16)
+    assert row.slack_min == fb.verify_bound(bound_space(16, "Delta"), spec, X).slack_min
+    assert row.m == 16 and 0.0 < row.max_ratio <= 1.0
+
+
+def test_bound_sweep_stops_pair_rows_at_the_pair_budget():
+    with pytest.raises(fb.ResourceError, match="budget"):
+        fb.bound_sweep([28], fb.BoundSpec("DeltaPlus", 2), trials=1, seed=0)
 
 
 @pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])

@@ -106,10 +106,7 @@ def test_hermitian_dgamma_top_is_the_subset_sum_square(m, large_eigensolves):
 
 def flat_pairs(m, weight):
     """weight on each canonical pair (2p, 2p + 1); an odd m leaves its last mode unpaired."""
-    X = np.zeros((m, m), dtype=complex)
-    for p in range(m // 2):
-        X[2 * p, 2 * p + 1], X[2 * p + 1, 2 * p] = weight, -weight
-    return X
+    return jw.pair_form(np.full(m // 2, weight), m)
 
 
 def flat_pair_tops(m, weight, operator):
@@ -143,15 +140,17 @@ def test_flat_pairs_top_is_the_johnson_graph_formula(m, operator):
     # past m = 14 too, where the space of a pair bound builds no basis; every
     # sector's ends are exact, with width 0
     weight = 0.8 - 0.6j
-    extremes = _gram_extremes(bounds.bound_space(m, operator), operator, flat_pairs(m, weight))
+    extremes = _gram_extremes(bounds.bound_space(m, operator), operator,
+                              np.full(m // 2, weight))
     assert_tops(extremes, flat_pair_tops(m, weight, operator))
     assert not extremes[:, 2].any()
 
 
 def test_flat_pairs_formula_at_small_m_against_dense():
-    # the closed form itself, where every sector takes the dense eigvalsh
+    # the closed form itself, against the dense eigvalsh of every whole sector
+    # block of Q(C0)
     for m, operator in itertools.product(range(2, 9), ["Delta", "DeltaPlus"]):
-        extremes = _gram_extremes(fb.make_space(m), operator, flat_pairs(m, 1.3))
+        extremes = jw.sector_extremes(fb.make_space(m), operator, flat_pairs(m, 1.3))
         np.testing.assert_allclose(extremes[:, 1], flat_pair_tops(m, 1.3, operator),
                                    rtol=1e-12, atol=1e-12)
 
@@ -164,14 +163,14 @@ def test_extremes_are_covariant(m, operator):
     # unitarily equivalent.  The top value must agree; the bottom Ritz value
     # of a Lanczos sector depends on the start vector and only bounds
     # lambda_min from above, so the bottom is compared where it is exact.
-    # A pair operator's extremes are read from the pair form of its singular
+    # A pair operator's extremes are read from the pair weights of its singular
     # values, so there the covariance is that of the SVD and its pairing
     rng = trial_rng(72, m)
     X, U = draw(operator, rng, m), unitary_matrix(rng, m)
     moved = U @ X @ U.conj().T if operator == "dGamma" else U.T @ X @ U
     space = fb.make_space(m)
-    before = _gram_extremes(space, operator, jw.pair_form_of(operator, X))
-    after = _gram_extremes(space, operator, jw.pair_form_of(operator, moved))
+    before = _gram_extremes(space, operator, jw.gram_argument(operator, X))
+    after = _gram_extremes(space, operator, jw.gram_argument(operator, moved))
     np.testing.assert_allclose(after[:, 1], before[:, 1], rtol=1e-12, atol=0.0)
     exact = np.array(jw.gram_dims(m, operator)) <= _LANCZOS_STEPS
     np.testing.assert_allclose(after[exact, 0], before[exact, 0],
@@ -219,7 +218,7 @@ def test_bracket_that_straddles_a_row_is_solved_again(m, monkeypatch):
     shift = bounds._certificate_shift
     monkeypatch.setattr(bounds, "_certificate_shift", lambda gram, theta:
                         10 * theta if len(gram) > 200 else shift(gram, theta))
-    certified = _gram_extremes(space, operator, jw.pair_form_of(operator, X))
+    certified = _gram_extremes(space, operator, X)
     tols = np.array([verdict.tolerance for verdict in reference])[:, None]
     rhs = rhs_table(specs, X, m)
     fails = (rhs - certified[:, 1] - certified[:, 2] < -tols).any(axis=0)
@@ -251,10 +250,9 @@ def test_slack_and_ratio_read_the_upper_end_of_a_bracket():
     # sector 1 is certified, lambda_max in [3, 3 + 1]; sectors 0 and 2 are exact.
     # Read from top, sector 1 would give slack 1.5 and ratio 3 / 4.5, both
     # overstating how far the bound is from binding
-    spec = fb.BoundSpec("dGamma", 2)
     rhs = np.array([1.0, 4.5, 6.0])
     extremes = np.array([[0.0, 0.0, 0.0], [1.0, 3.0, 1.0], [2.0, 5.0, 0.0]])
-    verdict, ratio = bounds._sector_verdict(spec, rhs, extremes, 0.0)
+    verdict, ratio = bounds._sector_verdict(rhs, extremes, 0.0)
     assert verdict.slack_min == 4.5 - 4.0 and verdict.passed
     assert ratio == 4.0 / 4.5
 
@@ -266,7 +264,7 @@ def test_certificate_proves_the_dense_top(dense):
     operator = "dGamma"
     for m in (10, 11):
         space = fb.make_space(m)
-        X = jw.pair_form_of(operator, draw(operator, trial_rng(75, m), m))
+        X = draw(operator, trial_rng(75, m), m)
         certified = _gram_extremes(space, operator, X)
         reference = dense(space, operator, X)
         for n, dim in enumerate(jw.gram_dims(m, operator)):

@@ -225,13 +225,6 @@ def test_verify_car_sees_one_corrupt_creation_block(m, edge, corrupt_block):
         assert report.residuals[key] > 1e-3, key
 
 
-def test_fock_vector_inner_antilinear_first():
-    sp = fb.make_space(1)
-    u = fb.FockVector(sp, np.array([1j, 0.0]))
-    v = fb.FockVector(sp, np.array([1.0, 0.0]))
-    assert np.vdot(u.amplitudes, v.amplitudes) == -1j
-
-
 def test_space_arrays_immutable():
     sp = fb.make_space(3)
     with pytest.raises(ValueError):

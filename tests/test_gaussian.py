@@ -8,7 +8,7 @@ import jw_oracle as jw
 from fockbound import gaussian, quadratics
 from fockbound.gaussian import (_rounding_floors, calibrate_convention, default_z_grid,
                                 zeros_match)
-from fockbound.quadratics import pair_form, pair_weights
+from fockbound.quadratics import pair_weights
 from fockbound.rng import skew_matrix, trial_rng, unitary_matrix
 
 ROTATION = np.array([[0, -1], [1, 0]], dtype=complex)
@@ -291,7 +291,7 @@ def test_rounding_floor_keeps_every_coefficient_of_a_full_rank_c(m):
 
 def rotated_pair_forms(weights, m):
     """pair_form(weights, m) and five unitary rotations U^T C0 U of it."""
-    C0 = pair_form(weights, m)
+    C0 = jw.pair_form(weights, m)
     rotations = (unitary_matrix(trial_rng(5 + k, m), m) for k in range(5))
     return [C0] + [U.T @ C0 @ U for U in rotations]
 
@@ -332,7 +332,7 @@ def test_a_left_out_pair_does_not_move_the_counted_zeros(m, weights):
 
 
 def test_a_dropped_series_tail_must_be_what_the_left_out_pairs_give():
-    C = pair_form([1.0, 1e-9], 4)
+    C = jw.pair_form([1.0, 1e-9], 4)
     coeffs, weights = fb.pair_coefficients(fb.make_space(4), C), gaussian._pair_weights(C)
     assert gaussian._polynomial_roots(coeffs, C, weights, 1).size == 2
     coeffs[2] = 1e-6  # a pair of weight about 1.2e-4, which the weights do not show
@@ -348,7 +348,7 @@ def test_a_dropped_series_tail_must_be_what_the_left_out_pairs_give():
 def test_repeated_pair_weights_match_their_zeros(weights, m, k):
     # the flat weights, and a counted weight 3e-6 next to a left-out 1e-6,
     # rotated by U^T C0 U; the series equals the determinant in every case
-    C = pair_form(weights, m)
+    C = jw.pair_form(weights, m)
     if k is not None:
         U = unitary_matrix(trial_rng(40 + k, m), m)
         C = U.T @ C @ U

@@ -154,7 +154,7 @@ def test_gram_extremes_equal_dense(m, operator):
         X = complex_matrix(rng, m) if operator == "dGamma" else skew_matrix(rng, m)
         q = build[operator](sp, X)
         gram = q.matrix.conj().T @ q.matrix
-        extremes = _gram_extremes(sp, operator, jw.pair_form_of(operator, X))
+        extremes = _gram_extremes(sp, operator, jw.gram_argument(operator, X))
         for n in range(m + 1):
             idx = np.nonzero(sp.occupations == n)[0]
             block = gram[np.ix_(idx, idx)]

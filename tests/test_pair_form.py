@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import fockbound as fb
 import jw_oracle as jw
 from fockbound import bounds, fock
-from fockbound.quadratics import is_skew, pair_form, pair_weights
+from fockbound.quadratics import is_skew, pair_weights
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng, unitary_matrix
 from fockbound.tolerances import ENTRY_TOL
 
@@ -81,8 +81,8 @@ def test_delta_and_delta_plus_of_the_adjoint_share_their_tops(m, seed):
     # sector n - 2 are adjoint blocks with one nonzero spectrum of the Gram
     space = bounds.bound_space(m, "Delta")
     A = skew_matrix(trial_rng(93, m, seed), m)
-    delta = bounds._gram_extremes(space, "Delta", jw.pair_form_of("Delta", A))
-    plus = bounds._gram_extremes(space, "DeltaPlus", jw.pair_form_of("DeltaPlus", A.conj().T))
+    delta = bounds._gram_extremes(space, "Delta", jw.gram_argument("Delta", A))
+    plus = bounds._gram_extremes(space, "DeltaPlus", jw.gram_argument("DeltaPlus", A.conj().T))
     np.testing.assert_allclose(delta[2:, 1], plus[:-2, 1], rtol=1e-12, atol=0.0)
     assert not delta[:2, 1].any() and not plus[-2:, 1].any()
 
@@ -105,9 +105,9 @@ def test_pairing_rule_moves_the_weights_by_at_most_half_the_asymmetry(m, seed):
 
 
 def test_pair_operator_blocks_are_built_only_from_the_pair_form(monkeypatch):
-    # a Delta or DeltaPlus check reads only m and the weights of C0, the pair
-    # form of its argument's singular values: it walks no entries and builds no
-    # occupation basis
+    # a Delta or DeltaPlus check reads only m and the pair weights of its
+    # argument's singular values, as the SVD gives them: it walks no entries
+    # and builds no occupation basis
     def must_not_walk(*args, **kwargs):
         raise AssertionError("a pair bound walked the ladder entries")
 
@@ -126,7 +126,7 @@ def test_pair_operator_blocks_are_built_only_from_the_pair_form(monkeypatch):
         assert all(v.passed for v in fb.verify_bounds(fb.make_space(m), specs, A))
         weights = pair_weights(np.linalg.svd(A, compute_uv=False))
         assert [(c, o) for c, o, _ in seen] == [(m, operator)]
-        np.testing.assert_array_equal(seen.pop()[2], weights[: m // 2])
+        np.testing.assert_array_equal(seen.pop()[2], weights)
     assert fock._basis.cache_info().currsize == 0
 
 
@@ -149,13 +149,13 @@ def draw_weights(kind, rng, pairs):
 @settings(max_examples=3, deadline=None, database=None, derandomize=True)
 @given(operator=st.sampled_from(sorted(PAIR_SPECS)), seed=SEEDS)
 def test_pair_grams_equal_the_kept_block_oracle(m, kind, operator, seed):
-    # the direct sum of boson Grams against the kept block of Q(C0) walked from
-    # the bitmasks: the same ends to rounding, lambda_min = 0 exactly wherever
-    # the kept block is wide, and width 0 throughout
+    # the direct sum of boson Grams of the weights against the kept block of
+    # Q(C0) walked from the bitmasks: the same ends to rounding, lambda_min = 0
+    # exactly wherever the kept block is wide, and width 0 throughout
     space = fb.make_space(m)
-    C0 = pair_form(draw_weights(kind, trial_rng(98, m, seed), m // 2), m)
-    extremes = bounds._gram_extremes(space, operator, C0)
-    oracle = jw.kept_extremes(space, operator, C0)
+    weights = draw_weights(kind, trial_rng(98, m, seed), m // 2)
+    extremes = bounds._gram_extremes(space, operator, weights)
+    oracle = jw.kept_extremes(space, operator, jw.pair_form(weights, m))
     atol = 1e-12 * (1.0 + oracle[:, 1].max())
     np.testing.assert_allclose(extremes[:, :2], oracle[:, :2], rtol=1e-12, atol=atol)
     kept = [jw.kept(space, operator, n).sum() for n in range(m + 1)]
@@ -178,12 +178,6 @@ def test_kept_block_is_wide_exactly_where_the_sector_block_is(operator):
             [d for n, d in enumerate(jw.gram_dims(m, operator)) if 0 <= n + shift <= m]
         assert [kept[b] < kept[a] for a, b in sides] == \
             [math.comb(m, b) < math.comb(m, a) for a, b in sides]
-
-
-def test_gram_extremes_reject_a_pair_argument_not_in_pair_form():
-    space, A = fb.make_space(4), skew_matrix(trial_rng(96, 4), 4)
-    with pytest.raises(ValueError, match="pair form"):
-        bounds._gram_extremes(space, "Delta", A)
 
 
 @pytest.mark.parametrize("operator", sorted(PAIR_SPECS))

@@ -11,7 +11,12 @@ starts to use a function or the function is deleted.
 The options ratchet reads the source instead: every optional parameter of a
 function defined in `src/fockbound` must be passed, by keyword or by
 position, by some call of a function of that name in `src/`, `tests/` or
-`perfbench/`.  An option that nothing turns on is dead surface."""
+`perfbench/`.  An option that nothing turns on is dead surface.
+
+The dead-code ratchet reads the source too: every parameter of a function
+defined in `src/fockbound` must be read by its body (the `bounds.BOUNDS` row
+lambdas share one signature and are not functions defined by `def`), and
+every module-level import outside `__init__.py` must be used by its module."""
 
 import ast
 import importlib
@@ -42,10 +47,9 @@ UNREACHED = sorted([
     "quadratics.check_grading", "quadratics.d_gamma", "quadratics.delta",
     "quadratics.delta_plus", "quadratics.skew_part",
     "rng.psd_matrix", "rng.unitary_matrix",
-    "spectral.BoundVerdict.passed", "spectral.SingularDecomposition.reconstruct",
-    "spectral._conj_exponents", "spectral.cauchy_schwarz_check",
-    "spectral.hoelder_check", "spectral.jensen_check", "spectral.loewner_leq",
-    "spectral.psd_power", "spectral.schatten_norm", "spectral.svd",
+    "spectral.BoundVerdict.passed", "spectral._conj_exponents",
+    "spectral.cauchy_schwarz_check", "spectral.hoelder_check", "spectral.jensen_check",
+    "spectral.loewner_leq", "spectral.psd_power", "spectral.schatten_norm",
 ])
 
 
@@ -154,3 +158,41 @@ def test_every_option_is_set_by_some_call():
                         or (index is not None and count > index)
                         for count, keywords in calls.get(function.split(".")[1], []))]
     assert unset == []
+
+
+def unread_parameters() -> list[str]:
+    """module.function(parameter) of every parameter that its function's body never reads."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [arg for arg in (args.vararg, args.kwarg) if arg is not None]
+            read = {name.id for statement in node.body for name in ast.walk(statement)
+                    if isinstance(name, ast.Name) and not isinstance(name.ctx, ast.Store)}
+            found += [f"{path.stem}.{node.name}({arg.arg})" for arg in params
+                      if arg.arg not in read]
+    return found
+
+
+def unused_imports() -> list[str]:
+    """module: name of every module-level import that its module never uses."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.stem}: {name}" for node in tree.body
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  if (name := (alias.asname or alias.name).split(".")[0]) not in used]
+    return found
+
+
+def test_every_parameter_is_read_and_every_import_used():
+    assert unread_parameters() == []
+    assert unused_imports() == []

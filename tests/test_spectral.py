@@ -8,29 +8,6 @@ from fockbound.rng import (complex_matrix, complex_vector, psd_matrix,
                            trial_rng, unitary_matrix)
 
 
-def test_svd_diagonal():
-    dec = fb.svd(np.diag([3.0, 4.0]))
-    assert np.allclose(dec.values, [4.0, 3.0])
-
-
-def test_svd_rank_one():
-    # (e1, .) e2 has a single unit singular value
-    B = np.zeros((2, 2))
-    B[1, 0] = 1.0
-    dec = fb.svd(B)
-    assert np.allclose(dec.values, [1.0, 0.0])
-
-
-def test_svd_reconstruction_and_orthonormality():
-    B = complex_matrix(trial_rng(0, 0), 5)
-    dec = fb.svd(B)
-    assert np.abs(dec.reconstruct() - B).max() <= 1e-12 * np.linalg.norm(B, 2)
-    for basis in (dec.left_basis, dec.right_basis):
-        gram = basis.conj().T @ basis
-        assert np.abs(gram - np.eye(5)).max() <= 1e-12
-    assert np.all(np.diff(dec.values) <= 0) and np.all(dec.values >= 0)
-
-
 def test_schatten_345():
     B = np.diag([3.0, 4.0])
     assert fb.schatten_norm(B, 1) == pytest.approx(7.0)

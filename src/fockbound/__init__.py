@@ -7,12 +7,11 @@ from .converse import (ConvergenceCertificate, RecoveryReport, SweepResult,
                        TraceBoundResult, decay_family, decay_values,
                        schatten_recovery_check, sector_norm_diagonal,
                        sharpness_sweep, trace_bound_check)
-from .fock import (CarReport, FockOperator, FockSpace, FockVector,
-                   ResourceError, make_space, number_operator, op_a, op_adag,
-                   slater_state, vacuum, verify_car)
+from .fock import (FockOperator, FockSpace, FockVector, ResourceError,
+                   make_space, number_operator, op_a, op_adag, slater_state,
+                   vacuum, verify_car)
 from .gaussian import (GaussianReport, OrderEstimate, exp_order_estimate,
-                       gaussian_report, omega_determinant, omega_polynomial_roots,
-                       omega_series, omega_zeros, pair_coefficients)
+                       gaussian_report, omega_determinant, pair_coefficients)
 from .quadratics import (check_commutator, check_grading, d_gamma, delta,
                          delta_plus, is_skew, require_skew, skew_part)
 from .spectral import (BoundVerdict, CauchySchwarzResult, cauchy_schwarz_check,

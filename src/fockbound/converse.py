@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import BoundSpec, verify_bound
 from .fock import FockSpace, ResourceError
 from .spectral import schatten_norm
-from .tolerances import NORM_TOL, SLOPE_TOL
+from .tolerances import NORM_TOL
 
 # j values per block of _power_sums: 512 KiB of float64, at any n
 _BLOCK = 1 << 16
@@ -58,13 +58,11 @@ def sector_norm_diagonal(lam, n: int) -> float:
 class SweepResult:
     """Log-log growth fit of sector norms for a decay family."""
 
-    s: float
     n: np.ndarray
     partial_sums: np.ndarray
     slope: float
     fit_window: tuple
     slope_target: float
-    passed: bool
 
 
 def _loglog_slope(n: np.ndarray, values: np.ndarray) -> float:
@@ -104,10 +102,10 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     at small n.  So the fit reads the increments S(n) - S(n/2), in which the
     constant cancels, less their end terms (n^p - (n/2)^p) / 2: that leaves
     n^(s/2) (1 - 2^(-s/2)) / (s/2), up to O(n^(p-1)).  Every grid point is
-    even, so n/2 is exact.  The slope over the top decade of the grid passes
-    iff |slope - s/2| <= SLOPE_TOL.  The grid is 2k for k on a 60-point log
-    grid from 5 to n_max / 2, so n_max >= 12 is the least that puts two
-    points (10 and 12) in the fit.
+    even, so n/2 is exact.  The slope is fitted over the top decade of the
+    grid, and the sweep/power_decay row holds it to SLOPE_TOL.  The grid is
+    2k for k on a 60-point log grid from 5 to n_max / 2, so n_max >= 12 is
+    the least that puts two points (10 and 12) in the fit.
     _power_sums runs j as float64, which holds every integer up to 2^53 exactly.
     The time is linear in n_max, so above MAX_SWEEP_TERMS it raises ResourceError
     before any sum.
@@ -134,9 +132,9 @@ def sharpness_sweep(s: float, n_max: int = 100_000) -> SweepResult:
     window = n_grid >= n_max / 10
     slope = _loglog_slope(n_grid[window], (sums - both[:half.size] - ends)[window])
     return SweepResult(
-        s=s, n=n_grid, partial_sums=sums, slope=slope,
+        n=n_grid, partial_sums=sums, slope=slope,
         fit_window=(int(n_grid[window][0]), int(n_grid[window][-1])),
-        slope_target=s / 2.0, passed=abs(slope - s / 2.0) <= SLOPE_TOL)
+        slope_target=s / 2.0)
 
 
 @dataclass(frozen=True)
@@ -194,26 +192,29 @@ def trace_bound_check(space: FockSpace, B, n_max: int, r: float) -> TraceBoundRe
 
 @dataclass(frozen=True)
 class ConvergenceCertificate:
-    """Integral-test certificate for sum j^(-exponent)."""
+    """Integral-test certificate for sum j^(-(1 + excess))."""
 
-    exponent: float
+    excess: float
     j_max: int
     tail_bound: float       # < inf iff convergent; integral comparison
     lower_bound: float      # divergence witness: log lower bound at j_max
     converges: bool
 
 
-def power_sum_certificate(exponent: float, j_max: int = 10**6) -> ConvergenceCertificate:
-    if exponent > 1.0:
-        tail = j_max ** (1.0 - exponent) / (exponent - 1.0)
-        return ConvergenceCertificate(exponent=exponent, j_max=j_max, tail_bound=tail,
+def power_sum_certificate(excess: float, j_max: int = 10**6) -> ConvergenceCertificate:
+    """The sum of j^(-(1 + excess)) converges iff excess > 0.  It takes the excess
+    over 1, not the exponent, as 1 + excess rounds to 1 for an excess below 1.1e-16."""
+    if excess > 0.0:
+        # integral comparison: sum_{j>N} j^-(1+e) <= int_N^inf x^-(1+e) dx
+        tail = j_max ** -excess / excess
+        return ConvergenceCertificate(excess=excess, j_max=j_max, tail_bound=tail,
                                       lower_bound=0.0, converges=True)
-    # integral comparison: sum_{j<=N} j^-e >= int_1^{N+1} x^-e dx
-    if exponent == 1.0:
+    # integral comparison: sum_{j<=N} j^-(1+e) >= int_1^{N+1} x^-(1+e) dx
+    if excess == 0.0:
         lower = math.log(j_max + 1.0)
     else:
-        lower = ((j_max + 1.0)**(1.0 - exponent) - 1.0) / (1.0 - exponent)
-    return ConvergenceCertificate(exponent=exponent, j_max=j_max, tail_bound=math.inf,
+        lower = ((j_max + 1.0) ** -excess - 1.0) / -excess
+    return ConvergenceCertificate(excess=excess, j_max=j_max, tail_bound=math.inf,
                                   lower_bound=lower, converges=False)
 
 
@@ -221,23 +222,16 @@ def power_sum_certificate(exponent: float, j_max: int = 10**6) -> ConvergenceCer
 class RecoveryReport:
     """Summability of mu_j = j^(s/2-1) at exponents r and r + eps."""
 
-    s: float
     r: float
     certificates: dict  # eps -> ConvergenceCertificate
-    passed: bool        # eps = 0 diverges, every eps > 0 converges
 
 
 def schatten_recovery_check(s: float, eps_list) -> RecoveryReport:
     """For the power_decay(s) family the loss eps is necessary: mu_j^r sums
-    like the harmonic series while mu_j^(r+eps) converges for every eps > 0."""
+    like the harmonic series while mu_j^(r+eps) = j^-(1 + eps (1 - s/2)) converges
+    for every eps > 0.  The certificate reads that excess over 1, as near s = 2,
+    r = 2 / (2 - s) absorbs eps and (1 - s/2)(r + eps) rounds to 1."""
     if not 0.0 < s < 2.0:
         raise ValueError(f"need 0 < s < 2, got {s}")
-    r = 2.0 / (2.0 - s)
-    certs = {}
-    ok = True
-    for eps in eps_list:
-        exponent = (1.0 - s / 2.0) * (r + eps)
-        cert = power_sum_certificate(exponent)
-        certs[float(eps)] = cert
-        ok = ok and (cert.converges == (eps > 0))
-    return RecoveryReport(s=s, r=r, certificates=certs, passed=ok)
+    certs = {float(eps): power_sum_certificate(eps * (1.0 - s / 2.0)) for eps in eps_list}
+    return RecoveryReport(r=2.0 / (2.0 - s), certificates=certs)

@@ -283,16 +283,8 @@ CAR_TOL = {"anticommutator_aa": IDENTITY_TOL, "anticommutator_adad": IDENTITY_TO
            "projection_identity": IDENTITY_TOL, "norm_identity": NORM_TOL}
 
 
-@dataclass(frozen=True)
-class CarReport:
-    """Worst scaled residuals of the anticommutation-relation suite over all trials."""
-
-    residuals: dict
-    passed: bool  # every residual within its CAR_TOL
-
-
-def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> CarReport:
-    """Check the CAR identities on seeded random pairs (f, g), sector by sector.
+def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
+    """Worst scaled CAR residuals, by CAR_TOL key, on seeded random pairs (f, g), by sector.
 
     Residuals: {a(f),a(g)}, {a+(f),a+(g)}, {a(f),a+(g)} - (fbar,g)Id,
     a(f)* - a+(fbar), the projection identity for a+(f)a(fbar), and the
@@ -339,5 +331,4 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> CarReport:
             # an infinite scale would hide any residual, so the ratio is unknown
             ratio = val / key_scale if key_scale < math.inf else math.nan
             worst[key] = float(np.maximum(worst[key], ratio))
-    return CarReport(residuals=worst,
-                     passed=all(worst[key] <= tol for key, tol in CAR_TOL.items()))
+    return worst

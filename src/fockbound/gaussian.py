@@ -19,14 +19,13 @@ import numpy as np
 
 from .fock import FockSpace, ladder_matrix
 from .quadratics import one_body, pair_weights, require_skew
-from .tolerances import EIGEN_TOL, NORM_TOL, UNIT_ROUNDOFF
+from .tolerances import EIGEN_TOL, UNIT_ROUNDOFF
 
 DEFAULT_CONVENTION = 0.5
 
 
 def _pair_powers(space: FockSpace, C) -> list[np.ndarray]:
     """Dp^n Omega on sector 2n for n = 0..floor(m/2): Omega pushed through Dp's sector blocks."""
-    C = one_body(space, "DeltaPlus", C)
     powers = [np.ones(1, dtype=complex)]
     for n in range(space.m // 2):
         powers.append(ladder_matrix(space, "DeltaPlus", C, sector=2 * n) @ powers[-1])
@@ -49,7 +48,6 @@ def _series(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
 def _pair_weights(C) -> np.ndarray:
     """The m // 2 pair weights w_k of a skew C, largest first: its singular values
     read by `pair_weights`' rule, as the bound checks read them."""
-    C = require_skew(C, "C")
     return pair_weights(np.linalg.svd(C, compute_uv=False))[: len(C) // 2]
 
 
@@ -129,36 +127,13 @@ def _counted_pairs(C, weights: np.ndarray) -> int:
     return int(np.argmin(np.append(resolved, False)))
 
 
-def omega_series(space: FockSpace, C, z: complex) -> complex:
-    """Overlap by the exact Fock-space series; polynomial in z^2."""
-    return complex(_series(pair_coefficients(space, C), np.complex128(z)))
-
-
 def omega_determinant(C, z: complex,
                       exponent_convention: float = DEFAULT_CONVENTION) -> complex:
     """det(Id + 4 z^2 C*C)^exponent_convention for a skew C, with exponent 1 or 1/2."""
     if exponent_convention not in (0.5, 1.0):
         raise ValueError(f"exponent convention must be 1 or 1/2, got {exponent_convention}")
-    return complex(_determinant(_pair_weights(C), np.complex128(z), exponent_convention))
-
-
-def calibrate_convention(space: FockSpace, C, z_samples) -> float:
-    """Exponent convention (1 or 1/2) matching the exact series on z_samples."""
-    z = np.asarray(z_samples, dtype=complex)
-    return _calibrate(_series(pair_coefficients(space, C), z), _pair_weights(C), z)
-
-
-def omega_zeros(C, exponent_convention: float = DEFAULT_CONVENTION) -> np.ndarray:
-    """Zeros of omega: +-i/(2 w) for each of the `_counted_pairs` weights w."""
-    weights = _pair_weights(C)
-    return _zeros(weights[: _counted_pairs(C, weights)], exponent_convention)
-
-
-def omega_polynomial_roots(space: FockSpace, C) -> np.ndarray:
-    """Zeros of the exact series polynomial, via companion-matrix roots in z^2."""
-    weights = _pair_weights(C)
-    return _polynomial_roots(pair_coefficients(space, C), C, weights,
-                             _counted_pairs(C, weights))
+    return complex(_determinant(_pair_weights(require_skew(C, "C")), np.complex128(z),
+                                exponent_convention))
 
 
 def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
@@ -226,13 +201,12 @@ def _sorted_zeros(zs: np.ndarray) -> np.ndarray:
     return np.array(sorted(zs, key=lambda z: (round(abs(z), 9), z.real, z.imag)))
 
 
-def zeros_match(formula: np.ndarray, roots: np.ndarray,
-                tol: float = EIGEN_TOL) -> bool:
-    """Set equality of the two zero lists up to tol, multiplicities included."""
+def zeros_match(formula: np.ndarray, roots: np.ndarray) -> bool:
+    """Set equality of the two zero lists up to EIGEN_TOL, multiplicities included."""
     if formula.size != roots.size:
         return False
     a, b = _sorted_zeros(formula), _sorted_zeros(roots)
-    return bool(np.all(np.abs(a - b) <= tol * (1.0 + np.abs(a))))
+    return bool(np.all(np.abs(a - b) <= EIGEN_TOL * (1.0 + np.abs(a))))
 
 
 @dataclass(frozen=True)
@@ -274,11 +248,9 @@ class GaussianReport:
     z_grid: np.ndarray
     series_values: np.ndarray
     determinant_values: np.ndarray
-    max_abs_diff: float
     max_rel_diff: float  # max over z of |series - det| / (1 + |series|)
     zeros: np.ndarray
     zeros_matched: bool
-    passed: bool
 
 
 def default_z_grid() -> np.ndarray:
@@ -290,8 +262,10 @@ def default_z_grid() -> np.ndarray:
 def gaussian_report(space: FockSpace, C) -> GaussianReport:
     """The series against the determinant on default_z_grid(), with the convention
     calibrated on its first five points, and the formula zeros against the roots
-    of the series polynomial.  One SVD of C gives its pair weights, for every z and
-    the zeros, and one `_counted_pairs` decision says which zeros both sides compare."""
+    of the series polynomial.  C is checked once, as Dp's one-body matrix; one SVD
+    of it gives its pair weights, for every z and the zeros, and one
+    `_counted_pairs` decision says which zeros both sides compare."""
+    C = one_body(space, "DeltaPlus", C)
     weights = _pair_weights(C)
     count = _counted_pairs(C, weights)
     coeffs = pair_coefficients(space, C)
@@ -304,7 +278,5 @@ def gaussian_report(space: FockSpace, C) -> GaussianReport:
     matched = zeros_match(zeros, _polynomial_roots(coeffs, C, weights, count))
     return GaussianReport(
         coefficients=coeffs, convention=convention, z_grid=z,
-        series_values=series, determinant_values=det,
-        max_abs_diff=float(np.abs(series - det).max(initial=0.0)), max_rel_diff=max_rel_diff,
-        zeros=zeros, zeros_matched=matched,
-        passed=max_rel_diff <= NORM_TOL and matched and convention == DEFAULT_CONVENTION)
+        series_values=series, determinant_values=det, max_rel_diff=max_rel_diff,
+        zeros=zeros, zeros_matched=matched)

@@ -10,7 +10,9 @@ creation, annihilation and the matrix anticommutator live only here.
 
 verify_car and check_commutator are the whole-space versions of the CAR suite
 and the commutator identity that the package used before it checked them
-sector by sector, with the dense operators of this module.
+sector by sector, with the dense operators of this module; they return what
+the package's versions return.  car_failures holds such a residual dict to
+CAR_TOL, the rule of the car/ report rows.
 
 run_verify_algebra, pair_coefficients, gaussian_state and slater_expectation
 are the package's whole-space versions from before those too read sector
@@ -40,10 +42,10 @@ import numpy as np
 
 from fockbound import quadratics
 from fockbound.cli import _check
-from fockbound.fock import (CAR_TOL, LADDERS, CarReport, FockOperator, FockSpace,
+from fockbound.fock import (CAR_TOL, LADDERS, FockOperator, FockSpace,
                             FockVector, _check_mode, _check_vector, ladder_entries,
                             ladder_matrix, make_space, slater_state, vacuum)
-from fockbound.quadratics import CommutatorReport, _as_one_body, pair_weights, require_skew
+from fockbound.quadratics import _as_one_body, pair_weights, require_skew
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from fockbound.tolerances import ENTRY_TOL, IDENTITY_TOL, NORM_TOL
 
@@ -141,7 +143,7 @@ def delta_plus(space: FockSpace, C) -> FockOperator:
     return FockOperator(space, mat, grading_shift=+2)
 
 
-def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> CarReport:
+def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
     worst = dict.fromkeys(CAR_TOL, 0.0)
     eye = np.eye(space.dim)
     for t in range(trials):
@@ -167,11 +169,15 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> CarReport:
         for key, val in res.items():
             key_scale = 1.0 + np.linalg.norm(f) if key == "norm_identity" else scale
             worst[key] = max(worst[key], float(val / key_scale))
-    return CarReport(residuals=worst,
-                     passed=all(worst[key] <= tol for key, tol in CAR_TOL.items()))
+    return worst
 
 
-def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
+def car_failures(residuals: dict) -> list[str]:
+    """The CAR_TOL keys whose residual is not within its tolerance: the failing car/ rows."""
+    return [key for key, tol in CAR_TOL.items() if not residuals[key] <= tol]
+
+
+def check_commutator(space: FockSpace, A, C) -> float:
     A = require_skew(_as_one_body(space, A, "A"), "A")
     C = require_skew(_as_one_body(space, C, "C"), "C")
     da, dpc = delta(space, A), delta_plus(space, C)
@@ -180,8 +186,7 @@ def check_commutator(space: FockSpace, A, C) -> CommutatorReport:
         + 2.0 * np.trace(A @ C) * np.eye(space.dim)
     residual = float(np.abs(comm - target).max(initial=0.0))
     scale = 1.0 + float(np.abs(comm).max(initial=0.0) + np.abs(target).max(initial=0.0))
-    return CommutatorReport(residual=residual, scale=scale,
-                            passed=residual <= NORM_TOL * scale)
+    return residual / scale
 
 
 def run_verify_algebra(cfg: argparse.Namespace) -> list[dict]:
@@ -193,8 +198,7 @@ def run_verify_algebra(cfg: argparse.Namespace) -> list[dict]:
         B = complex_matrix(rng, cfg.m)
         A = skew_matrix(rng, cfg.m)
         C = skew_matrix(rng, cfg.m)
-        rep = quadratics.check_commutator(space, A, C)
-        worst["commutator"] = max(worst["commutator"], rep.residual / rep.scale)
+        worst["commutator"] = max(worst["commutator"], quadratics.check_commutator(space, A, C))
         dg = quadratics.d_gamma(space, B)
         worst["adjoint_dgamma"] = max(worst["adjoint_dgamma"], float(np.abs(
             dg.matrix.conj().T - quadratics.d_gamma(space, B.conj().T).matrix).max()))

@@ -537,7 +537,7 @@ def test_gaussian_row_reports_the_pointwise_worst(monkeypatch):
     assert not row["pass"]
     C = cli.skew_matrix(cli.trial_rng(0, 0), 4)
     report = gaussian.gaussian_report(fock.make_space(4), C)
-    assert report.max_rel_diff == row["metric"] and not report.passed
+    assert report.max_rel_diff == row["metric"]
 
 
 MODE_ARGVS = [["verify-car"], ["verify-algebra"], ["gaussian-check"],
@@ -696,6 +696,15 @@ def test_sweep_n_max_12_runs(capsys):
     assert "n in (10, 12)" in json.loads(out)["checks"][0]["statement"]
 
 
+def test_sweep_near_s_2_passes_its_recovery_rows(capsys):
+    # r = 2 / (2 - s) is about 9e15 here; the exponent (1 - s/2)(r + eps) used to
+    # round to exactly 1 at eps = 0.1, so the convergent sum read as divergent
+    code, out = run(["sweep-sharpness", "--s", "1.9999999999999998", "--n-max", "12"], capsys)
+    rows = {row["check_id"]: row["pass"] for row in json.loads(out)["checks"]}
+    assert code == cli.EXIT_OK
+    assert rows["sweep/recovery/s=1.9999999999999998/eps=0.1"]
+
+
 def test_sweep_n_max_11_is_a_validation_error(capsys):
     # the grid is even, so n = 10 is the only point of the fit
     code = cli.main(["sweep-sharpness", "--s", "1.0", "--n-max", "11"])
@@ -715,23 +724,47 @@ def test_second_r_for_a_bound_without_r_norm_is_rejected(which, monkeypatch, cap
     assert captured.out == "" and "reads no r-norm" in captured.err
 
 
-def nan_on_second_call(fn, **fields):
-    """fn, whose report on its second call has `fields` replaced."""
+def nan_on_second_call(fn, replace):
+    """fn, whose result on its second call is passed through `replace`."""
     calls = []
 
     def patched(*args):
         calls.append(args)
-        report = fn(*args)
-        return dataclasses.replace(report, **fields) if len(calls) == 2 else report
+        result = fn(*args)
+        return replace(result) if len(calls) == 2 else result
 
     return patched
 
 
 def test_algebra_commutator_row_keeps_a_nan(monkeypatch):
     monkeypatch.setattr(cli.quadratics, "check_commutator", nan_on_second_call(
-        cli.quadratics.check_commutator, residual=math.nan, passed=False))
+        cli.quadratics.check_commutator, lambda residual: math.nan))
     row = algebra_rows(3, trials=2)["commutator"]
     assert math.isnan(row["metric"]) and not row["pass"]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_car_and_commutator_rows_read_the_returned_measurements(m, corrupt, corrupt_block):
+    # the library returns measurements, and each row is their only verdict; a
+    # NaN in a dGamma block makes the commutator residual of its trials NaN
+    cfg = argparse.Namespace(m=m, trials=3, seed=11)
+    space = fock.make_space(m)
+    if corrupt:
+        corrupt_block("dGamma", m, factor=math.nan)
+    with np.errstate(all="ignore"):
+        car = {row["check_id"]: row["metric"] for row in cli.run_verify_car(cfg)}
+        commutator = algebra_rows(m, cfg.trials, cfg.seed)["commutator"]["metric"]
+        residuals = fock.verify_car(space, cfg.trials, cfg.seed)
+        worst = 0.0
+        for t in range(cfg.trials):  # the draws of run_verify_algebra: B, A, C
+            rng = cli.trial_rng(cfg.seed, t)
+            cli.complex_matrix(rng, m)
+            A, C = cli.skew_matrix(rng, m), cli.skew_matrix(rng, m)
+            worst = np.maximum(worst, cli.quadratics.check_commutator(space, A, C))
+    assert car == {f"car/m={m}/{key}": value for key, value in residuals.items()}
+    assert np.array_equal(commutator, worst, equal_nan=True)
+    assert math.isnan(commutator) == corrupt
 
 
 @pytest.mark.parametrize("name", ["dGamma", "Delta"])
@@ -745,7 +778,8 @@ def test_algebra_adjoint_row_keeps_a_nan(name, corrupt_block):
 
 def test_gaussian_series_row_keeps_a_nan(monkeypatch):
     monkeypatch.setattr(gaussian, "gaussian_report", nan_on_second_call(
-        gaussian.gaussian_report, max_rel_diff=math.nan, passed=False))
+        gaussian.gaussian_report,
+        lambda report: dataclasses.replace(report, max_rel_diff=math.nan)))
     rows = cli.run_gaussian_check(argparse.Namespace(m=4, trials=2, seed=0))
     row = next(r for r in rows if r["check_id"] == "gaussian/m=4/series_vs_determinant")
     assert math.isnan(row["metric"]) and not row["pass"]

@@ -12,6 +12,7 @@ import fockbound as fb
 import jw_oracle as jw
 from fockbound.converse import _BLOCK, _loglog_slope, power_sum_certificate
 from fockbound.rng import trial_rng
+from fockbound.tolerances import SLOPE_TOL
 
 
 def test_decay_values_harmonic():
@@ -71,7 +72,7 @@ def test_sector_norm_permutation_invariant():
 
 def test_sharpness_sweep_s1():
     sweep = fb.sharpness_sweep(1.0, n_max=100_000)
-    assert sweep.passed
+    assert abs(sweep.slope - sweep.slope_target) <= SLOPE_TOL
     assert sweep.slope == pytest.approx(0.5, abs=0.02)
     assert np.all(np.diff(sweep.partial_sums) > 0)
 
@@ -120,7 +121,7 @@ def test_sweep_slope_at_small_n_max(n_max):
     for s in SWEEP_S:
         sweep = fb.sharpness_sweep(s, n_max=n_max)
         error = abs(sweep.slope - s / 2)
-        assert sweep.passed and error <= (1e-7 if n_max == 100_000 else 0.006), (s, error)
+        assert error <= SLOPE_TOL and error <= (1e-7 if n_max == 100_000 else 0.006), (s, error)
 
 
 def test_sweep_sharpness_leaves_numpy_ma_unimported():
@@ -141,7 +142,7 @@ def test_sweep_rejects_n_max_past_exact_float64_integers(n_max):
 
 
 @pytest.mark.parametrize("call", [lambda: fb.sharpness_sweep(1.0, n_max=10**7),
-                                  lambda: power_sum_certificate(1.0, j_max=10**7)],
+                                  lambda: power_sum_certificate(0.0, j_max=10**7)],
                          ids=["sharpness_sweep", "power_sum_certificate"])
 def test_power_sums_take_memory_independent_of_n(call):
     # one array over all j would take 80 MB per array at n = 1e7
@@ -205,24 +206,40 @@ def test_trace_bound_validation():
 
 
 def test_power_sum_certificates():
-    div = power_sum_certificate(1.0, j_max=10**5)
+    # each takes the excess of the exponent over 1: sum j^-1 and sum j^-1.05
+    div = power_sum_certificate(0.0, j_max=10**5)
     assert not div.converges
     assert div.lower_bound == pytest.approx(math.log(10**5 + 1))
-    conv = power_sum_certificate(1.05, j_max=10**5)
+    conv = power_sum_certificate(0.05, j_max=10**5)
     assert conv.converges
     assert conv.tail_bound == pytest.approx((10**5)**(-0.05) / 0.05, rel=1e-10)
 
 
+def recovery_holds(rep) -> bool:
+    """The sweep/recovery row rule: divergent at eps = 0, convergent at every eps > 0."""
+    return all(cert.converges == (eps > 0) for eps, cert in rep.certificates.items())
+
+
 def test_schatten_recovery_s1():
     rep = fb.schatten_recovery_check(1.0, [0.0, 0.1])
-    assert rep.passed and rep.r == pytest.approx(2.0)
+    assert recovery_holds(rep) and rep.r == pytest.approx(2.0)
     assert not rep.certificates[0.0].converges
     assert rep.certificates[0.1].converges
 
 
 def test_schatten_recovery_s_half():
     rep = fb.schatten_recovery_check(0.5, [0.0, 0.2])
-    assert rep.passed and rep.r == pytest.approx(4 / 3)
+    assert recovery_holds(rep) and rep.r == pytest.approx(4 / 3)
+
+
+@pytest.mark.parametrize("s", [1.9999999999999998, 1.9999999999999996, 1.99999999999999])
+def test_schatten_recovery_near_s_2(s):
+    # r = 2 / (2 - s) is about 1e16 and absorbs eps, so the exponent
+    # (1 - s/2)(r + eps) rounded to exactly 1 and called the convergent sum divergent
+    rep = fb.schatten_recovery_check(s, [0.0, 0.1])
+    assert recovery_holds(rep)
+    assert rep.certificates[0.1].excess == 0.1 * (1 - s / 2) > 0
+    assert math.isfinite(rep.certificates[0.1].tail_bound)
 
 
 def test_schatten_recovery_validation():

@@ -11,7 +11,9 @@ starts to use a function or the function is deleted.
 The options ratchet reads the source instead: every optional parameter of a
 function defined in `src/fockbound` must be passed, by keyword or by
 position, by some call of a function of that name in `src/`, `tests/` or
-`perfbench/`.  An option that nothing turns on is dead surface.
+`perfbench/`, and the calls must not all resolve to one literal value (the
+value passed, or the default for a call that passes none).  An option that
+nothing turns on, or that every call sets the same, is dead surface.
 
 The dead-code ratchet reads the source too: every parameter of a function
 defined in `src/fockbound` must be read by its body (the `bounds.BOUNDS` row
@@ -22,7 +24,6 @@ import ast
 import importlib
 import inspect
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -42,8 +43,7 @@ UNREACHED = sorted([
     "fock._check_vector",
     "fock.ladder_operator", "fock.number_operator", "fock.op_a", "fock.op_adag",
     "fock.slater_state", "fock.vacuum",
-    "gaussian.calibrate_convention", "gaussian.omega_determinant",
-    "gaussian.omega_polynomial_roots", "gaussian.omega_series", "gaussian.omega_zeros",
+    "gaussian.omega_determinant",
     "quadratics.check_grading", "quadratics.d_gamma", "quadratics.delta",
     "quadratics.delta_plus", "quadratics.skew_part",
     "rng.psd_matrix", "rng.unitary_matrix",
@@ -113,51 +113,97 @@ def test_unreached_library_functions_are_exactly_the_listed_ones(tmp_path, capsy
 
 
 def calls_by_name() -> dict:
-    """Function name -> [(positional count, keyword names)] of every call of that name."""
+    """Function name -> [(positional arguments, {keyword: argument})] of every call of
+    that name; None for a call with *args or **kwargs, which may pass any option."""
     calls = {}
     for folder in ("src", "tests", "perfbench"):
         for path in sorted((SRC.parents[1] / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    # a *args or **kwargs in the call may pass any option
-                    star = any(isinstance(arg, ast.Starred) for arg in node.args)
-                    keywords = {kw.arg for kw in node.keywords}
+                    star = any(isinstance(arg, ast.Starred) for arg in node.args) \
+                        or any(kw.arg is None for kw in node.keywords)
                     calls.setdefault(name, []).append(
-                        (math.inf if star else len(node.args), keywords))
+                        None if star else (node.args, {kw.arg: kw.value for kw in node.keywords}))
     return calls
 
 
-def optional_parameters() -> list[tuple[str, str, int | None]]:
-    """(module.function, parameter, its index among a call's positional arguments, or
-    None if keyword-only) of every parameter with a default in src/fockbound."""
+def optional_parameters() -> list[tuple[str, str, int | None, object]]:
+    """(module.function, parameter, its index among a call's positional arguments or
+    None if keyword-only, default) of every parameter with a default in src/fockbound.
+
+    The default is read by inspect.signature; a def nested in another function,
+    which no module attribute reaches, gives its default as a literal."""
     found = []
     for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"fockbound.{path.stem}"
+                                         if path.stem != "__init__" else "fockbound")
         tree = ast.parse(path.read_text())
-        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-                   for node in cls.body}
+        owners = {id(node): cls.name for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for node in cls.body}
+        top = {id(node) for node in tree.body}
         for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef):
+            if not isinstance(node, ast.FunctionDef) \
+                    or not (node.args.defaults or any(node.args.kw_defaults)):
                 continue
             args = node.args
             positional = args.posonlyargs + args.args
-            bound = 1 if id(node) in methods else 0  # self, which a call does not pass
+            bound = 1 if id(node) in owners else 0  # self, which a call does not pass
             first = len(positional) - len(args.defaults)
-            found += [(f"{path.stem}.{node.name}", arg.arg, i - bound)
+            if id(node) in owners or id(node) in top:
+                owner = getattr(module, owners[id(node)]) if id(node) in owners else module
+                parameters = inspect.signature(getattr(owner, node.name)).parameters
+                defaults = {name: p.default for name, p in parameters.items()}
+            else:
+                defaults = {arg.arg: ast.literal_eval(default) for arg, default in
+                            zip(positional[first:] + args.kwonlyargs,
+                                args.defaults + args.kw_defaults) if default is not None}
+            found += [(f"{path.stem}.{node.name}", arg.arg, i - bound, defaults[arg.arg])
                       for i, arg in enumerate(positional) if i >= first]
-            found += [(f"{path.stem}.{node.name}", arg.arg, None)
+            found += [(f"{path.stem}.{node.name}", arg.arg, None, defaults[arg.arg])
                       for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                       if default is not None]
     return found
 
 
+def passed_argument(call, param: str, index: int | None):
+    """The argument node a call passes for the option, or None if it passes none."""
+    args, keywords = call
+    if index is not None and len(args) > index:
+        return args[index]
+    return keywords.get(param)
+
+
 def test_every_option_is_set_by_some_call():
     calls = calls_by_name()
-    unset = [f"{function}({param})" for function, param, index in optional_parameters()
-             if not any(param in keywords or None in keywords
-                        or (index is not None and count > index)
-                        for count, keywords in calls.get(function.split(".")[1], []))]
+    unset = [f"{function}({param})" for function, param, index, _ in optional_parameters()
+             if not any(call is None or passed_argument(call, param, index) is not None
+                        for call in calls.get(function.split(".")[1], []))]
     assert unset == []
+
+
+def literal_value(call, param: str, index: int | None, default):
+    """The literal a call passes for the option, or the default if it passes none.
+    ValueError for a call with *args or **kwargs or a non-literal argument, either
+    of which may pass any value."""
+    if call is None:
+        raise ValueError("a call with *args or **kwargs")
+    argument = passed_argument(call, param, index)
+    return default if argument is None else ast.literal_eval(argument)
+
+
+def test_no_option_takes_one_value_in_every_call():
+    calls = calls_by_name()
+    single = []
+    for function, param, index, default in optional_parameters():
+        try:
+            values = [literal_value(call, param, index, default)
+                      for call in calls.get(function.split(".")[1], [])]
+        except ValueError:  # some call may pass another value
+            continue
+        if values and all(value == values[0] for value in values):
+            single.append(f"{function}({param})")
+    assert single == []
 
 
 def unread_parameters() -> list[str]:

@@ -4,15 +4,18 @@ Modes are labelled 1..m.  Basis states are subsets S of {1..m}, encoded as
 bitmasks (bit j-1 set iff mode j occupied) and ordered canonically by
 (particle number, bitmask ascending).  a+_j and a_j carry the Jordan-Wigner
 sign (-1)^{#occupied modes below j}, which makes the anticommutation
-relations hold exactly.  `ladder_matrix` builds every operator straight from
-the bitmasks, one particle-number sector block at a time; a whole-space
+relations hold exactly.  Every operator is built straight from the bitmasks,
+in particle-number sector blocks.  Which basis state a term sends where, and
+with which sign, depends only on (m, operator), so `_ladder_pattern` walks
+the bitmasks of every sector once per (m, operator) and process, checks the
+walked rows against their blocks, and caches that coefficient-free layout:
+every entry's position in one flat buffer of all the blocks.  A build is one
+coefficient gather onto the layout (`_gather`) and one `np.add.at`:
+`sector_blocks` scatters into that buffer and returns its blocks as views,
+`ladder_matrix` scatters one sector's slice into its block.  A whole-space
 operator (`ladder_operator`: `op_a`, `op_adag` and the quadratics) is its
 sector blocks put in place, and a single mode's a_j is `op_a` of the basis
-vector e_j.  Which basis state a term sends where, and with which sign,
-depends only on (m, operator, sector), so `_ladder_pattern` walks the
-bitmasks once per key and process and caches that coefficient-free pattern;
-`ladder_entries`, its one reader, checks the walked rows and gathers each
-build's coefficients onto it.
+vector e_j.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,8 +133,7 @@ LADDERS = {"creation": ("+", 1), "annihilation": ("-", -1), "dGamma": ("+-", 0),
            "Delta": ("--", -2), "DeltaPlus": ("++", 2)}
 
 
-@lru_cache(maxsize=None)
-def _ladder_pattern(m: int, name: str, sector: int):
+def _walk(m: int, name: str, sector: int):
     """The coefficient-free entries of `name` from sector n: (rows, cols, term, sign, shape).
 
     The bitmask walk of every one of the m^k index tuples, in term order
@@ -138,9 +141,7 @@ def _ladder_pattern(m: int, name: str, sector: int):
     on the block from the n-particle to the (n + shift)-particle sector.
     Each term is applied to every bitmask of sector n at once, rightmost
     factor first; `term` is an entry's flat coefficient index and `sign` its
-    Jordan-Wigner sign.  The arrays are read-only and take 11 bytes per entry
-    (int32 rows and cols, int16 term, int8 sign), as every caller in the
-    process shares them.
+    Jordan-Wigner sign.
     """
     space = FockSpace(m)
     kinds, shift = LADDERS[name]
@@ -159,63 +160,122 @@ def _ladder_pattern(m: int, name: str, sector: int):
         parity += np.bitwise_count(masks & (bit - 1))
         masks ^= bit
     term, col = np.nonzero(alive)
-    pattern = ((space.index_of[masks[term, col]] - row0).astype(np.int32),
-               col.astype(np.int32), term.astype(np.int16),
-               (1 - 2 * (parity[term, col] & 1)).astype(np.int8))
-    for a in pattern:
-        a.setflags(write=False)
-    return *pattern, (r1 - row0, cols.size)
+    return (space.index_of[masks[term, col]] - row0, col, term.astype(np.int16),
+            (1 - 2 * (parity[term, col] & 1)).astype(np.int8), (int(r1 - row0), cols.size))
 
 
-def ladder_entries(space: FockSpace, name: str, coeffs, sector: int):
-    """Entries ((rows, cols), values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1]
-    from the n-particle sector, n = `sector`, to the (n + shift)-particle sector.
+# one entry of a layout: its flat position in the buffer of all the blocks,
+# its flat coefficient index and its Jordan-Wigner sign; packed, 11 bytes
+_ENTRY = np.dtype({"names": ["position", "term", "sign"],
+                   "formats": [np.int64, np.int16, np.int8]})
 
-    The entries of `_ladder_pattern(space.m, name, sector)` whose coefficient
-    is nonzero, each with value coefficient * sign, so no operator matrix is
-    ever multiplied.  A position recurs once for each term that reaches it,
-    in term order.  A walked row outside the block (a target whose particle
-    number is not n + shift, which `np.add.at` would wrap) raises
-    GradingError.  The returned arrays are fresh; the cached pattern is never
-    handed out.
+
+class _Layout(NamedTuple):
+    entries: np.ndarray  # of _ENTRY, sector by sector, read-only
+    sectors: dict  # sector n -> (first entry, entry stop, block offset, block shape)
+    size: int  # entries of the buffer that holds every block
+
+
+@lru_cache(maxsize=None)
+def _ladder_pattern(m: int, name: str) -> _Layout:
+    """The coefficient-free layout of `name` on m modes: every sector key's `_walk`.
+
+    The keys run |shift| past 0..m on both sides.  Blocks there have an empty
+    side, so a product of two blocks next to an edge sector is an exact zero
+    block of the right shape instead of a wrapped-around index.  The blocks
+    lie one after another in one flat buffer, each row-major; an entry's
+    position is its place in that buffer.  Each walked row is checked against
+    its block once, here, before its position is formed: a target whose
+    particle number is not n + shift raises GradingError, where a row of -1
+    would otherwise land in the neighbouring block.  Walked once per (m, name)
+    and process, and shared by every caller, so the entries are read-only.
     """
-    kinds, shift = LADDERS[name]
+    shift = LADDERS[name][1]
+    walks, sectors, start, offset = [], {}, 0, 0
+    for n in range(-abs(shift), m + abs(shift) + 1):
+        rows, cols, term, sign, shape = _walk(m, name, n)
+        if rows.min(initial=0) < 0 or rows.max(initial=-1) >= shape[0]:
+            raise GradingError(f"{name} entries leave the sector shift {shift}")
+        walk = np.empty(rows.size, dtype=_ENTRY)
+        walk["position"] = offset + rows * shape[1] + cols
+        walk["term"], walk["sign"] = term, sign
+        walks.append(walk)
+        sectors[n] = (start, start + walk.size, offset, shape)
+        start, offset = start + walk.size, offset + shape[0] * shape[1]
+    entries = np.concatenate(walks)
+    entries.setflags(write=False)
+    return _Layout(entries, sectors, offset)
+
+
+def _gather(space: FockSpace, name: str, coeffs, sector: int | None = None):
+    """(positions, values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1]:
+    the layout entries whose coefficient is nonzero, each with value
+    coefficient * sign, so no operator matrix is ever multiplied.
+
+    With a `sector` n, the entries of its block, the one from the n-particle to
+    the (n + shift)-particle sector, at flat positions within that block of
+    `shape`; a sector outside the keys has an empty (0, 0) block.  With None,
+    every entry at its position in the buffer of all the blocks, shape
+    (layout size,).  A position recurs once for each term that reaches it, in
+    term order.  The returned arrays are fresh; the layout is never handed out.
+    """
+    kinds, _ = LADDERS[name]
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (space.m,) * len(kinds):
         raise ValueError(f"{name} needs {len(kinds)}-index coefficients over {space.m} modes")
-    if not isinstance(sector, (int, np.integer)):
-        raise ValueError(f"sector must be an integer, got {sector!r}")
-    rows, cols, term, sign, shape = _ladder_pattern(space.m, name, int(sector))
-    if rows.min(initial=0) < 0 or rows.max(initial=-1) >= shape[0]:
-        raise GradingError(f"{name} entries leave the sector shift {shift}")
-    c = coeffs.ravel()[term]
+    layout = _ladder_pattern(space.m, name)
+    if sector is None:
+        entries, offset, shape = layout.entries, 0, (layout.size,)
+    else:
+        start, stop, offset, shape = layout.sectors.get(sector, (0, 0, 0, (0, 0)))
+        entries = layout.entries[start:stop]
+    c = coeffs.ravel()[entries["term"]]
     keep = c != 0  # as np.nonzero(coeffs): drops -0.0, keeps NaN
     c = c[keep]
-    c *= sign[keep]
-    return (rows[keep], cols[keep]), c, shape
+    c *= entries["sign"][keep]
+    positions = entries["position"][keep]
+    positions -= offset
+    return positions, c, shape
+
+
+def _sector(sector) -> int:
+    if not isinstance(sector, (int, np.integer)):
+        raise ValueError(f"sector must be an integer, got {sector!r}")
+    return int(sector)
+
+
+def ladder_entries(space: FockSpace, name: str, coeffs, sector: int):
+    """Entries ((rows, cols), values, shape) of `name` with `coeffs` on the block from
+    the n-particle sector, n = `sector`, to the (n + shift)-particle sector: the
+    `_gather` of that sector's slice of the layout, positions split into rows
+    and columns."""
+    positions, values, shape = _gather(space, name, coeffs, _sector(sector))
+    return np.divmod(positions, shape[1]), values, shape
 
 
 def ladder_matrix(space: FockSpace, name: str, coeffs, sector: int) -> np.ndarray:
     """The `ladder_entries` summed into a dense block in term order, as the sum is written."""
-    (rows, cols), values, shape = ladder_entries(space, name, coeffs, sector)
+    positions, values, shape = _gather(space, name, coeffs, _sector(sector))
     out = np.zeros(shape, dtype=complex)
-    np.add.at(out, (rows, cols), values)
+    np.add.at(out.reshape(-1), positions, values)
     return out
 
 
 def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
-    """`ladder_matrix(space, name, coeffs, sector=n)` keyed by the sector n it maps from.
+    """`ladder_matrix(space, name, coeffs, sector=n)` for every key n of the layout,
+    keyed by n, from one gather and one scatter into one buffer.
 
-    The keys run |shift| past 0..m on both sides.  Blocks there have an empty
-    side, so a product of two blocks next to an edge sector is an exact zero
-    block of the right shape instead of a wrapped-around index.  Every block
-    is held at once; the checks that need one sector at a time build it
-    themselves with `ladder_matrix(..., sector=n)`: the dGamma bounds
-    (`bounds._sector_extremes`) and the Gaussian pair powers.
+    Each block is a view of that buffer, of exactly the sum of rows * cols
+    complex entries, so every block is held at once; the checks that need
+    one sector at a time build it themselves with `ladder_matrix(...,
+    sector=n)`: the dGamma bounds (`bounds._sector_extremes`) and the
+    Gaussian pair powers.
     """
-    shift = abs(LADDERS[name][1])
-    return {n: ladder_matrix(space, name, coeffs, sector=n)
-            for n in range(-shift, space.m + shift + 1)}
+    positions, values, (size,) = _gather(space, name, coeffs)
+    out = np.zeros(size, dtype=complex)
+    np.add.at(out, positions, values)
+    return {n: out[offset:offset + rows * cols].reshape(rows, cols)
+            for n, (_, _, offset, (rows, cols)) in _ladder_pattern(space.m, name).sectors.items()}
 
 
 def ladder_operator(space: FockSpace, name: str, coeffs) -> FockOperator:

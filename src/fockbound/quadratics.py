@@ -6,9 +6,11 @@ delta_plus(C)= sum_{j,k} C[k,j] a+_k a+_j     (pair creation,     shift +2)
 
 Each is fock.ladder_operator with the one-body matrix as coefficients: its
 sector blocks, one fock.ladder_matrix call each, put in place.  The checks
-never form them whole: check_commutator multiplies fock.sector_blocks, the
-dGamma bounds build one fock.ladder_matrix block at a time, and the Delta and
-DeltaPlus bounds read only the pair weights (bounds._pair_extremes).  Every one-body
+never form them whole: check_commutator multiplies fock.sector_blocks, views
+of one buffer that one gather and one scatter onto the operator's cached
+layout fill, the dGamma bounds build one fock.ladder_matrix block at a time
+from the same layout, and the Delta and DeltaPlus bounds read only the pair
+weights (bounds._pair_extremes).  Every one-body
 argument is checked by one_body, the same check for builders and checks.
 
 delta and delta_plus require skew arguments (A^T = -A with the entrywise

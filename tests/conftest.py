@@ -35,29 +35,32 @@ def corrupt_block(monkeypatch):
 
 @pytest.fixture
 def misplace_row(monkeypatch):
-    """misplace_row(past_end, kind=None) makes the first nonempty walk of `kind`
-    (of any operator if None) that fock.ladder_entries reads from
-    fock._ladder_pattern a copy with its first row moved to -1, or to the
-    block's row count if `past_end`: a target state outside the block, which
-    is where a wrong particle number lands.  Later reads get the cached walk.
+    """misplace_row(past_end, kind=None) makes the first nonempty sector walk of
+    `kind` (of any operator if None) that a layout build reads from fock._walk
+    come with its first row moved to -1, or to the block's row count if
+    `past_end`: a target state outside the block, which is where a wrong
+    particle number lands.  The layout cache is cleared first, so the next
+    build of every operator walks again, and after the test, so no layout
+    built from a moved row outlives it; later walks are left as they are.
     It returns the list of kinds moved, so a test can tell that the patch bit."""
-    pattern = fock._ladder_pattern
+    walk = fock._walk
 
     def misplace(past_end, kind=None):
         moved = []
 
         def misplaced(m, name, sector):
-            rows, *rest, shape = pattern(m, name, sector)
+            rows, *rest, shape = walk(m, name, sector)
             if kind in (None, name) and rows.size and not moved:
-                rows = rows.copy()
                 rows[0] = shape[0] if past_end else -1
                 moved.append(name)
             return rows, *rest, shape
 
-        monkeypatch.setattr(fock, "_ladder_pattern", misplaced)
+        fock._ladder_pattern.cache_clear()
+        monkeypatch.setattr(fock, "_walk", misplaced)
         return moved
 
-    return misplace
+    yield misplace
+    fock._ladder_pattern.cache_clear()
 
 
 @pytest.fixture

@@ -14,6 +14,11 @@ sector by sector, with the dense operators of this module; they return what
 the package's versions return.  car_failures holds such a residual dict to
 CAR_TOL, the rule of the car/ report rows.
 
+sector_blocks is the per-key builder the package used before it cached one
+layout per operator: one ladder_matrix call per sector key, each block an
+array of its own.  The tests patch it in place of fock.sector_blocks, where
+fock, quadratics and cli read that name.
+
 run_verify_algebra, pair_coefficients, gaussian_state and slater_expectation
 are the package's whole-space versions from before those too read sector
 blocks: they apply the package's own whole-space operators (d_gamma, delta,
@@ -251,6 +256,14 @@ def slater_expectation(space: FockSpace, B, modes) -> complex:
         raise AssertionError(
             f"slater expectation {value} disagrees with diagonal sum {diagonal_sum}")
     return value
+
+
+def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
+    """`ladder_matrix(space, name, coeffs, sector=n)` for every n from -|shift| to
+    m + |shift|, keyed by n: one build per key."""
+    shift = abs(LADDERS[name][1])
+    return {n: ladder_matrix(space, name, coeffs, sector=n)
+            for n in range(-shift, space.m + shift + 1)}
 
 
 def sector_extremes(space: FockSpace, operator: str, X) -> np.ndarray:

@@ -345,7 +345,7 @@ def test_unrepresentable_operator_rejected_before_any_product(which, entry, monk
     def must_not_build(*args, **kwargs):
         raise AssertionError("sector block built from an operator that overflows")
 
-    monkeypatch.setattr(fb.fock, "ladder_entries", must_not_build)
+    monkeypatch.setattr(fb.fock, "_gather", must_not_build)
     X = np.eye(3, dtype=complex)
     X[0, 1] = entry
     if which != "dGamma":

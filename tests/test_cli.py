@@ -229,7 +229,7 @@ def test_every_exponent_validated_before_building(capsys, monkeypatch):
     def must_not_build(*args, **kwargs):
         raise AssertionError("operator built before every exponent was validated")
 
-    monkeypatch.setattr(fock, "ladder_entries", must_not_build)
+    monkeypatch.setattr(fock, "_gather", must_not_build)
     code = cli.main(["verify-bounds", "--which", "Delta", "--r", "1", "3", "--m", "4"])
     assert code == cli.EXIT_VALIDATION_ERROR
     captured = capsys.readouterr()
@@ -242,7 +242,7 @@ def test_non_skew_matrix_file_rejected_before_building(entry, tmp_path, capsys, 
     def must_not_build(*args, **kwargs):
         raise AssertionError("pair operator built from a non-skew matrix")
 
-    monkeypatch.setattr(fock, "ladder_entries", must_not_build)
+    monkeypatch.setattr(fock, "_gather", must_not_build)
     C = np.zeros((3, 3))
     C[1, 2] = C[2, 1] = entry
     path = tmp_path / "c.json"
@@ -257,14 +257,15 @@ def test_non_skew_matrix_file_rejected_before_building(entry, tmp_path, capsys, 
 
 @pytest.mark.parametrize("rs", [["2"], ["1", "4/3", "2", "inf"]])
 def test_one_sector_build_per_trial_for_every_r(rs, capsys, monkeypatch):
+    # one gather of one sector's slice of the layout per block
     calls = []
-    build = fock.ladder_entries
+    gather = fock._gather
 
-    def counting(space, name, coeffs, sector):
+    def counting(space, name, coeffs, sector=None):
         calls.append(sector)
-        return build(space, name, coeffs, sector)
+        return gather(space, name, coeffs, sector)
 
-    monkeypatch.setattr(fock, "ladder_entries", counting)
+    monkeypatch.setattr(fock, "_gather", counting)
     code, out = run(["verify-bounds", "--which", "dGamma", "--r", *rs, "--m", "3",
                      "--trials", "2"], capsys)
     assert code == cli.EXIT_OK
@@ -425,6 +426,32 @@ def test_algebra_adjoint_row_sees_one_corrupt_block(m, name, target, corrupt_blo
     assert not row["pass"] and row["metric"] > 1e-3
 
 
+@pytest.mark.parametrize("k", [490, -490])
+@pytest.mark.parametrize("name, factor", [("dGamma", 1j), ("Delta", -1)])
+def test_algebra_rows_under_power_of_two_scalings(name, factor, k, corrupt_block,
+                                                  monkeypatch):
+    # B and A drawn times 2^k and C times 2^-k, entries near 1e+-147: the
+    # commutator row is the unscaled one bit for bit, and each adjoint row
+    # 2^k times it.  A corrupt block of sector 2 makes the adjoint residual of
+    # `name` nonzero; every other adjoint residual is exactly 0.
+    flips = corrupt_block(name, 2, factor)
+    plain = algebra_rows(4, trials=2)
+    draws, skew, complex_matrix = [], cli.skew_matrix, cli.complex_matrix
+
+    def scaled_skew(rng, m):  # A, then C, in each trial
+        draws.append(rng)
+        return skew(rng, m) * 2.0 ** (k if len(draws) % 2 else -k)
+
+    monkeypatch.setattr(cli, "skew_matrix", scaled_skew)
+    monkeypatch.setattr(cli, "complex_matrix", lambda rng, m: complex_matrix(rng, m) * 2.0**k)
+    scaled = algebra_rows(4, trials=2)
+    adjoint = "adjoint_dgamma" if name == "dGamma" else "adjoint_delta"
+    assert flips and len(draws) == 4 and plain[adjoint]["metric"] > 0
+    assert float.hex(scaled["commutator"]["metric"]) == float.hex(plain["commutator"]["metric"])
+    for key in ("adjoint_dgamma", "adjoint_delta"):
+        assert scaled[key]["metric"] == math.ldexp(plain[key]["metric"], k)
+
+
 @pytest.mark.parametrize("name", ["dGamma", "Delta", "DeltaPlus"])
 def test_algebra_grading_counts_a_misplaced_entry(name, misplace_row):
     for past_end in (False, True):
@@ -467,23 +494,21 @@ def test_a_row_outside_its_sector_is_a_verification_failure(argv, kind, misplace
 
 def test_verify_algebra_builds_each_operator_once_per_trial(monkeypatch, capsys):
     # the commutator's Delta(A), DeltaPlus(C) and dGamma(CA), and the adjoint
-    # rows' dGamma(B), dGamma(B*), Delta(A) and DeltaPlus(A*), each one build
-    # per sector key; the grading row reads these builds and walks no entries
-    # of its own
-    assert not hasattr(cli, "ladder_entries")
-    entries, calls = fock.ladder_entries, []
+    # rows' dGamma(B), dGamma(B*), Delta(A) and DeltaPlus(A*), each one gather
+    # of every sector key at once; the grading row reads these builds and
+    # gathers no entries of its own
+    assert not hasattr(cli, "_gather")
+    gather, calls = fock._gather, []
 
     def counting(space, name, coeffs, sector=None):
         calls.append((name, sector))
-        return entries(space, name, coeffs, sector)
+        return gather(space, name, coeffs, sector)
 
-    monkeypatch.setattr(fock, "ladder_entries", counting)
+    monkeypatch.setattr(fock, "_gather", counting)
     code, _ = run(["verify-algebra", "--m", "3", "--trials", "2"], capsys)
     assert code == cli.EXIT_OK
     builds = {"dGamma": 3, "Delta": 2, "DeltaPlus": 2}
-    shift = {name: abs(fock.LADDERS[name][1]) for name in builds}
-    assert Counter(calls) == {(name, n): 2 * count for name, count in builds.items()
-                              for n in range(-shift[name], 3 + shift[name] + 1)}
+    assert Counter(calls) == {(name, None): 2 * count for name, count in builds.items()}
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -492,19 +517,29 @@ def test_verify_algebra_builds_each_operator_once_per_trial(monkeypatch, capsys)
     (["verify-bounds", "--which", "dGamma", "--r", "1", "2", "--m", "3", "--trials", "3"],
      {(3, "dGamma", n) for n in range(4)})])
 def test_each_entry_pattern_is_walked_once_per_process(argv, keys, monkeypatch, capsys):
-    entries, calls = fock.ladder_entries, []
+    # every sector key is walked once, into one layout per operator, which
+    # every later build of that operator reads from the cache
+    walk, gather, walks, gathers = fock._walk, fock._gather, [], []
 
-    def recording(space, name, coeffs, sector=None):
-        calls.append((space.m, name, sector))
-        return entries(space, name, coeffs, sector)
+    def walking(m, name, sector):
+        walks.append((m, name, sector))
+        return walk(m, name, sector)
 
-    monkeypatch.setattr(fock, "ladder_entries", recording)
+    def gathering(space, name, coeffs, sector=None):
+        gathers.append(name)
+        return gather(space, name, coeffs, sector)
+
+    monkeypatch.setattr(fock, "_walk", walking)
+    monkeypatch.setattr(fock, "_gather", gathering)
     fock._ladder_pattern.cache_clear()
     code, _ = run(argv, capsys)
     info = fock._ladder_pattern.cache_info()
+    operators = {name for _, name, _ in keys}
     assert code == cli.EXIT_OK
-    assert set(calls) == keys and len(calls) > len(keys)
-    assert (info.misses, info.hits) == (len(keys), len(calls) - len(keys))
+    assert sorted(walks) == sorted(keys)
+    assert set(gathers) == operators and len(gathers) > len(operators)
+    assert info.misses == info.currsize == len(operators)
+    assert info.hits >= len(gathers) - len(operators)
 
 
 @pytest.mark.parametrize("argv, error", [
@@ -514,7 +549,7 @@ def test_out_of_memory_is_a_resource_error(argv, error, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise error
 
-    monkeypatch.setattr(fock, "ladder_entries", exhausted)
+    monkeypatch.setattr(fock, "_gather", exhausted)
     assert cli.main(argv) == cli.EXIT_RESOURCE_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -326,20 +327,47 @@ def test_cached_entries_equal_an_uncached_walk_bit_for_bit(name, kind):
 
 def test_cached_pattern_is_read_only_and_never_handed_out():
     sp, X = fb.make_space(4), complex_vector(trial_rng(3, 0), 16).reshape(4, 4)
-    pattern = fb.fock._ladder_pattern(4, "dGamma", 2)
-    arrays, kept = pattern[:4], [a.copy() for a in pattern[:4]]
-    assert sum(a.itemsize for a in arrays) == 11  # bytes per entry
-    assert not any(a.flags.writeable for a in arrays)
+    layout = fb.fock._ladder_pattern(4, "dGamma")
+    entries, kept = layout.entries, layout.entries.copy()
+    assert entries.itemsize == 11  # bytes per entry: int64 position, int16 term, int8 sign
+    assert not entries.flags.writeable
     (rows, cols), values, _ = fb.fock.ladder_entries(sp, "dGamma", X, sector=2)
     first = rows.copy(), cols.copy(), values.copy()
-    for a in (rows, cols, values):
+    block = fb.fock.ladder_matrix(sp, "dGamma", X, sector=2)
+    first_block = block.copy()
+    blocks = fb.fock.sector_blocks(sp, "dGamma", X)
+    for a in (rows, cols, values, block, *blocks.values()):
         assert a.flags.writeable
-        assert not any(np.shares_memory(a, b) for b in arrays)
-        a[:] = 0
-    assert fb.fock._ladder_pattern(4, "dGamma", 2) is pattern
-    assert all(np.array_equal(a, b) for a, b in zip(arrays, kept))
+        assert not np.shares_memory(a, entries)
+        a[...] = 0
+    assert fb.fock._ladder_pattern(4, "dGamma") is layout
+    assert np.array_equal(entries, kept)
     (rows, cols), values, _ = fb.fock.ladder_entries(sp, "dGamma", X, sector=2)
     assert all(np.array_equal(a, b) for a, b in zip((rows, cols, values), first))
+    assert np.array_equal(fb.fock.ladder_matrix(sp, "dGamma", X, sector=2), first_block)
+    assert np.array_equal(fb.fock.sector_blocks(sp, "dGamma", X)[2], first_block)
+
+
+@pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
+def test_sector_blocks_are_views_of_one_buffer(name):
+    # one buffer of exactly sum rows * cols complex entries; an edit to one
+    # block reaches no other block, and neither the cached layout nor a later build
+    shift = fb.fock.LADDERS[name][1]
+    for m in range(1, 9):
+        sp = fb.make_space(m)
+        coeffs = ladder_coeffs(trial_rng(92, m), m, name, "random")
+        blocks = fb.fock.sector_blocks(sp, name, coeffs)
+        buffer = blocks[0].base
+        assert all(block.base is buffer for block in blocks.values())
+        assert buffer.dtype == complex and buffer.shape == (sum(
+            sector_dim(m, n + shift) * sector_dim(m, n) for n in blocks),)
+        kept = fb.fock._ladder_pattern(m, name).entries.copy()
+        others = {n: block.copy() for n, block in blocks.items() if n != m // 2}
+        blocks[m // 2][...] = 7.0
+        assert all(np.array_equal(blocks[n], block) for n, block in others.items())
+        assert np.array_equal(fb.fock._ladder_pattern(m, name).entries, kept)
+        again = fb.fock.sector_blocks(sp, name, coeffs)
+        assert np.array_equal(again[m // 2], fb.fock.ladder_matrix(sp, name, coeffs, m // 2))
 
 
 @pytest.mark.parametrize("sector", [2.5, 2.0, "2", math.nan])
@@ -361,14 +389,22 @@ def test_sector_is_a_required_integer(build, sector):
 
 @pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
 def test_ladder_entries_rejects_a_walked_row_outside_its_block(name, misplace_row):
-    # the check reads the walk itself, so a misplaced row raises whatever its coefficient
+    # the layout build checks the walk itself, so a misplaced row raises
+    # whatever its coefficient and whichever sector is read, and the layout
+    # is not cached
     sp = fb.make_space(4)
     coeffs = ladder_coeffs(trial_rng(6, 4), 4, name, "random")
+    builds = [lambda: fb.fock.ladder_entries(sp, name, coeffs, 2),
+              lambda: fb.fock.ladder_entries(sp, name, 0 * coeffs, 2),
+              lambda: fb.fock.ladder_matrix(sp, name, coeffs, 9),
+              lambda: fb.fock.sector_blocks(sp, name, coeffs)]
     for past_end in (False, True):
-        moved = misplace_row(past_end)
-        with pytest.raises(fb.fock.GradingError, match="sector shift"):
-            fb.fock.ladder_entries(sp, name, coeffs, 2)
-        assert moved == [name]
+        for build in builds:
+            moved = misplace_row(past_end)
+            with pytest.raises(fb.fock.GradingError, match="sector shift"):
+                build()
+            assert moved == [name]
+            assert fb.fock._ladder_pattern.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
@@ -398,27 +434,44 @@ def sector_keys(name, m):
     return [(name, n) for n in range(-shift, m + shift + 1)]
 
 
+class CountingScatter:
+    """numpy, with every np.add.at call counted in `calls`."""
+
+    def __init__(self):
+        self.calls = 0
+        self.add = types.SimpleNamespace(at=self.at)
+
+    def at(self, *args):
+        self.calls += 1
+        return np.add.at(*args)
+
+    def __getattr__(self, attr):
+        return getattr(np, attr)
+
+
 def test_each_sector_blocks_call_builds_once(monkeypatch):
-    # one ladder_entries call per operator and key, in key order
-    entries, calls = fb.fock.ladder_entries, []
+    # one gather of every sector key at once and one scatter per operator build
+    gather, calls, scatter = fb.fock._gather, [], CountingScatter()
 
     def counting(space, name, coeffs, sector=None):
         calls.append((name, sector))
-        return entries(space, name, coeffs, sector)
+        return gather(space, name, coeffs, sector)
 
-    monkeypatch.setattr(fb.fock, "ladder_entries", counting)
+    monkeypatch.setattr(fb.fock, "_gather", counting)
+    monkeypatch.setattr(fb.fock, "np", scatter)
     sp = fb.make_space(5)
-    fb.fock.sector_blocks(sp, "Delta", np.zeros((5, 5)))
-    assert calls == sector_keys("Delta", 5)
+    blocks = fb.fock.sector_blocks(sp, "Delta", np.zeros((5, 5)))
+    assert calls == [("Delta", None)] and scatter.calls == 1
+    assert [("Delta", n) for n in blocks] == sector_keys("Delta", 5)
     calls.clear()
     fb.verify_car(sp, trials=3, seed=2)
-    per_trial = 3 * sector_keys("annihilation", 5) + 3 * sector_keys("creation", 5)
-    assert calls == 3 * per_trial
+    assert calls == 3 * (3 * [("annihilation", None)] + 3 * [("creation", None)])
+    assert scatter.calls == 1 + 3 * 6
     calls.clear()
     rng = trial_rng(4, 0)
     fb.check_commutator(sp, skew_matrix(rng, 5), skew_matrix(rng, 5))
-    assert calls == [key for name in ("Delta", "DeltaPlus", "dGamma")
-                     for key in sector_keys(name, 5)]
+    assert calls == [("Delta", None), ("DeltaPlus", None), ("dGamma", None)]
+    assert scatter.calls == 1 + 3 * 6 + 3
 
 
 def test_verify_car_fails_when_a_residual_overflows(monkeypatch):

@@ -5,6 +5,7 @@ jw_oracle.py."""
 
 import argparse
 import itertools
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import fockbound as fb
 import jw_oracle as jw
-from fockbound import cli, gaussian
+from fockbound import cli, fock, gaussian, quadratics
 from fockbound.bounds import _gram_extremes
 from fockbound.fock import ladder_matrix
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
@@ -346,3 +347,32 @@ def test_blocked_slater_expectation_equals_dense(m):
             phi = fb.slater_state(sp, modes).amplitudes[sp.occupations == n]
             new = np.vdot(phi, ladder_matrix(sp, "dGamma", B, sector=n) @ phi)
             assert abs(new - jw.slater_expectation(sp, B, list(modes))) <= 1e-13
+
+
+def identity_report_bodies(capsys) -> list[str]:
+    """The JSON report bodies, timestamp removed, of verify-car and verify-algebra
+    at m = 1..6 for two seeds."""
+    bodies = []
+    for command, m, seed in itertools.product(("verify-car", "verify-algebra"),
+                                              range(1, 7), (0, 67)):
+        assert cli.main([command, "--m", str(m), "--trials", "3", "--seed", str(seed)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        report["header"].pop("timestamp")
+        bodies.append(cli.render(report, "json"))
+    return bodies
+
+
+def test_identity_reports_equal_the_per_key_builder_byte_for_byte(monkeypatch, capsys):
+    # the one-layout builder and the oracle's one build per key, each patched
+    # in where fock, quadratics and cli read sector_blocks
+    bodies, calls, builders = [], [], (fock.sector_blocks, jw.sector_blocks)
+    for builder in builders:
+        def recording(space, name, coeffs, builder=builder):
+            calls.append(builder)
+            return builder(space, name, coeffs)
+
+        for module in (fock, quadratics, cli):
+            monkeypatch.setattr(module, "sector_blocks", recording)
+        bodies.append(identity_report_bodies(capsys))
+    assert set(calls) == set(builders)
+    assert bodies[0] == bodies[1]

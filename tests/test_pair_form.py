@@ -117,7 +117,7 @@ def test_pair_operator_blocks_are_built_only_from_the_pair_form(monkeypatch):
         seen.append((m, operator, np.array(weights)))
         return pair_extremes(m, operator, weights)
 
-    monkeypatch.setattr(fock, "ladder_entries", must_not_walk)
+    monkeypatch.setattr(fock, "_gather", must_not_walk)
     monkeypatch.setattr(bounds, "_pair_extremes", recording)
     m = 7
     fock._basis.cache_clear()

@@ -237,7 +237,7 @@ def test_overflowing_commutator_rejected_before_any_block(scale, monkeypatch):
     def must_not_build(*args, **kwargs):
         raise AssertionError("sector block built from an operator that overflows")
 
-    monkeypatch.setattr(fb.fock, "ladder_entries", must_not_build)
+    monkeypatch.setattr(fb.fock, "_gather", must_not_build)
     rng = trial_rng(3, 0)
     A, C = skew_matrix(rng, 4), skew_matrix(rng, 4)
     with pytest.raises(ValueError, match="would overflow"):
@@ -255,6 +255,22 @@ def test_unguarded_overflowing_commutator_fails(monkeypatch):
                                        1e160 * skew_matrix(rng, 4))
     assert not residual <= NORM_TOL
     assert math.isnan(residual)
+
+
+@pytest.mark.parametrize("k", [490, -490])
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_commutator_residual_is_exact_under_opposite_power_of_two_scalings(m, k):
+    # Delta(2^k A) and Delta+(2^-k C) are 2^k Delta(A) and 2^-k Delta+(C)
+    # exactly, and (2^-k C)(2^k A) = C A, so every product, residual and scale
+    # is the unscaled one bit for bit.  Entries near 1e+-147 pass
+    # require_representable.
+    rng = trial_rng(41, m)
+    A, C = skew_matrix(rng, m), skew_matrix(rng, m)
+    scaled_A, scaled_C = A * 2.0**k, C * 2.0**-k
+    assert 1e145 < np.abs(scaled_A if k > 0 else scaled_C).max() < 1e149
+    sp = fb.make_space(m)
+    residual = fb.check_commutator(sp, scaled_A, scaled_C)
+    assert residual.hex() == fb.check_commutator(sp, A, C).hex()
 
 
 def test_check_commutator_fails_on_a_nan_in_one_block(corrupt_block):

@@ -26,7 +26,7 @@ from . import fock
 from .fock import LADDERS, FockOperator, FockSpace, ResourceError, make_space
 from .quadratics import one_body, pair_weights, require_representable
 from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
-from .spectral import BoundVerdict, _loewner_tolerance, _require_self_adjoint, _schatten
+from .spectral import BoundVerdict, _loewner_tolerance, _schatten
 from .tolerances import IDENTITY_TOL, UNIT_ROUNDOFF
 
 # which: (Q, r_min, r_max, rhs(sq, r, s, n)); sq holds the squares |X|_r^2, |X|_2^2
@@ -116,10 +116,13 @@ def _lanczos(gram: np.ndarray) -> tuple[float, float]:
 
     Lanczos with full reorthogonalisation (classical Gram-Schmidt, twice)
     from a start vector drawn from a fixed seed, for at most _LANCZOS_STEPS
-    steps; it stops when theta_max moves by at most 4u theta_max over four
-    steps, or when the Krylov space becomes invariant.  theta_min and
-    theta_max are Rayleigh quotients, so lambda_min <= theta_min and
-    theta_max <= lambda_max up to rounding.
+    steps; it stops when theta_max moves over four steps by at most a
+    quarter of the shift c = `_certificate_shift(gram, theta_max)`, finer
+    than the bracket width 2 c that the Cholesky test proves anyway, or when
+    the Krylov space becomes invariant.  A stop too early leaves theta_max
+    more than c below lambda_max, so the Cholesky test fails and the sector
+    takes eigvalsh.  theta_min and theta_max are Rayleigh quotients, so
+    lambda_min <= theta_min and theta_max <= lambda_max up to rounding.
     """
     dim = len(gram)
     basis = np.empty((_LANCZOS_STEPS, dim), dtype=complex)
@@ -139,7 +142,7 @@ def _lanczos(gram: np.ndarray) -> tuple[float, float]:
         beta[k] = math.sqrt(np.vdot(w, w).real)
         if (k + 1) % 4 == 0 or k + 1 == _LANCZOS_STEPS or beta[k] == 0.0:
             ritz = np.linalg.eigvalsh(np.diag(alpha[:k + 1]) + np.diag(beta[:k], -1))
-            if ritz[-1] - top <= 4.0 * UNIT_ROUNDOFF * abs(ritz[-1]) or beta[k] == 0.0:
+            if ritz[-1] - top <= 0.25 * _certificate_shift(gram, ritz[-1]) or beta[k] == 0.0:
                 break
             top = ritz[-1]
         v = w / beta[k]
@@ -205,7 +208,17 @@ def _cholesky_certifies(gram: np.ndarray, theta: float, shift: float) -> bool:
 
 def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float, float, float]:
     """(lambda_min, top, width) of Q_n* Q_n, Q = dGamma(X), from the Gram of the
-    sector block that `fock.ladder_matrix` builds.
+    sector block q that `fock.ladder_matrix` builds.
+
+    The Gram is formed in real arithmetic, at half the multiplies of the
+    complex product q* q: with P = [Re q; Im q], the real stack of q's k
+    rows, and K = (Re q)^T Im q, G = P^T P + i (K - K^T).  numpy evaluates
+    P^T P as one symmetric rank-2k product (syrk) and mirrors its triangle,
+    so the real part is symmetric and the imaginary part antisymmetric bit
+    for bit: G is exactly Hermitian by construction, as `_certificate_shift`
+    needs, and a self-adjointness test on it would have nothing to find.
+    Only a NaN or inf can still reach it, so a finiteness test raises
+    ValueError before any eigensolve.
 
     With `certify`, the Ritz values (theta_min, theta_max) of `_lanczos` are
     kept, however wide the bracket, if Cholesky succeeds on
@@ -214,11 +227,17 @@ def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float,
     the exact ends and width 0.
     """
     q = fock.ladder_matrix(space, "dGamma", X, sector=n)
-    gram = q.conj().T @ q
-    del q  # before the n x n temporaries of the checks below
-    gram = _require_self_adjoint(gram, "lhs")
-    gram += gram.conj().T  # exactly Hermitian, as (G + G^H) / 2
-    gram *= 0.5
+    rows = len(q)
+    stacked = np.concatenate((q.real, q.imag))
+    del q  # so no complex n x n array is held beside the real products
+    skew = stacked[:rows].T @ stacked[rows:]
+    gram = stacked.T @ stacked
+    del stacked
+    gram = gram.astype(complex)
+    np.subtract(skew, skew.T, out=gram.imag)
+    del skew
+    if not np.isfinite(gram).all():
+        raise ValueError(f"lhs is not finite: the Gram of sector {n} has a NaN or inf entry")
     if certify:
         low, top = _lanczos(gram)
         shift = _certificate_shift(gram, top)

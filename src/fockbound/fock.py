@@ -145,10 +145,14 @@ def _walk(m: int, name: str, sector: int):
     """
     space = FockSpace(m)
     kinds, shift = LADDERS[name]
-    terms = np.unravel_index(np.arange(m ** len(kinds)), (m,) * len(kinds))
     # sectors are contiguous in the canonical order; out of range ones are empty
     c0, c1, row0, r1 = np.searchsorted(
         space.occupations, [sector, sector + 1, sector + shift, sector + shift + 1])
+    shape = (int(r1 - row0), int(c1 - c0))
+    if 0 in shape:  # an empty side has no entries
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0, np.int16), np.empty(0, np.int8), shape
+    terms = np.unravel_index(np.arange(m ** len(kinds)), (m,) * len(kinds))
     cols = space.masks[c0:c1]
     masks = np.repeat(cols[None, :], terms[0].size, axis=0)
     alive = np.ones(masks.shape, dtype=bool)
@@ -161,7 +165,7 @@ def _walk(m: int, name: str, sector: int):
         masks ^= bit
     term, col = np.nonzero(alive)
     return (space.index_of[masks[term, col]] - row0, col, term.astype(np.int16),
-            (1 - 2 * (parity[term, col] & 1)).astype(np.int8), (int(r1 - row0), cols.size))
+            (1 - 2 * (parity[term, col] & 1)).astype(np.int8), shape)
 
 
 # one entry of a layout: its flat position in the buffer of all the blocks,

@@ -15,6 +15,7 @@ import jw_oracle as jw
 from fockbound import bounds, fock
 from fockbound.bounds import _LANCZOS_STEPS, _gram_extremes
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng, unitary_matrix
+from fockbound.tolerances import UNIT_ROUNDOFF
 
 SPECS = {
     "dGamma": [fb.BoundSpec("dGamma", r) for r in (1, 4 / 3, 2, math.inf)]
@@ -61,15 +62,53 @@ def large_eigensolves(monkeypatch):
     return shapes
 
 
+@pytest.fixture
+def lanczos_steps(monkeypatch):
+    """(steps, steps at 4u) of every bounds._lanczos call: the order of its last
+    tridiagonal, under its own stop and under a stop when theta_max moves by
+    at most 4u theta_max, which is c / 4 for a shift c = 16 u |theta_max|."""
+    found, lanczos, solve = [], bounds._lanczos, np.linalg.eigvalsh
+
+    def run(gram, shift):
+        sizes = []
+
+        def counting(a, *args, **kwargs):
+            sizes.append(len(a))
+            return solve(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", counting)
+            patch.setattr(bounds, "_certificate_shift", shift)
+            return lanczos(gram), sizes[-1]
+
+    def recording(gram):
+        ritz, steps = run(gram, bounds._certificate_shift)
+        found.append((steps, run(gram, lambda g, theta: 16.0 * UNIT_ROUNDOFF * abs(theta))[1]))
+        return ritz
+
+    monkeypatch.setattr(bounds, "_lanczos", recording)
+    return found
+
+
 def assert_tops(extremes, expected):
     np.testing.assert_allclose(extremes[:, 1], expected, rtol=1e-12, atol=0.0)
+
+
+def real_gram(q):
+    """q* q as the sector Grams form it: S + i (K - K^T), S = P^T P with
+    P = [Re q; Im q] and K = (Re q)^T Im q."""
+    stacked = np.concatenate((q.real, q.imag))
+    skew = stacked[:len(q)].T @ stacked[len(q):]
+    gram = (stacked.T @ stacked).astype(complex)
+    gram.imag = skew - skew.T
+    return gram
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_dgamma_sector_block_is_the_ladder_matrix_bit_for_bit(m, monkeypatch):
     # each dGamma sector solves the Gram of the whole sector block that
     # fock.ladder_matrix builds, read once through the module: its extremes are
-    # those of that block's Gram bit for bit
+    # those of that block's real-arithmetic Gram bit for bit
     space, ladder_matrix, built = fb.make_space(m), fock.ladder_matrix, []
 
     def recording(*args, **kwargs):
@@ -83,11 +122,54 @@ def test_dgamma_sector_block_is_the_ladder_matrix_bit_for_bit(m, monkeypatch):
             built.clear()
             extremes = bounds._sector_extremes(space, B, n, certify=False)
             assert built == [((space, "dGamma", B), {"sector": n})]
-            whole = ladder_matrix(space, "dGamma", B, sector=n)
-            gram = whole.conj().T @ whole
-            gram = (gram + gram.conj().T) * 0.5
-            eigs = np.linalg.eigvalsh(gram)
+            eigs = np.linalg.eigvalsh(real_gram(ladder_matrix(space, "dGamma", B, sector=n)))
             assert np.array(extremes).tobytes() == np.array([eigs[0], eigs[-1], 0.0]).tobytes()
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_dgamma_gram_is_exactly_hermitian(m, monkeypatch):
+    # the Gram that each sector solves equals its conjugate transpose exactly,
+    # as the Cholesky certificate assumes, and lies within 1e-15 max|G| of the
+    # symmetrised complex product (q* q + (q* q)^H) / 2
+    space, solve, grams = fb.make_space(m), np.linalg.eigvalsh, []
+
+    def recording(a, *args, **kwargs):
+        grams.append(a.copy())
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for seed in (0, 1):
+        B = complex_matrix(trial_rng(98, seed, m), m)
+        for n in range(m + 1):
+            grams.clear()
+            bounds._sector_extremes(space, B, n, certify=False)
+            [gram] = grams
+            assert gram.real.tobytes() == gram.real.T.copy().tobytes()
+            assert np.array_equal(gram, gram.conj().T)
+            q = fock.ladder_matrix(space, "dGamma", B, sector=n)
+            product = q.conj().T @ q
+            old = (product + product.conj().T) * 0.5
+            assert np.abs(gram - old).max() <= 1e-15 * np.abs(gram).max()
+
+
+def test_nan_sector_block_raises_before_any_eigensolve(monkeypatch):
+    # the Gram takes no self-adjointness test, as it is Hermitian by
+    # construction; a NaN in the block still stops at the finiteness test
+    m, n = 9, 4
+    space, B = fb.make_space(m), complex_matrix(trial_rng(99, m), m)
+    block = fock.ladder_matrix(space, "dGamma", B, sector=n)
+    block[3, 5] = math.nan
+
+    def must_not_solve(*args, **kwargs):
+        raise AssertionError("an eigensolve ran on a non-finite Gram")
+
+    monkeypatch.setattr(fock, "ladder_matrix", lambda *args, **kwargs: block.copy())
+    for name in ("eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, must_not_solve)
+    monkeypatch.setattr(bounds, "_lanczos", must_not_solve)
+    for certify in (False, True):
+        with pytest.raises(ValueError, match="not finite"):
+            bounds._sector_extremes(space, B, n, certify)
 
 
 @pytest.mark.parametrize("m", [10, 11, 12])
@@ -310,16 +392,19 @@ def assert_benchmark_inputs_pass(m, seed):
 
 
 @pytest.mark.parametrize("seed", [29, 31])
-def test_benchmark_inputs_are_certified_without_fallback(seed, large_eigensolves):
+def test_benchmark_inputs_are_certified_without_fallback(seed, large_eigensolves, lanczos_steps):
+    # and no certified sector takes more Lanczos steps than under a stop at 4u theta_max
     assert_benchmark_inputs_pass(10, seed)
     assert large_eigensolves == []
+    assert lanczos_steps and all(steps <= at_4u for steps, at_4u in lanczos_steps)
 
 
-def test_m12_benchmark_inputs_are_certified_without_fallback(large_eigensolves):
+def test_m12_benchmark_inputs_are_certified_without_fallback(large_eigensolves, lanczos_steps):
     # the widths 2 c_n reach a few thousandths of the row tolerance here, and
     # every bracket still decides its rows
     assert_benchmark_inputs_pass(12, 29)
     assert large_eigensolves == []
+    assert lanczos_steps and all(steps <= at_4u for steps, at_4u in lanczos_steps)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)

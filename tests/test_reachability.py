@@ -47,7 +47,7 @@ UNREACHED = sorted([
     "quadratics.check_grading", "quadratics.d_gamma", "quadratics.delta",
     "quadratics.delta_plus", "quadratics.skew_part",
     "rng.psd_matrix", "rng.unitary_matrix",
-    "spectral.BoundVerdict.passed", "spectral._conj_exponents",
+    "spectral.BoundVerdict.passed", "spectral._conj_exponents", "spectral._require_self_adjoint",
     "spectral.cauchy_schwarz_check", "spectral.hoelder_check", "spectral.jensen_check",
     "spectral.loewner_leq", "spectral.psd_power", "spectral.schatten_norm",
 ])

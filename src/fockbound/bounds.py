@@ -217,8 +217,13 @@ def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float,
     so the real part is symmetric and the imaginary part antisymmetric bit
     for bit: G is exactly Hermitian by construction, as `_certificate_shift`
     needs, and a self-adjointness test on it would have nothing to find.
-    Only a NaN or inf can still reach it, so a finiteness test raises
-    ValueError before any eigensolve.
+    Only a NaN or inf can still reach it, and only from the block: every
+    caller holds X to `require_representable`, which keeps the diagonal of
+    Q_n* Q_n, the squared column norms of q, below max / 8, and by
+    Cauchy-Schwarz every entry of P^T P and of K too.  So a finite block
+    gives a finite Gram, and the finiteness test runs on P, before the two
+    products, in which an inf times 0 would raise numpy's invalid-value
+    warning instead of this ValueError.
 
     With `certify`, the Ritz values (theta_min, theta_max) of `_lanczos` are
     kept, however wide the bracket, if Cholesky succeeds on
@@ -230,14 +235,14 @@ def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float,
     rows = len(q)
     stacked = np.concatenate((q.real, q.imag))
     del q  # so no complex n x n array is held beside the real products
+    if not np.isfinite(stacked).all():
+        raise ValueError(f"lhs is not finite: the block of sector {n} has a NaN or inf entry")
     skew = stacked[:rows].T @ stacked[rows:]
     gram = stacked.T @ stacked
     del stacked
     gram = gram.astype(complex)
     np.subtract(skew, skew.T, out=gram.imag)
     del skew
-    if not np.isfinite(gram).all():
-        raise ValueError(f"lhs is not finite: the Gram of sector {n} has a NaN or inf entry")
     if certify:
         low, top = _lanczos(gram)
         shift = _certificate_shift(gram, top)
@@ -270,33 +275,32 @@ def _require_pair_budget(m: int) -> None:
                                 f"{need / 2**30:.3g} GiB")
 
 
-def _pair_extremes(m: int, operator: str, weights) -> np.ndarray:
-    """(lambda_min, lambda_max, 0) of Q_n* Q_n for every sector n, Q = `operator`
-    (Delta or DeltaPlus) of the Youla form C0 on m modes with pair weights
-    `weights` (C0[2k, 2k + 1] = w_k = -C0[2k + 1, 2k]), from m and the weights
-    alone; only the first K = m // 2 weights are read.
+def _pair_extremes(m: int, weights) -> np.ndarray:
+    """(lambda_min, lambda_max, 0) of Delta_n* Delta_n for every sector n, Delta
+    of the Youla form C0 on m modes with pair weights `weights` (C0[2k, 2k + 1]
+    = w_k = -C0[2k + 1, 2k]), from m and the weights alone; only the first
+    K = m // 2 weights are read.  DeltaPlus reads these rows in mirror order
+    (`_gram_extremes`).
 
-    Q moves each of the K pairs between empty and full with weight 2 w_k and a
-    Jordan-Wigner sign that does not depend on the state; a singly filled pair
-    and an odd m's unpaired mode are spectators.  So Q_n* Q_n is the direct sum,
-    over the set F of pairs not singly filled and the number p of them full,
-    n = (K - |F|) + u + 2p with u the unpaired mode's filling, of the Grams of the
-    hard-core boson lowering (Delta) or raising (DeltaPlus) L on the p-subsets of
-    F, with entries 2 |w_k| (a diagonal phase similarity removes the phases).
-    The lowerings of one shape (|F|, q) are stacked into one eigvalsh on the
-    smaller side; the lowering from q-subsets is Delta's from p = q and,
-    transposed, DeltaPlus's from p = q - 1.  A sector with a wide or empty block
-    has lambda_min = 0 exactly.  The ends are exact to rounding, width 0.
+    Delta empties each of the K pairs with weight 2 w_k and a Jordan-Wigner
+    sign that does not depend on the state; a singly filled pair and an odd
+    m's unpaired mode are spectators.  So Delta_n* Delta_n is the direct sum,
+    over the set F of pairs not singly filled and the number q of them full,
+    n = (K - |F|) + u + 2q with u the unpaired mode's filling, of the Grams of
+    the hard-core boson lowering L from the q-subsets of F, with entries
+    2 |w_k| (a diagonal phase similarity removes the phases).  The lowerings
+    of one shape (|F|, q) are stacked into one eigvalsh on the smaller side.
+    A sector with a wide block (fewer rows than columns) or an empty one
+    (q = 0) has lambda_min = 0 exactly.  The ends are exact to rounding, width 0.
     """
     _require_pair_budget(m)
     pairs, spare = divmod(m, 2)
     x = 2.0 * np.abs(np.asarray(weights)[:pairs])
-    lowers = operator == "Delta"
     extremes = np.zeros((m + 1, 3))
     extremes[:, 0] = math.inf
     kernel = np.zeros(m + 1, dtype=bool)  # sectors with a wide or empty block
     for free in range(pairs + 1):
-        n = pairs - free + (0 if lowers else 2 * free)  # where Q moves no pair
+        n = pairs - free  # q = 0: Delta moves no pair
         kernel[n:n + spare + 1] = True  # u = 0 and, at odd m, u = 1
         stack = x[np.array(list(combinations(range(pairs), free)), dtype=np.intp)]
         for q in range(1, free + 1):
@@ -309,11 +313,10 @@ def _pair_extremes(m: int, operator: str, weights) -> np.ndarray:
             r, c = lower.shape[1:]
             eigs = np.linalg.eigvalsh(lower @ lower.transpose(0, 2, 1) if r < c
                                       else lower.transpose(0, 2, 1) @ lower)
-            n = pairs - free + 2 * (q if lowers else q - 1)
+            n = pairs - free + 2 * q
             ends = extremes[n:n + spare + 1]
             ends[:, 1] = np.maximum(ends[:, 1], eigs[:, -1].max())
-            wide = r < c if lowers else c < r  # Delta maps columns onto rows
-            if wide:
+            if r < c:
                 kernel[n:n + spare + 1] = True
             else:
                 ends[:, 0] = np.minimum(ends[:, 0], eigs[:, 0].min())
@@ -333,18 +336,21 @@ def bound_space(m: int, operator: str) -> FockSpace:
 
 def _gram_extremes(space: FockSpace, operator: str, arg) -> np.ndarray:
     """(lambda_min, top, width) of Q_n* Q_n for every sector n: the left side of
-    every bound on Q*Q.
+    every bound on Q*Q, in a fresh table the caller may write into.
 
     No exponent r, right-hand side or tolerance enters it; the caller
-    validates the argument: the pair weights for Delta and DeltaPlus, which
-    `_pair_extremes` reads, and X itself for dGamma.  dGamma takes
-    `_sector_extremes` of each sector, and a Gram larger than _LANCZOS_STEPS
-    tries the certificate.  Dense sectors come first, in order of n, then the
-    Lanczos sectors from the largest down, so their largest temporaries come
-    while the heap is smallest (a lower peak RSS).
+    validates the argument: the pair weights for Delta and DeltaPlus, and X
+    itself for dGamma.  The particle-hole map a_j -> +-a_j* carries DeltaPlus
+    on sector n into Delta on sector m - n with the same weights, so here,
+    and only here, DeltaPlus reads `_pair_extremes`' rows in reverse order.
+    dGamma takes `_sector_extremes` of each sector, and a Gram larger than
+    _LANCZOS_STEPS tries the certificate.  Dense sectors come first, in
+    order of n, then the Lanczos sectors from the largest down, so their
+    largest temporaries come while the heap is smallest (a lower peak RSS).
     """
     if LADDERS[operator][1]:
-        return _pair_extremes(space.m, operator, arg)
+        extremes = _pair_extremes(space.m, arg)
+        return extremes[::-1].copy() if LADDERS[operator][1] > 0 else extremes
     dims = [math.comb(space.m, n) for n in range(space.m + 1)]
     lanczos = [dim > _LANCZOS_STEPS for dim in dims]
     extremes = np.zeros((space.m + 1, 3))
@@ -376,15 +382,17 @@ def _sector_verdicts(space: FockSpace, specs, X,
     For Delta and DeltaPlus the same SVD gives the pair weights w =
     pair_weights(mu): a skew A is U^T C0 U with C0 the Youla form of w, and
     Gamma(U) Q(A) Gamma(U)* = Q(C0), where Gamma(U) keeps every sector.  So
-    the sector extremes are read from w alone (`_pair_extremes`).
+    the sector extremes are read from w alone: Delta's rows, which DeltaPlus
+    reads in mirror order, n from m - n (`_gram_extremes`).
 
     A row's tolerance is `tol`, else `_loewner_tolerance` over both ends of
-    every sector.  A certified sector where some row's slack at the upper
-    end, rhs(n) - top - width, is below -tolerance is solved again by
-    eigvalsh, until the recomputed tolerances leave none.  So every
-    certified sector passes every row at its upper end, and a row fails only
-    on an exact lambda_max.  A reported slack, read from the upper end, is
-    below the exact one by at most the width 2 c_n, and never above it.
+    every sector.  A certified sector (only dGamma has any) where some row's
+    slack at the upper end, rhs(n) - top - width, is below -tolerance is
+    solved again by eigvalsh into the table, until the recomputed tolerances
+    leave none.  So every certified sector passes every row at its upper
+    end, and a row fails only on an exact lambda_max.  A reported slack, read
+    from the upper end, is below the exact one by at most the width 2 c_n,
+    and never above it.
     """
     specs = list(specs)
     if len({spec.operator for spec in specs}) != 1:

@@ -242,24 +242,13 @@ def _gather(space: FockSpace, name: str, coeffs, sector: int | None = None):
     return positions, c, shape
 
 
-def _sector(sector) -> int:
+def ladder_matrix(space: FockSpace, name: str, coeffs, sector: int) -> np.ndarray:
+    """The block of `name` with `coeffs` from the n-particle sector, n = `sector`,
+    to the (n + shift)-particle sector: the `_gather` of that sector's slice of
+    the layout summed into a dense block in term order, as the sum is written."""
     if not isinstance(sector, (int, np.integer)):
         raise ValueError(f"sector must be an integer, got {sector!r}")
-    return int(sector)
-
-
-def ladder_entries(space: FockSpace, name: str, coeffs, sector: int):
-    """Entries ((rows, cols), values, shape) of `name` with `coeffs` on the block from
-    the n-particle sector, n = `sector`, to the (n + shift)-particle sector: the
-    `_gather` of that sector's slice of the layout, positions split into rows
-    and columns."""
-    positions, values, shape = _gather(space, name, coeffs, _sector(sector))
-    return np.divmod(positions, shape[1]), values, shape
-
-
-def ladder_matrix(space: FockSpace, name: str, coeffs, sector: int) -> np.ndarray:
-    """The `ladder_entries` summed into a dense block in term order, as the sum is written."""
-    positions, values, shape = _gather(space, name, coeffs, _sector(sector))
+    positions, values, shape = _gather(space, name, coeffs, int(sector))
     out = np.zeros(shape, dtype=complex)
     np.add.at(out.reshape(-1), positions, values)
     return out

@@ -34,21 +34,30 @@ from the weights alone: from the bitmask walk of Q(C0), with C0 =
 pair_form(w, m) the Youla form as a matrix, the block that keeps one copy of
 each distinct pair block (kept_block) and a dense eigvalsh of its Gram.
 gram_argument gives, for a test, the argument bounds._gram_extremes takes,
-and gram_dims the Gram dimensions of dGamma's sectors and of the kept blocks.
+gram_dims the Gram dimensions of dGamma's sectors and of the kept blocks,
+and kept_sizes the sector sizes of the kept blocks.
+
+exact_r2_decision decides a bound at r = 2 with no rounding at all, for a
+Gaussian-integer X (skew for the pair operators) at m <= 6: every Q_n* Q_n
+is then an integer matrix (integer_grams), and each row of EXACT_R2 has an
+integer rhs(n), so rhs(n) I - Q_n* Q_n >= 0 is decided by symmetric
+elimination over fractions.Fraction (psd_exactly).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from fockbound import quadratics
+from fockbound.bounds import BOUNDS
 from fockbound.cli import _check
 from fockbound.fock import (CAR_TOL, LADDERS, FockOperator, FockSpace,
-                            FockVector, _check_mode, _check_vector, ladder_entries,
+                            FockVector, _check_mode, _check_vector, _gather,
                             ladder_matrix, make_space, slater_state, vacuum)
 from fockbound.quadratics import _as_one_body, pair_weights, require_skew
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
@@ -328,7 +337,8 @@ def kept_block(space: FockSpace, operator: str, X, n: int) -> np.ndarray:
     ladder_matrix's.
     """
     shift = LADDERS[operator][1]
-    (rows, cols), values, _ = ladder_entries(space, operator, X, n)
+    positions, values, (_, width) = _gather(space, operator, X, n)
+    rows, cols = np.divmod(positions, width)
     kept_rows, kept_cols = (kept(space, operator, k) for k in (n + shift, n))
     keep = kept_cols[cols]
     block = np.zeros((kept_rows.sum(), kept_cols.sum()), dtype=complex)
@@ -360,19 +370,96 @@ def gram_argument(operator: str, X) -> np.ndarray:
     return pair_weights(np.linalg.svd(X, compute_uv=False))
 
 
+def kept_sizes(m: int) -> list[int]:
+    """The number of states of each sector n = 0..m that a pair operator's kept
+    block keeps: those where no pair (2k, 2k + 1) holds only its second mode.
+    Each pair holds 0, 1 or 2 particles, and an odd m's last mode 0 or 1, so
+    sector n keeps the coefficient of x^n in (1 + x + x^2)^(m // 2) (1 + x)^(m % 2)."""
+    sizes = np.array([1])
+    for factor in [[1, 1, 1]] * (m // 2) + [[1, 1]] * (m % 2):
+        sizes = np.convolve(sizes, factor)
+    return [int(size) for size in sizes]
+
+
 def gram_dims(m: int, operator: str) -> list[int]:
     """The dimension of the Gram on the smaller side of each sector's block: the
     one dGamma's eigensolve runs on, and for a pair operator kept_block's.
-    dGamma's block is C(m, n + shift) x C(m, n).  A pair operator's kept block
-    keeps the states where no pair (2k, 2k + 1) holds only its second mode: each
-    pair holds 0, 1 or 2 particles, and an odd m's last mode 0 or 1, so sector n
-    keeps the coefficient of x^n in (1 + x + x^2)^(m // 2) (1 + x)^(m % 2)."""
+    dGamma's block is C(m, n + shift) x C(m, n); a pair operator's kept block
+    is kept_sizes(m)[n + shift] x kept_sizes(m)[n]."""
     shift = LADDERS[operator][1]
-    if shift == 0:
-        sizes = [math.comb(m, n) for n in range(m + 1)]
-    else:
-        sizes = np.array([1])
-        for factor in [[1, 1, 1]] * (m // 2) + [[1, 1]] * (m % 2):
-            sizes = np.convolve(sizes, factor)
-    return [int(min(sizes[n], sizes[n + shift])) if 0 <= n + shift <= m else 0
+    sizes = [math.comb(m, n) for n in range(m + 1)] if shift == 0 else kept_sizes(m)
+    return [min(sizes[n], sizes[n + shift]) if 0 <= n + shift <= m else 0
             for n in range(m + 1)]
+
+
+# the rows of bounds.BOUNDS whose rhs(n) at r = 2 is |X|_2^2 times an integer
+# polynomial in n, an integer for a Gaussian-integer X
+EXACT_R2 = {
+    "dGamma": lambda n: n,
+    "Delta": lambda n: n + 1,
+    "DeltaPlus": lambda n: n + 3,
+    "improved_r2": lambda n: n + 2,
+    "literature_Delta": lambda n: n * n,
+    "literature_DeltaPlus": lambda n: (n + 2) ** 2,
+}
+_QUADRATICS = {"dGamma": d_gamma, "Delta": delta, "DeltaPlus": delta_plus}
+
+
+def gaussian_integers(X) -> tuple[np.ndarray, np.ndarray]:
+    """(Re X, Im X) as int64 arrays; X must have Gaussian-integer entries."""
+    X = np.asarray(X)
+    re, im = X.real.astype(np.int64), X.imag.astype(np.int64)
+    if not np.array_equal(re + 1j * im, X):
+        raise ValueError("entries are not all Gaussian integers")
+    return re, im
+
+
+def integer_grams(space: FockSpace, operator: str, X) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(Re, Im) of Q_n* Q_n for n = 0..m, as int64 arrays, Q = `operator` of the
+    Gaussian-integer X built by this module's dense products.  Each entry of Q
+    is a sum of at most m^2 entries of X with signs, exact in binary64, and the
+    Gram Q_n* Q_n = R^T R + I^T I + i (R^T I - I^T R) of Q_n = R + i I is formed
+    in integers."""
+    re, im = gaussian_integers(_QUADRATICS[operator](space, X).matrix)
+    grams = []
+    for n in range(space.m + 1):
+        cols = space.occupations == n
+        r, i = re[:, cols], im[:, cols]
+        grams.append((r.T @ r + i.T @ i, r.T @ i - i.T @ r))
+    return grams
+
+
+def psd_exactly(re: np.ndarray, im: np.ndarray) -> tuple[bool, bool]:
+    """(psd, zero_pivot) of the Hermitian integer matrix re + i im, decided exactly.
+
+    Symmetric elimination over fractions.Fraction on the real embedding
+    [[re, -im], [im, re]], which is PSD iff the matrix is.  Each step pivots
+    on the largest diagonal entry d of what is left: d < 0 is not PSD; d = 0
+    is PSD only if all that is left is 0 (a zero pivot: the matrix is PSD and
+    singular); d > 0 leaves its Schur complement, which is PSD iff what was
+    left is.  A matrix that is not PSD reports no zero pivot."""
+    a = np.array([[Fraction(int(v)) for v in row]
+                  for row in np.block([[re, -im], [im, re]])], dtype=object)
+    while a.size:
+        k = max(range(len(a)), key=lambda j: a[j, j])
+        pivot = a[k, k]
+        if pivot <= 0:
+            psd = pivot == 0 and all(v == 0 for v in a.flat)
+            return psd, psd
+        rest = np.arange(len(a)) != k
+        a = a[np.ix_(rest, rest)] - np.outer(a[rest, k], a[k, rest]) / pivot
+    return True, False
+
+
+def exact_r2_decision(space: FockSpace, which: str, X,
+                      lowered: int) -> list[tuple[bool, bool]]:
+    """psd_exactly of rhs(n) I - Q_n* Q_n for every sector n, Q the operator of the
+    bound `which` at r = 2 (a key of EXACT_R2) and rhs(n) = |X|_2^2
+    EXACT_R2[which](n) - `lowered`, all in integers."""
+    re, im = gaussian_integers(X)
+    square = int((re * re + im * im).sum())
+    decisions = []
+    for n, (g_re, g_im) in enumerate(integer_grams(space, BOUNDS[which][0], X)):
+        rhs = square * EXACT_R2[which](n) - lowered
+        decisions.append(psd_exactly(rhs * np.eye(len(g_re), dtype=np.int64) - g_re, -g_im))
+    return decisions

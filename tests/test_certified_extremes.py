@@ -152,13 +152,14 @@ def test_dgamma_gram_is_exactly_hermitian(m, monkeypatch):
             assert np.abs(gram - old).max() <= 1e-15 * np.abs(gram).max()
 
 
-def test_nan_sector_block_raises_before_any_eigensolve(monkeypatch):
-    # the Gram takes no self-adjointness test, as it is Hermitian by
-    # construction; a NaN in the block still stops at the finiteness test
+def assert_block_entry_rejected(monkeypatch, value):
+    """A dGamma sector block with `value` in one entry raises ValueError, with
+    certify on and off, before any eigensolve; under the suite's
+    warnings-as-errors a RuntimeWarning from the Gram products fails it too."""
     m, n = 9, 4
     space, B = fb.make_space(m), complex_matrix(trial_rng(99, m), m)
     block = fock.ladder_matrix(space, "dGamma", B, sector=n)
-    block[3, 5] = math.nan
+    block[3, 5] = value
 
     def must_not_solve(*args, **kwargs):
         raise AssertionError("an eigensolve ran on a non-finite Gram")
@@ -170,6 +171,21 @@ def test_nan_sector_block_raises_before_any_eigensolve(monkeypatch):
     for certify in (False, True):
         with pytest.raises(ValueError, match="not finite"):
             bounds._sector_extremes(space, B, n, certify)
+
+
+def test_nan_sector_block_raises_before_any_eigensolve(monkeypatch):
+    # the Gram takes no self-adjointness test, as it is Hermitian by
+    # construction; a NaN in the block still stops at the finiteness test
+    assert_block_entry_rejected(monkeypatch, math.nan)
+
+
+def test_inf_sector_block_raises_before_the_gram_products(monkeypatch):
+    # an inf times a 0 in the real products would warn before a test on the
+    # Gram could raise, so the test runs on the block's real stack; an inf in
+    # the real part and one in the imaginary part each stop there
+    for value in (math.inf, complex(0.0, -math.inf)):
+        with monkeypatch.context() as patch:
+            assert_block_entry_rejected(patch, value)
 
 
 @pytest.mark.parametrize("m", [10, 11, 12])

@@ -275,7 +275,8 @@ def test_sector_blocks_equal_per_sector_builds_bit_for_bit(name, kind):
 
 def walked_entries(space, name, coeffs, sector=None):
     """The bitmask walk over the nonzero coefficients alone, with no cache: the
-    reference `ladder_entries` must equal entry for entry."""
+    reference that a sector's `_gather`, its positions split into rows and
+    columns, must equal entry for entry."""
     kinds, shift = fb.fock.LADDERS[name]
     coeffs = np.asarray(coeffs, dtype=complex)
     terms = np.nonzero(coeffs)
@@ -317,7 +318,8 @@ def test_cached_entries_equal_an_uncached_walk_bit_for_bit(name, kind):
                 built = fb.fock.ladder_operator(sp, name, coeffs).matrix
                 assert np.array_equal(bits(built), bits(block)), m
                 continue
-            (rows, cols), values, shape = fb.fock.ladder_entries(sp, name, coeffs, sector)
+            positions, values, shape = fb.fock._gather(sp, name, coeffs, sector)
+            rows, cols = np.divmod(positions, shape[1])
             assert shape == want_shape, (m, sector)
             assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
             assert np.array_equal(bits(values), bits(want)), (m, sector)
@@ -331,19 +333,19 @@ def test_cached_pattern_is_read_only_and_never_handed_out():
     entries, kept = layout.entries, layout.entries.copy()
     assert entries.itemsize == 11  # bytes per entry: int64 position, int16 term, int8 sign
     assert not entries.flags.writeable
-    (rows, cols), values, _ = fb.fock.ladder_entries(sp, "dGamma", X, sector=2)
-    first = rows.copy(), cols.copy(), values.copy()
+    positions, values, _ = fb.fock._gather(sp, "dGamma", X, sector=2)
+    first = positions.copy(), values.copy()
     block = fb.fock.ladder_matrix(sp, "dGamma", X, sector=2)
     first_block = block.copy()
     blocks = fb.fock.sector_blocks(sp, "dGamma", X)
-    for a in (rows, cols, values, block, *blocks.values()):
+    for a in (positions, values, block, *blocks.values()):
         assert a.flags.writeable
         assert not np.shares_memory(a, entries)
         a[...] = 0
     assert fb.fock._ladder_pattern(4, "dGamma") is layout
     assert np.array_equal(entries, kept)
-    (rows, cols), values, _ = fb.fock.ladder_entries(sp, "dGamma", X, sector=2)
-    assert all(np.array_equal(a, b) for a, b in zip((rows, cols, values), first))
+    positions, values, _ = fb.fock._gather(sp, "dGamma", X, sector=2)
+    assert all(np.array_equal(a, b) for a, b in zip((positions, values), first))
     assert np.array_equal(fb.fock.ladder_matrix(sp, "dGamma", X, sector=2), first_block)
     assert np.array_equal(fb.fock.sector_blocks(sp, "dGamma", X)[2], first_block)
 
@@ -377,7 +379,7 @@ def test_non_integral_sector_rejected(sector):
         fb.fock.ladder_matrix(fb.make_space(4), "dGamma", np.ones((4, 4)), sector=sector)
 
 
-@pytest.mark.parametrize("build", [fb.fock.ladder_entries, fb.fock.ladder_matrix])
+@pytest.mark.parametrize("build", [fb.fock.ladder_matrix])
 @pytest.mark.parametrize("sector", [None, 2.5])
 def test_sector_is_a_required_integer(build, sector):
     # there is no whole-space walk; a whole-space operator is ladder_operator
@@ -390,12 +392,12 @@ def test_sector_is_a_required_integer(build, sector):
 @pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
 def test_ladder_entries_rejects_a_walked_row_outside_its_block(name, misplace_row):
     # the layout build checks the walk itself, so a misplaced row raises
-    # whatever its coefficient and whichever sector is read, and the layout
-    # is not cached
+    # whatever its coefficient and whichever sector's entries are gathered,
+    # and the layout is not cached
     sp = fb.make_space(4)
     coeffs = ladder_coeffs(trial_rng(6, 4), 4, name, "random")
-    builds = [lambda: fb.fock.ladder_entries(sp, name, coeffs, 2),
-              lambda: fb.fock.ladder_entries(sp, name, 0 * coeffs, 2),
+    builds = [lambda: fb.fock._gather(sp, name, coeffs, 2),
+              lambda: fb.fock._gather(sp, name, 0 * coeffs, 2),
               lambda: fb.fock.ladder_matrix(sp, name, coeffs, 9),
               lambda: fb.fock.sector_blocks(sp, name, coeffs)]
     for past_end in (False, True):

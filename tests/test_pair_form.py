@@ -107,15 +107,16 @@ def test_pairing_rule_moves_the_weights_by_at_most_half_the_asymmetry(m, seed):
 def test_pair_operator_blocks_are_built_only_from_the_pair_form(monkeypatch):
     # a Delta or DeltaPlus check reads only m and the pair weights of its
     # argument's singular values, as the SVD gives them: it walks no entries
-    # and builds no occupation basis
+    # and builds no occupation basis.  Both operators solve Delta's pair
+    # Grams once, and DeltaPlus reads that table in reverse sector order
     def must_not_walk(*args, **kwargs):
         raise AssertionError("a pair bound walked the ladder entries")
 
     pair_extremes, seen = bounds._pair_extremes, []
 
-    def recording(m, operator, weights):
-        seen.append((m, operator, np.array(weights)))
-        return pair_extremes(m, operator, weights)
+    def recording(m, weights):
+        seen.append((m, np.array(weights), pair_extremes(m, weights)))
+        return seen[-1][2]
 
     monkeypatch.setattr(fock, "_gather", must_not_walk)
     monkeypatch.setattr(bounds, "_pair_extremes", recording)
@@ -125,8 +126,16 @@ def test_pair_operator_blocks_are_built_only_from_the_pair_form(monkeypatch):
         A = skew_matrix(trial_rng(95, m), m)
         assert all(v.passed for v in fb.verify_bounds(fb.make_space(m), specs, A))
         weights = pair_weights(np.linalg.svd(A, compute_uv=False))
-        assert [(c, o) for c, o, _ in seen] == [(m, operator)]
-        np.testing.assert_array_equal(seen.pop()[2], weights)
+        [(called_m, called_weights, _)] = seen
+        assert called_m == m
+        np.testing.assert_array_equal(called_weights, weights)
+        solved = bounds._gram_extremes(fb.FockSpace(m), operator, weights)
+        table = seen[-1][2]
+        if operator == "DeltaPlus":  # the mirror is a fresh table, not a view
+            assert not np.shares_memory(solved, table)
+            table = table[::-1]
+        assert solved.tobytes() == table.tobytes()
+        seen.clear()
     assert fock._basis.cache_info().currsize == 0
 
 
@@ -178,6 +187,37 @@ def test_kept_block_is_wide_exactly_where_the_sector_block_is(operator):
             [d for n, d in enumerate(jw.gram_dims(m, operator)) if 0 <= n + shift <= m]
         assert [kept[b] < kept[a] for a, b in sides] == \
             [math.comb(m, b) < math.comb(m, a) for a, b in sides]
+
+
+@pytest.mark.parametrize("m", range(15, 25))
+def test_pair_kernel_is_exact_past_the_walkable_range(m, monkeypatch):
+    # past m = 14 no kept block can be walked, so the sectors whose block is
+    # wide or empty are read from the trinomial kept sizes alone: there, and
+    # in mirror order for DeltaPlus, lambda_min is exactly 0, and the width is
+    # 0 everywhere.  With every weight nonzero no other sector has a kernel.
+    # DeltaPlus reads the Delta table of the same weights, so it is solved once
+    solved, pair_extremes = {}, bounds._pair_extremes
+
+    def once(m, weights):
+        key = np.asarray(weights).tobytes()
+        if key not in solved:
+            solved[key] = pair_extremes(m, weights)
+        return solved[key].copy()
+
+    monkeypatch.setattr(bounds, "_pair_extremes", once)
+    space, sizes = bounds.bound_space(m, "Delta"), jw.kept_sizes(m)
+    for kind in WEIGHT_KINDS:
+        weights = draw_weights(kind, trial_rng(99, m), m // 2)
+        for operator in sorted(PAIR_SPECS):
+            shift = fock.LADDERS[operator][1]
+            wide = np.array([not 0 <= n + shift <= m or sizes[n + shift] < sizes[n]
+                             for n in range(m + 1)])
+            extremes = bounds._gram_extremes(space, operator, weights)
+            assert not extremes[wide, 0].any(), (kind, operator)
+            assert not extremes[:, 2].any()
+            if kind != "zero":
+                assert (extremes[~wide, 0] > 0).all(), (kind, operator)
+    assert len(solved) == len(WEIGHT_KINDS)
 
 
 @pytest.mark.parametrize("operator", sorted(PAIR_SPECS))

@@ -2,7 +2,8 @@
 
 A workload whose rows go missing or fail shows up in the benchmark only as
 a rising `failed` count, so each tiny invocation is run here through
-`cli.main`, with the expected check_ids that the workload file writes out."""
+`cli.main`, with the expected check_ids that the workload file writes out,
+at seeds 1 and 29 and at 67, the seed the benchmark runs."""
 
 import importlib.util
 import json
@@ -27,7 +28,7 @@ def load_workloads():
 WORKLOADS = load_workloads()
 
 
-@pytest.mark.parametrize("seed", [1, 29])
+@pytest.mark.parametrize("seed", [1, 29, 67])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS.BATCHES))
 def test_every_tiny_invocation_passes_its_expected_rows(workload, seed, capsys):
     invocations = WORKLOADS.batch(workload, seed, tiny=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -293,7 +294,11 @@ def _resolve_output(path: str | None) -> str | None:
     return path
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process, built at the first; parsing
+    writes only to the Namespace it returns.  It binds the run_* functions and
+    bounds.WHICH at that build, so a later patch of cli.run_* does not reach `main`."""
     parser = argparse.ArgumentParser(
         prog="fockbound",
         description="Verify operator identities and number-operator bounds "

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -158,6 +159,55 @@ def test_unknown_subcommand():
     with pytest.raises(SystemExit) as err:
         cli.main(["frobnicate"])
     assert err.value.code == 2
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # every main call of a process parses with one parser; each argv of a mixed
+    # sequence must end as it does on a parser built just for it.  A --diag
+    # left behind would make the --matrix-file call after it exit 2
+    skew = np.zeros((2, 2, 2))
+    skew[0, 1, 0], skew[1, 0, 0] = 0.5, -0.5
+    (tmp_path / "c.json").write_text(json.dumps(skew.tolist()))
+    car = tmp_path / "car.json"
+    bounds_argv = ["verify-bounds", "--which", "dGamma", "--r", "1", "4/3",
+                   "--m", "3", "--trials", "2"]
+    argvs = [
+        ["verify-car", "--m", "2", "--trials", "2"],
+        bounds_argv,
+        ["verify-bounds", "--which", "dGamma", "--r", "2", "--m", "3",
+         "--diag", "1", "0.5", "0.25"],
+        ["verify-bounds", "--which", "DeltaPlus", "--r", "2", "--m", "2",
+         "--matrix-file", str(tmp_path / "c.json")],
+        ["verify-bounds", "--which", "dGamma", "--r", "1", "x", "--m", "3"],
+        ["frobnicate"],
+        ["verify-car", "--m", "2", "--trials", "1", "--format", "csv"],
+        ["verify-car", "--m", "3", "--trials", "1", "--output", str(car)],
+        ["report", str(car)],
+        bounds_argv,
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        written = car.read_text() if "--output" in argv else None
+        bodies = [strip_timestamp(text) if text.startswith("{") else text
+                  for text in (captured.out, written or "")]
+        return code, captured.err, bodies
+
+    shared = cli.build_parser()
+    assert cli.build_parser() is shared
+    sequence = [outcome(argv) for argv in argvs]
+    assert cli.build_parser() is shared
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert sequence == fresh
+    assert [code for code, _, _ in sequence] == [
+        0, 0, 0, 0, cli.EXIT_VALIDATION_ERROR, ("SystemExit", 2), 0, 0, 0, 0]
 
 
 def test_parse_r():
@@ -450,6 +500,25 @@ def test_algebra_rows_under_power_of_two_scalings(name, factor, k, corrupt_block
     assert float.hex(scaled["commutator"]["metric"]) == float.hex(plain["commutator"]["metric"])
     for key in ("adjoint_dgamma", "adjoint_delta"):
         assert scaled[key]["metric"] == math.ldexp(plain[key]["metric"], k)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e-150])
+@pytest.mark.parametrize("m", [3, 4, 6, 8])
+def test_algebra_rows_at_entries_near_1e150_and_1e_minus_150(m, scale, monkeypatch):
+    # B, A and C drawn times a scale that is no power of two: the commutator
+    # residual stays at rounding size over its scale, with no overflow warning,
+    # and each adjoint pair of blocks stays exactly equal.  At 1e-150 the
+    # commutator row cannot fail: its scale 1 + max|comm| + max|target| is 1,
+    # so its metric is the absolute residual, about 1e-315
+    skew, complex_matrix = cli.skew_matrix, cli.complex_matrix
+    monkeypatch.setattr(cli, "skew_matrix", lambda rng, m: skew(rng, m) * scale)
+    monkeypatch.setattr(cli, "complex_matrix", lambda rng, m: complex_matrix(rng, m) * scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = algebra_rows(m, trials=2)
+    assert all(row["pass"] for row in rows.values())
+    assert rows["commutator"]["metric"] <= 1e-14
+    assert rows["adjoint_dgamma"]["metric"] == rows["adjoint_delta"]["metric"] == 0.0
 
 
 @pytest.mark.parametrize("name", ["dGamma", "Delta", "DeltaPlus"])

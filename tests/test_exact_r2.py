@@ -1,7 +1,9 @@
 """The six bounds with an integer right-hand side at r = 2, decided with no
 rounding by jw_oracle.exact_r2_decision on Gaussian-integer draws, against
-the floating-point verdicts of verify_bounds at m <= 6."""
+the floating-point verdicts of verify_bounds and of the verify-bounds
+command at m <= 6."""
 
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 import fockbound as fb
 import jw_oracle as jw
-from fockbound import bounds
+from fockbound import bounds, cli
 from fockbound.rng import trial_rng
 
 MODES = range(1, 7)
@@ -118,3 +120,23 @@ def test_exact_decision_fails_an_rhs_lowered_by_one(m):
                     rhs = square * jw.EXACT_R2[which](n) - 1
                     if abs(top - rhs) > 1e-9 * (1 + abs(rhs)):
                         assert lowered[n][0] == (top < rhs), (which, draw, n)
+
+
+@pytest.mark.parametrize("m", MODES)
+def test_cli_rows_at_r2_equal_the_exact_decision(m, tmp_path, capsys):
+    # the same draws through `verify-bounds --matrix-file`: the JSON holds each
+    # entry of 2^k X exactly, and the row passes iff every sector is PSD
+    path = tmp_path / "x.json"
+    for operator in OPERATORS:
+        for draw, X in enumerate(draws(m, operator)):
+            for k in (-8, 0, 8):
+                scaled = X * 2.0**k
+                path.write_text(json.dumps(np.stack([scaled.real, scaled.imag], -1).tolist()))
+                assert np.array_equal(cli._load_matrix(str(path)), scaled)
+                for which in rows(operator):
+                    expected = all(psd for psd, _ in exact(m, which, draw, 0))
+                    code = cli.main(["verify-bounds", "--which", which, "--r", "2",
+                                     "--m", str(m), "--matrix-file", str(path)])
+                    [row] = json.loads(capsys.readouterr().out)["checks"]
+                    assert row["pass"] == expected, (which, draw, k)
+                    assert code == (cli.EXIT_OK if expected else cli.EXIT_VERIFICATION_FAILURE)

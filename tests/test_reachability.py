@@ -93,6 +93,7 @@ def test_unreached_library_functions_are_exactly_the_listed_ones(tmp_path, capsy
     argvs = invocations(tmp_path)
     fock._basis.cache_clear()  # so the cached builders are entered, not only looked up
     fock._ladder_pattern.cache_clear()
+    cli.build_parser.cache_clear()
     entered = set()
 
     def profile(frame, event, arg):

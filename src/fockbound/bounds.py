@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from . import fock
-from .fock import LADDERS, FockOperator, FockSpace, ResourceError, make_space
+from .fock import LADDERS, FockOperator, FockSpace, ResourceError, make_space, mode_count
 from .quadratics import one_body, pair_weights, require_representable
 from .rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from .spectral import BoundVerdict, _loewner_tolerance, _schatten
@@ -330,6 +330,7 @@ def bound_space(m: int, operator: str) -> FockSpace:
     a space that builds none, held to the pair budget before X is drawn."""
     if not LADDERS[operator][1]:
         return make_space(m)
+    m = mode_count(m)
     _require_pair_budget(m)
     return FockSpace(m)
 
@@ -456,22 +457,6 @@ def basic_estimate_check(space: FockSpace, lam, p: float) -> BoundVerdict:
     slack = float((rhs - np.concatenate(([0.0], np.cumsum(ordered)))).min())
     return BoundVerdict(slack_min=slack,
                         tolerance=IDENTITY_TOL * (1.0 + big * max(1.0, space.m)))
-
-
-def basic_estimate_bruteforce(space: FockSpace, lam, p: float) -> float:
-    """Minimal slack over all 2^m subsets; independent oracle for the fast path."""
-    lam = np.asarray(lam, dtype=float)
-    bits = (space.masks[:, None] >> np.arange(space.m)[None, :]) & 1
-    subset_sums = bits @ lam
-    if math.isinf(p):
-        big = float(lam.max(initial=0.0))
-        inv_q = 1.0
-    else:
-        big = float(np.sum(lam**p) ** (1.0 / p))
-        inv_q = 1.0 - 1.0 / p
-    occ = space.occupations.astype(float)
-    rhs = big * np.ones_like(occ) if inv_q == 0.0 else big * occ**inv_q
-    return float((rhs - subset_sums).min())
 
 
 @dataclass(frozen=True)

@@ -39,21 +39,6 @@ def decay_values(kind: str, n: int, s: float | None = None) -> np.ndarray:
     raise ValueError(f"unknown decay family {kind!r}")
 
 
-def decay_family(kind: str, m: int, s: float | None = None) -> np.ndarray:
-    """Diagonal one-body operator with the stated singular values."""
-    return np.diag(decay_values(kind, m, s).astype(complex))
-
-
-def sector_norm_diagonal(lam, n: int) -> float:
-    """Sum of the n largest lam_j: the exact n-sector norm of d_gamma(diag lam)."""
-    lam = np.asarray(lam, dtype=float)
-    if not 0 <= n <= lam.size:
-        raise ValueError(f"need 0 <= n <= {lam.size}, got {n}")
-    if n == 0:
-        return 0.0
-    return float(np.sort(lam)[::-1][:n].sum())
-
-
 @dataclass(frozen=True)
 class SweepResult:
     """Log-log growth fit of sector norms for a decay family."""

@@ -115,16 +115,20 @@ def _basis(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return masks, index_of, occupations
 
 
+def mode_count(m) -> int:
+    """m as an int; ValueError unless it is an integer >= 1.  `make_space` and
+    `bounds.bound_space` check their m here."""
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ValueError(f"number of modes must be an integer >= 1, got {m!r}")
+    return int(m)
+
+
 def make_space(m: int) -> FockSpace:
     """Fock space over m modes; guarded to m <= MAX_MODES, as its basis is."""
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_MODES:
+    m = mode_count(m)
+    if m > MAX_MODES:
         raise ResourceError(f"number of modes must be an integer in [1, {MAX_MODES}], got {m!r}")
-    return FockSpace(int(m))
-
-
-def _check_mode(space: FockSpace, j: int) -> None:
-    if not 1 <= j <= space.m:
-        raise ValueError(f"mode index {j} out of range [1, {space.m}]")
+    return FockSpace(m)
 
 
 # name -> (factor kinds of each term, leftmost first, '+' for a+ and '-' for a;
@@ -298,36 +302,6 @@ def op_a(space: FockSpace, f) -> FockOperator:
 def op_adag(space: FockSpace, f) -> FockOperator:
     """a^dagger(f) = sum_j f_j a^dagger_j; its matrix is op_a(conj(f)).matrix.conj().T."""
     return ladder_operator(space, "creation", _check_vector(space, f))
-
-
-def vacuum(space: FockSpace) -> FockVector:
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[0] = 1.0
-    return FockVector(space, amp)
-
-
-def slater_state(space: FockSpace, modes) -> FockVector:
-    """Occupation basis vector for the mode set `modes`, coefficient +1.
-
-    Equals the product of creators applied in decreasing mode order to the
-    vacuum, which is sign-free under the Jordan-Wigner convention used here.
-    """
-    modes = list(modes)
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"duplicate mode indices in {modes}")
-    mask = 0
-    for j in modes:
-        _check_mode(space, j)
-        mask |= 1 << (j - 1)
-    amp = np.zeros(space.dim, dtype=complex)
-    amp[space.index_of[mask]] = 1.0
-    return FockVector(space, amp)
-
-
-def number_operator(space: FockSpace) -> FockOperator:
-    """N = dGamma(Id): diagonal, eigenvalue |S| on basis state S."""
-    return FockOperator(space, np.diag(space.occupations.astype(complex)),
-                        grading_shift=0)
 
 
 # CAR residual -> base tolerance; verify_car divides each residual by its scale

@@ -15,8 +15,8 @@ argument is checked by one_body, the same check for builders and checks.
 
 delta and delta_plus require skew arguments (A^T = -A with the entrywise
 transpose); symmetric parts would cancel identically, so non-skew input is
-rejected rather than silently projected.  Use skew_part for intentional
-projection.
+rejected rather than silently projected.  A caller that means to project
+passes the skew part (A - A^T) / 2.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ def _as_one_body(space: FockSpace, X, name: str = "operator") -> np.ndarray:
     if X.shape != (space.m, space.m):
         raise ValueError(f"{name} must be {space.m}x{space.m}, got {X.shape}")
     return X
-
-
-def skew_part(A) -> np.ndarray:
-    """Projection onto the skew-symmetric part, (A - A^T)/2."""
-    A = np.asarray(A, dtype=complex)
-    return (A - A.T) / 2
 
 
 def is_skew(A) -> bool:
@@ -60,7 +54,7 @@ def require_skew(A, name: str = "operator") -> np.ndarray:
     A = np.asarray(A, dtype=complex)
     if not is_skew(A):
         raise ValueError(f"{name} must be skew-symmetric (X^T = -X); "
-                         "use skew_part for intentional projection")
+                         "pass (X - X^T) / 2 for intentional projection")
     return A
 
 

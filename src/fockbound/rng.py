@@ -30,11 +30,6 @@ def skew_matrix(rng: np.random.Generator, m: int) -> np.ndarray:
     return (a - a.T) / 2
 
 
-def psd_matrix(rng: np.random.Generator, m: int) -> np.ndarray:
-    a = complex_matrix(rng, m)
-    return a.conj().T @ a
-
-
 def unitary_matrix(rng: np.random.Generator, m: int) -> np.ndarray:
     q, r = np.linalg.qr(complex_matrix(rng, m))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

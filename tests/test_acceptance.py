@@ -14,7 +14,6 @@ import pytest
 import fockbound as fb
 import jw_oracle as jw
 from fockbound import cli
-from fockbound.bounds import basic_estimate_bruteforce
 from fockbound.gaussian import default_z_grid
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng
 from fockbound.tolerances import NORM_TOL
@@ -94,7 +93,7 @@ def test_criterion_4_basic_estimate():
         for p in ps:
             verdict = fb.basic_estimate_check(space12, lam, p)
             ok = ok and verdict.passed
-            brute = basic_estimate_bruteforce(space12, lam, p)
+            brute = jw.basic_estimate_bruteforce(space12, lam, p)
             ok = ok and abs(verdict.slack_min - brute) <= 1e-12 * (1 + abs(brute))
     report(4, "basic estimate: subset-sum verdicts equal full 2^12 enumeration "
               "and pass for 100 random lambda x 5 exponents", ok)
@@ -127,7 +126,7 @@ def test_criterion_6_commutator_identity():
     C = np.array([[0, -1], [1, 0]], dtype=complex)
     da, dp = fb.delta(sp, -C), fb.delta_plus(sp, C)
     comm = (da @ dp).matrix - (dp @ da).matrix
-    exact = np.abs(comm - (-4 * fb.number_operator(sp).matrix + 4 * np.eye(4))).max() == 0
+    exact = np.abs(comm - (-4 * jw.number_operator(sp).matrix + 4 * np.eye(4))).max() == 0
     report(6, "commutator identity residual <= 1e-10*scale on 50 skew pairs; "
               "hand case m=2 gives exactly -4N + 4 Id", ok and exact)
 
@@ -157,7 +156,7 @@ def test_criterion_8_converse_sweep():
     start = time.monotonic()
     sweep = fb.sharpness_sweep(1.0, n_max=100_000)
     ok = abs(sweep.slope - 0.5) <= 0.02
-    harmonic = fb.sector_norm_diagonal(fb.decay_values("harmonic", 100_000), 100_000)
+    harmonic = jw.sector_norm_diagonal(fb.decay_values("harmonic", 100_000), 100_000)
     ok = ok and harmonic >= 12.0
     recovery = fb.schatten_recovery_check(1.0, [0.0, 0.05])
     ok = ok and not recovery.certificates[0.0].converges

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import fockbound as fb
 import jw_oracle as jw
-from fockbound.bounds import WHICH, basic_estimate_bruteforce, bound_space
+from fockbound.bounds import WHICH, bound_space
 from fockbound.rng import complex_matrix, skew_matrix, trial_rng
 
 
@@ -208,7 +208,7 @@ def test_basic_estimate_p2_hand_case():
     sp = fb.make_space(2)
     v = fb.basic_estimate_check(sp, [1.0, 0.5], 2)
     assert v.passed
-    brute = basic_estimate_bruteforce(sp, np.array([1.0, 0.5]), 2)
+    brute = jw.basic_estimate_bruteforce(sp, np.array([1.0, 0.5]), 2)
     assert v.slack_min == pytest.approx(brute)
     assert math.sqrt(1.25) * math.sqrt(2) - 1.5 == pytest.approx(0.0811388, abs=1e-6)
 
@@ -226,7 +226,7 @@ def test_basic_estimate_matches_bruteforce(p):
         for t in range(5):
             lam = np.abs(trial_rng(23, m, t).standard_normal(m))
             fast = fb.basic_estimate_check(sp, lam, p).slack_min
-            assert fast == pytest.approx(basic_estimate_bruteforce(sp, lam, p),
+            assert fast == pytest.approx(jw.basic_estimate_bruteforce(sp, lam, p),
                                          abs=1e-12)
 
 
@@ -309,6 +309,21 @@ def test_bound_sweep_takes_pair_rows_past_14_modes():
 def test_bound_sweep_stops_pair_rows_at_the_pair_budget():
     with pytest.raises(fb.ResourceError, match="budget"):
         fb.bound_sweep([28], fb.BoundSpec("DeltaPlus", 2), trials=1, seed=0)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "3"])
+@pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])
+def test_bound_space_rejects_a_mode_count_below_one_or_not_an_integer(operator, bad):
+    # the pair spaces build no basis, so make_space's check is the only one
+    with pytest.raises(ValueError, match="integer >= 1"):
+        bound_space(bad, operator)
+
+
+@pytest.mark.parametrize("m, operator", [(15, "dGamma"), (28, "Delta"), (28, "DeltaPlus")])
+def test_bound_space_guards_resources(m, operator):
+    with pytest.raises(fb.ResourceError):
+        bound_space(m, operator)
+    assert bound_space(m - 1, operator).m == m - 1
 
 
 @pytest.mark.parametrize("operator", ["dGamma", "Delta", "DeltaPlus"])

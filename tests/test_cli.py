@@ -483,7 +483,8 @@ def test_algebra_rows_under_power_of_two_scalings(name, factor, k, corrupt_block
     # B and A drawn times 2^k and C times 2^-k, entries near 1e+-147: the
     # commutator row is the unscaled one bit for bit, and each adjoint row
     # 2^k times it.  A corrupt block of sector 2 makes the adjoint residual of
-    # `name` nonzero; every other adjoint residual is exactly 0.
+    # `name` nonzero; every other adjoint residual is exactly 0.  The adjoint
+    # tolerance is 0, so the corrupt block fails its row at every scale.
     flips = corrupt_block(name, 2, factor)
     plain = algebra_rows(4, trials=2)
     draws, skew, complex_matrix = [], cli.skew_matrix, cli.complex_matrix
@@ -500,6 +501,7 @@ def test_algebra_rows_under_power_of_two_scalings(name, factor, k, corrupt_block
     assert float.hex(scaled["commutator"]["metric"]) == float.hex(plain["commutator"]["metric"])
     for key in ("adjoint_dgamma", "adjoint_delta"):
         assert scaled[key]["metric"] == math.ldexp(plain[key]["metric"], k)
+    assert not scaled[adjoint]["pass"]
 
 
 @pytest.mark.parametrize("scale", [1e150, 1e-150])

@@ -26,7 +26,7 @@ def test_decay_values_power():
 
 
 def test_decay_family_matrix():
-    B = fb.decay_family("harmonic", 3)
+    B = np.diag(fb.decay_values("harmonic", 3).astype(complex))
     assert np.allclose(np.diag(B).real, [1.0, 0.5, 1 / 3])
 
 
@@ -41,10 +41,10 @@ def test_decay_validation():
 
 def test_sector_norm_diagonal_values():
     lam = fb.decay_values("harmonic", 10)
-    assert fb.sector_norm_diagonal(lam, 3) == pytest.approx(11 / 6)
-    assert fb.sector_norm_diagonal(lam, 0) == 0.0
+    assert jw.sector_norm_diagonal(lam, 3) == pytest.approx(11 / 6)
+    assert jw.sector_norm_diagonal(lam, 0) == 0.0
     with pytest.raises(ValueError):
-        fb.sector_norm_diagonal(lam, 11)
+        jw.sector_norm_diagonal(lam, 11)
 
 
 @pytest.mark.parametrize("m", [4, 8, 10])
@@ -56,7 +56,7 @@ def test_sector_norm_agrees_with_fock_eigenvalues(m):
         idx = np.nonzero(sp.occupations == n)[0]
         block_norm = float(np.linalg.eigvalsh(dg[np.ix_(idx, idx)]).max()) \
             if idx.size else 0.0
-        assert fb.sector_norm_diagonal(lam, n) == pytest.approx(block_norm,
+        assert jw.sector_norm_diagonal(lam, n) == pytest.approx(block_norm,
                                                                 abs=1e-12)
 
 
@@ -66,8 +66,8 @@ def test_sector_norm_permutation_invariant():
     for _ in range(5):
         perm = rng.permutation(12)
         for n in (0, 3, 7, 12):
-            assert fb.sector_norm_diagonal(lam[perm], n) == pytest.approx(
-                fb.sector_norm_diagonal(lam, n))
+            assert jw.sector_norm_diagonal(lam[perm], n) == pytest.approx(
+                jw.sector_norm_diagonal(lam, n))
 
 
 def test_sharpness_sweep_s1():
@@ -170,7 +170,7 @@ def test_sweep_windows_converge_outward():
 
 def test_harmonic_sector_norm_growth():
     lam = fb.decay_values("harmonic", 100_000)
-    h = fb.sector_norm_diagonal(lam, 100_000)
+    h = jw.sector_norm_diagonal(lam, 100_000)
     assert h >= 12.0
     assert h == pytest.approx(math.log(100_000) + 0.5772, abs=0.01)
 
@@ -178,7 +178,7 @@ def test_harmonic_sector_norm_growth():
 def test_trace_bound_harmonic():
     m = 6
     sp = fb.make_space(m)
-    B = fb.decay_family("harmonic", m)
+    B = np.diag(fb.decay_values("harmonic", m).astype(complex))
     res = fb.trace_bound_check(sp, B, n_max=m, r=2.0)
     assert res.passed
     # B + B* doubles the harmonic diagonal; the imaginary part vanishes
@@ -251,7 +251,7 @@ def test_slater_expectation_on_decay_families():
     for m in (4, 8, 10):
         sp = fb.make_space(m)
         for kind, s in (("harmonic", None), ("power_decay", 1.0)):
-            B = fb.decay_family(kind, m, s)
+            B = np.diag(fb.decay_values(kind, m, s).astype(complex))
             modes = list(range(1, m + 1, 2))
             value = jw.slater_expectation(sp, B, modes)
             assert value == pytest.approx(sum(B[j - 1, j - 1].real for j in modes))

@@ -30,7 +30,7 @@ def test_gaussian_state_at_zero_is_vacuum():
     sp = fb.make_space(4)
     C = skew_matrix(trial_rng(0, 0), 4)
     state = jw.gaussian_state(sp, C, 0.0)
-    assert np.array_equal(state.amplitudes, fb.vacuum(sp).amplitudes)
+    assert np.array_equal(state.amplitudes, jw.slater_state(sp, []).amplitudes)
 
 
 def test_gaussian_state_m2_hand_case():
@@ -61,7 +61,7 @@ def test_pair_coefficients_terminate():
     assert np.all(coeffs >= 0)
     # one more application of the pair creator annihilates the top state
     dp = fb.delta_plus(sp, C).matrix
-    v = fb.vacuum(sp).amplitudes
+    v = jw.slater_state(sp, []).amplitudes
     for _ in range(3):
         v = dp @ v
     assert np.abs(v).max() == 0

@@ -344,7 +344,7 @@ def test_blocked_slater_expectation_equals_dense(m):
     for n in range(m + 1):
         subsets = list(itertools.combinations(range(1, m + 1), n))
         for modes in {subsets[0], subsets[-1], subsets[len(subsets) // 2][::-1]}:
-            phi = fb.slater_state(sp, modes).amplitudes[sp.occupations == n]
+            phi = jw.slater_state(sp, modes).amplitudes[sp.occupations == n]
             new = np.vdot(phi, ladder_matrix(sp, "dGamma", B, sector=n) @ phi)
             assert abs(new - jw.slater_expectation(sp, B, list(modes))) <= 1e-13
 

@@ -6,7 +6,11 @@ under `sys.setprofile`.  Every top-level function and method defined in
 `src/fockbound` that none of them enters must be named in UNREACHED, and
 every name there must still be unreached.  So library code that only tests
 call is a listed, deliberate choice, and the list shrinks when a command
-starts to use a function or the function is deleted.
+starts to use a function or the function is deleted.  Each name is in one of
+three groups that says why it stays: TRACED (the benchmark's tracer wraps it
+by name), PLANNED (a ROADMAP item gives it report rows) or HELPERS (only
+unreached code calls it, which an ast check holds); an oracle or fixture
+that only tests call belongs in tests/jw_oracle.py.
 
 The options ratchet reads the source instead: every optional parameter of a
 function defined in `src/fockbound` must be passed, by keyword or by
@@ -28,28 +32,42 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from test_perfbench_tracer import load_tracer
 from test_perfbench_workloads import WORKLOADS
 
 from fockbound import cli, fock
 
 SRC = Path(fock.__file__).resolve().parent
 
-UNREACHED = sorted([
-    "bounds.basic_estimate_bruteforce", "bounds.basic_estimate_check",
-    "bounds.bound_sweep", "bounds.rhs_operator", "bounds.verify_bound",
-    "converse.decay_family", "converse.decay_values", "converse.sector_norm_diagonal",
-    "converse.trace_bound_check",
-    "fock.FockOperator.__matmul__", "fock.FockSpace.dim", "fock._check_mode",
-    "fock._check_vector", "fock.ladder_operator", "fock.number_operator", "fock.op_a",
-    "fock.op_adag", "fock.slater_state", "fock.vacuum",
+# Wrapped by name in perfbench/tracer.py (LAYER_FUNCTIONS, and the patched
+# FockOperator.__matmul__); they go when the benchmark's tracer stops naming them.
+TRACED = [
+    "bounds.rhs_operator", "bounds.verify_bound",
+    "fock.FockOperator.__matmul__", "fock.op_a", "fock.op_adag",
     "gaussian.omega_determinant",
     "quadratics.check_grading", "quadratics.d_gamma", "quadratics.delta",
-    "quadratics.delta_plus", "quadratics.skew_part",
-    "rng.psd_matrix", "rng.unitary_matrix",
-    "spectral.BoundVerdict.passed", "spectral._conj_exponents", "spectral._require_self_adjoint",
-    "spectral.cauchy_schwarz_check", "spectral.hoelder_check", "spectral.jensen_check",
-    "spectral.loewner_leq", "spectral.psd_power", "spectral.schatten_norm",
-])
+    "quadratics.delta_plus",
+    "spectral.loewner_leq", "spectral.schatten_norm",
+]
+# Paper statements and inputs that a ROADMAP item gives report rows.
+PLANNED = [
+    "bounds.basic_estimate_check",  # item 7
+    "converse.trace_bound_check",  # item 7
+    "spectral.cauchy_schwarz_check",  # item 7
+    "spectral.hoelder_check",  # item 7
+    "spectral.jensen_check",  # item 7
+    "spectral.psd_power",  # item 7
+    "spectral.BoundVerdict.passed",  # item 7
+    "converse.decay_values",  # item 8
+    "bounds.bound_sweep",  # items 9 and 11
+    "rng.unitary_matrix",  # item 4
+]
+# Called only by the names above (test_helpers_serve_only_unreached_code).
+HELPERS = [
+    "fock.FockSpace.dim", "fock._check_vector", "fock.ladder_operator",
+    "spectral._require_self_adjoint", "spectral._conj_exponents",
+]
+UNREACHED = sorted(TRACED + PLANNED + HELPERS)
 
 
 def library_functions() -> dict:
@@ -109,7 +127,40 @@ def test_unreached_library_functions_are_exactly_the_listed_ones(tmp_path, capsy
     capsys.readouterr()
     assert codes == [cli.EXIT_OK] * len(argvs)
     assert sorted(name for code, name in functions.items() if code not in entered) == \
-        UNREACHED
+        UNREACHED, ("a src/ function that no command reaches must be named in TRACED, "
+                    "PLANNED or HELPERS with its reason, or move to tests/jw_oracle.py; "
+                    "one that a command reaches must leave them")
+
+
+def test_traced_names_are_wrapped_by_the_tracer():
+    wrapped = {f"{module}.{name}" for module, names in load_tracer().LAYER_FUNCTIONS.items()
+               for name in names}
+    assert sorted(set(TRACED) - wrapped) == ["fock.FockOperator.__matmul__"]
+    assert len(UNREACHED) == len(set(UNREACHED))  # no name in two groups
+
+
+def test_helpers_serve_only_unreached_code():
+    # every function or method defined in src/ that names a helper must itself
+    # be unreached: a module function is named by a bare name or an attribute,
+    # a method or property (module.Class.name) by an attribute only
+    members = {name.rsplit(".", 1)[1]: name for name in HELPERS if name.count(".") == 2}
+    functions = {name.rsplit(".", 1)[1]: name for name in HELPERS if name.count(".") == 1}
+    users = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {id(node): f"{cls.name}." for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for node in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef) or \
+                    not (id(node) in owners or node in tree.body):
+                continue
+            name = f"{path.stem}.{owners.get(id(node), '')}{node.name}"
+            attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            bare = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            users += [(name, members[a]) for a in attrs & members.keys()]
+            users += [(name, functions[f]) for f in (attrs | bare) & functions.keys()]
+    assert {helper for _, helper in users} == set(HELPERS)  # each helper has a user
+    assert [(name, helper) for name, helper in users if name not in UNREACHED] == []
 
 
 def calls_by_name() -> dict:

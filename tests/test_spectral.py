@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import fockbound as fb
-from fockbound.rng import (complex_matrix, complex_vector, psd_matrix,
-                           trial_rng, unitary_matrix)
+from fockbound.rng import complex_matrix, complex_vector, trial_rng, unitary_matrix
+from jw_oracle import psd_matrix
 
 
 def test_schatten_345():

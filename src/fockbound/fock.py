@@ -304,10 +304,61 @@ def op_adag(space: FockSpace, f) -> FockOperator:
     return ladder_operator(space, "creation", _check_vector(space, f))
 
 
-# CAR residual -> base tolerance; verify_car divides each residual by its scale
+def unit_scaled(x) -> np.ndarray:
+    """x times the power of two 2^-e that brings its largest real or imaginary
+    part into [1/2, 1), as a complex array; x itself if that part is 0 or not
+    finite.  The scaling is exact unless an entry leaves the normal range, and
+    the result is the same for x and for any 2^k x that is exact: the
+    identity checks form every residual of unit-scale inputs, where nothing
+    under- or overflows, and divide it by the same power of their sizes."""
+    parts = np.ascontiguousarray(x, dtype=complex).view(np.float64)
+    exponent = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
+    return np.ldexp(parts, -exponent).view(complex)
+
+
+def residual_ratio(residual, scale) -> float:
+    """residual / scale for a residual and a scale >= 0.  0/0 reads as 0 (zero
+    inputs have a zero residual) and x/0 as inf; a NaN on either side, or an
+    infinite scale, which would hide any residual, gives NaN."""
+    if scale == 0.0:
+        return math.inf if residual > 0.0 else float(residual)
+    return float(residual / scale) if scale < math.inf else math.nan
+
+
+# CAR residual -> base tolerance; verify_car divides each residual by its scale.
+# The adjoint residual is exactly 0: each entry of a(f)[n] and of a+(fbar)[n - 1]
+# is one coefficient times the same Jordan-Wigner sign, and conjugation is exact.
 CAR_TOL = {"anticommutator_aa": IDENTITY_TOL, "anticommutator_adad": IDENTITY_TOL,
-           "anticommutator_mixed": IDENTITY_TOL, "adjoint_relation": IDENTITY_TOL,
+           "anticommutator_mixed": IDENTITY_TOL, "adjoint_relation": 0.0,
            "projection_identity": IDENTITY_TOL, "norm_identity": NORM_TOL}
+
+
+def _norm_bound(af: dict, phi: float, m: int) -> float:
+    """A bound on | |a(f)|_2 - phi | from the blocks `af` of a(f), n = 1..m, with no
+    eigensolve; NaN if a block is not finite.
+
+    R_n = b b* b - phi^2 b for each block b = af[n], multiplied on its smaller
+    side.  With b = U S V* the SVD, R_n = U (S^3 - phi^2 S) V*, so every
+    singular value s of every block obeys |s^3 - phi^2 s| <= |R_n|_2 <= rho,
+    rho = max_n |R_n|_F.  |a(f)|_2 is the largest such s, and c = |af[m]|,
+    the norm of a(f) applied to the filled state, is at most |a(f)|_2.  So if
+    c > 0, s (s - phi)(s + phi) <= rho at s = |a(f)|_2 >= c gives
+    | |a(f)|_2 - phi | <= rho / (c (c + phi)).  If c = 0, then s <= phi, or
+    (s - phi)^3 <= s (s - phi)(s + phi) <= rho: the bound is max(rho^(1/3), phi).
+    Exact for the blocks as built, up to the rounding of the products and
+    norms that form rho and c.
+    """
+    rho = 0.0
+    for n in range(1, m + 1):
+        b = af[n]
+        r = (b @ b.conj().T) @ b if b.shape[0] <= b.shape[1] else b @ (b.conj().T @ b)
+        r -= phi**2 * b
+        # np.maximum keeps a NaN that the builtin max would drop
+        rho = np.maximum(rho, np.linalg.norm(r))
+    c = float(np.linalg.norm(af[m]))
+    if not math.isfinite(rho + c):
+        return math.nan
+    return float(rho / (c * (c + phi))) if c > 0.0 else max(float(rho) ** (1 / 3), phi)
 
 
 def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
@@ -315,47 +366,57 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
 
     Residuals: {a(f),a(g)}, {a+(f),a+(g)}, {a(f),a+(g)} - (fbar,g)Id,
     a(f)* - a+(fbar), the projection identity for a+(f)a(fbar), and the
-    spectral-norm identity |a(f)| = |f|.  Each is divided by its scale, 1 + |f||g|
-    (1 + |f| for the norm identity), and its worst over trials kept.
+    spectral-norm identity |a(f)| = |f|.  Each residual is homogeneous in f
+    and g, and is divided by the same power of their sizes: |f||g| for the
+    three anticommutators, |f| for the adjoint relation and the norm
+    identity, |f|^4 for the projection identity, whose terms are of size
+    |f|^4.  So the ratio is free of the scale of f and g.  f and g are first
+    brought to unit scale by powers of two (`unit_scaled`), which changes no
+    ratio, so each row is bit for bit the same under (f, g) -> 2^k (f, g),
+    and no product under- or overflows.  0/0 reads as 0, so f = 0 passes,
+    and x/0 as inf (`residual_ratio`).
 
     Every operator is used as its `sector_blocks`; a product maps sector n
     through n +- 1, and all other entries of the whole-space residual vanish
-    exactly.  |a(f)| is the largest block norm, since the singular values of
-    an operator that shifts particle number are those of its blocks together.
+    exactly.  The singular values of an operator that shifts particle number
+    are those of its blocks together, so the norm identity is certified from
+    the blocks with no SVD or eigensolve (`_norm_bound`); its row reports
+    that bound on | |a(f)|_2 - |f| |, over |f|, which is at least the
+    residual of the computed spectral norm, to rounding.
     """
     if trials < 1:
         raise ValueError(f"verify_car needs trials >= 1, got {trials!r}")
     worst = dict.fromkeys(CAR_TOL, 0.0)
     for t in range(trials):
         rng = trial_rng(seed, t)
-        f = complex_vector(rng, space.m)
-        g = complex_vector(rng, space.m)
+        f = unit_scaled(complex_vector(rng, space.m))
+        g = unit_scaled(complex_vector(rng, space.m))
         af, ag, afbar = (sector_blocks(space, "annihilation", h) for h in (f, g, f.conj()))
         adf, adg, adfbar = (sector_blocks(space, "creation", h) for h in (f, g, f.conj()))
         pairing = complex(np.sum(f * g))  # (fbar, g) with the antilinear-first inner product
-        norm_f, norm_g = np.linalg.norm(f), np.linalg.norm(g)
+        norm_f, norm_g = float(np.linalg.norm(f)), float(np.linalg.norm(g))
         res = dict.fromkeys(CAR_TOL, 0.0)
         for n in range(space.m + 1):
+            mixed = af[n + 1] @ adg[n]
+            mixed += adg[n - 1] @ af[n]
+            mixed.reshape(-1)[::len(mixed) + 1] -= pairing  # on the diagonal
             proj = adf[n - 1] @ afbar[n]
+            projection = proj @ proj
+            projection -= norm_f**2 * proj
             sector = {
                 "anticommutator_aa": af[n - 1] @ ag[n] + ag[n - 1] @ af[n],
                 "anticommutator_adad": adf[n + 1] @ adg[n] + adg[n + 1] @ adf[n],
-                "anticommutator_mixed":
-                    af[n + 1] @ adg[n] + adg[n - 1] @ af[n] - pairing * np.eye(len(proj)),
+                "anticommutator_mixed": mixed,
                 "adjoint_relation": af[n].conj().T - adfbar[n - 1],
-                "projection_identity": proj @ proj - float(norm_f)**2 * proj,
+                "projection_identity": projection,
             }
             for key, block in sector.items():
                 # np.maximum keeps a NaN that the builtin max would drop
                 res[key] = np.maximum(res[key], np.abs(block).max(initial=0.0))
-        # a non-finite block has no SVD; its norm is NaN, which fails the row
-        res["norm_identity"] = abs(np.max([
-            np.linalg.norm(af[n], 2) if np.isfinite(af[n]).all() else math.nan
-            for n in range(1, space.m + 1)]) - norm_f)
-        scale = 1.0 + norm_f * norm_g
+        res["norm_identity"] = _norm_bound(af, norm_f, space.m)
+        scale = {"adjoint_relation": norm_f, "projection_identity": norm_f**4,
+                 "norm_identity": norm_f}
         for key, val in res.items():
-            key_scale = 1.0 + norm_f if key == "norm_identity" else scale
-            # an infinite scale would hide any residual, so the ratio is unknown
-            ratio = val / key_scale if key_scale < math.inf else math.nan
+            ratio = residual_ratio(val, scale.get(key, norm_f * norm_g))
             worst[key] = float(np.maximum(worst[key], ratio))
     return worst

@@ -25,7 +25,8 @@ import math
 
 import numpy as np
 
-from .fock import LADDERS, FockOperator, FockSpace, ladder_operator, sector_blocks
+from .fock import (LADDERS, FockOperator, FockSpace, ladder_operator, residual_ratio,
+                   sector_blocks, unit_scaled)
 from .tolerances import ENTRY_TOL
 
 
@@ -126,25 +127,32 @@ def delta_plus(space: FockSpace, C) -> FockOperator:
 
 def check_commutator(space: FockSpace, A, C) -> float:
     """Residual of [delta(A), delta_plus(C)] + 4 d_gamma(CA) - 2 tr(AC) Id over its
-    scale 1 + max |comm| + max |target|, sector by sector: on sector n the commutator
+    scale max |comm| + max |target|, sector by sector: on sector n the commutator
     is Delta_{n+2->n} Delta+_{n->n+2} - Delta+_{n-2->n} Delta_{n->n-2}, and every
-    entry of the whole-space residual outside these blocks vanishes exactly."""
+    entry of the whole-space residual outside these blocks vanishes exactly.
+
+    A and C are first brought to unit scale by powers of two (fock.unit_scaled).
+    The identity is bilinear in (A, C), so that changes no ratio, and the ratio
+    is bit for bit the same under A -> 2^j A and C -> 2^k C; no product under- or
+    overflows.  A zero scale has a zero residual, and reads as 0
+    (fock.residual_ratio)."""
     A, C = one_body(space, "Delta", A), one_body(space, "DeltaPlus", C)
     require_representable(space, A, "A")
     require_representable(space, C, "C")
+    A, C = unit_scaled(A), unit_scaled(C)
     da, dpc = sector_blocks(space, "Delta", A), sector_blocks(space, "DeltaPlus", C)
     dg, trace = sector_blocks(space, "dGamma", C @ A), np.trace(A @ C)
     residual = comm_max = target_max = 0.0
     for n in range(space.m + 1):
-        comm = da[n + 2] @ dpc[n] - dpc[n - 2] @ da[n]
-        target = -4.0 * dg[n] + 2.0 * trace * np.eye(len(comm))
+        comm = da[n + 2] @ dpc[n]
+        comm -= dpc[n - 2] @ da[n]
+        target = -4.0 * dg[n]
+        target.reshape(-1)[::len(target) + 1] += 2.0 * trace  # on the diagonal
         # np.maximum keeps a NaN that the builtin max would drop
         residual = np.maximum(residual, np.abs(comm - target).max())
         comm_max = np.maximum(comm_max, np.abs(comm).max())
         target_max = np.maximum(target_max, np.abs(target).max())
-    scale = 1.0 + float(comm_max + target_max)
-    # an infinite scale would hide any residual, so the ratio is unknown
-    return float(residual) / scale if scale < math.inf else math.nan
+    return residual_ratio(residual, comm_max + target_max)
 
 
 def check_grading(op: FockOperator) -> bool:

@@ -20,8 +20,11 @@ d_gamma(diag lam) as the sum of the n largest lam_j; and a random PSD X* X.
 
 verify_car and check_commutator are the whole-space versions of the CAR suite
 and the commutator identity that the package used before it checked them
-sector by sector, with the dense operators of this module; they return what
-the package's versions return.  car_failures holds such a residual dict to
+sector by sector, with the dense operators of this module, on inputs brought
+to unit scale and with the divisors of the package's versions; they return
+what those return, except that the norm row is the residual of the dense
+spectral norm (an SVD), which the package's certified bound lies above, to
+rounding.  car_failures holds such a residual dict to
 CAR_TOL, the rule of the car/ report rows.
 
 sector_blocks is the per-key builder the package used before it cached one
@@ -68,7 +71,7 @@ from fockbound.bounds import BOUNDS
 from fockbound.cli import _check
 from fockbound.fock import (CAR_TOL, LADDERS, FockOperator, FockSpace,
                             FockVector, _check_vector, _gather, ladder_matrix,
-                            make_space)
+                            make_space, residual_ratio, unit_scaled)
 from fockbound.quadratics import _as_one_body, pair_weights, require_skew
 from fockbound.rng import complex_matrix, complex_vector, skew_matrix, trial_rng
 from fockbound.tolerances import IDENTITY_TOL, NORM_TOL
@@ -157,43 +160,32 @@ def op_adag(space: FockSpace, f) -> FockOperator:
     return FockOperator(space, mat, grading_shift=+1)
 
 
-def d_gamma(space: FockSpace, B) -> FockOperator:
-    B = _as_one_body(space, B, "B")
+def _quadratic(space: FockSpace, X, outer, inner, shift: int) -> FockOperator:
+    """sum_{k,j} X[k,j] outer_k inner_j from the dense single-mode matrices."""
     mat = np.zeros((space.dim, space.dim), dtype=complex)
     for k in range(space.m):
         acc = np.zeros_like(mat)
         for j in range(space.m):
-            if B[k, j] != 0:
-                acc += B[k, j] * _annihilation_matrix(space.m, j + 1)
+            if X[k, j] != 0:
+                acc += X[k, j] * inner(space.m, j + 1)
         if acc.any():
-            mat += _creation_matrix(space.m, k + 1) @ acc
-    return FockOperator(space, mat, grading_shift=0)
+            mat += outer(space.m, k + 1) @ acc
+    return FockOperator(space, mat, grading_shift=shift)
+
+
+def d_gamma(space: FockSpace, B) -> FockOperator:
+    B = _as_one_body(space, B, "B")
+    return _quadratic(space, B, _creation_matrix, _annihilation_matrix, 0)
 
 
 def delta(space: FockSpace, A) -> FockOperator:
     A = require_skew(_as_one_body(space, A, "A"), "A")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(space.m):
-        acc = np.zeros_like(mat)
-        for j in range(space.m):
-            if A[k, j] != 0:
-                acc += A[k, j] * _annihilation_matrix(space.m, j + 1)
-        if acc.any():
-            mat += _annihilation_matrix(space.m, k + 1) @ acc
-    return FockOperator(space, mat, grading_shift=-2)
+    return _quadratic(space, A, _annihilation_matrix, _annihilation_matrix, -2)
 
 
 def delta_plus(space: FockSpace, C) -> FockOperator:
     C = require_skew(_as_one_body(space, C, "C"), "C")
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for k in range(space.m):
-        acc = np.zeros_like(mat)
-        for j in range(space.m):
-            if C[k, j] != 0:
-                acc += C[k, j] * _creation_matrix(space.m, j + 1)
-        if acc.any():
-            mat += _creation_matrix(space.m, k + 1) @ acc
-    return FockOperator(space, mat, grading_shift=+2)
+    return _quadratic(space, C, _creation_matrix, _creation_matrix, 2)
 
 
 def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
@@ -201,12 +193,13 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
     eye = np.eye(space.dim)
     for t in range(trials):
         rng = trial_rng(seed, t)
-        f = complex_vector(rng, space.m)
-        g = complex_vector(rng, space.m)
+        f = unit_scaled(complex_vector(rng, space.m))
+        g = unit_scaled(complex_vector(rng, space.m))
         af, ag = op_a(space, f), op_a(space, g)
         adf, adg = op_adag(space, f), op_adag(space, g)
         pairing = complex(np.sum(f * g))  # (fbar, g) with the antilinear-first inner product
         proj = adf @ op_a(space, f.conj())
+        norm_f, norm_g = float(np.linalg.norm(f)), float(np.linalg.norm(g))
         res = {
             "anticommutator_aa": np.abs(anticommutator(af, ag)).max(),
             "anticommutator_adad": np.abs(anticommutator(adf, adg)).max(),
@@ -214,14 +207,13 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
             "adjoint_relation": np.abs(
                 af.matrix.conj().T - op_adag(space, f.conj()).matrix).max(),
             "projection_identity": np.abs(
-                (proj @ proj).matrix
-                - float(np.linalg.norm(f))**2 * proj.matrix).max(),
-            "norm_identity": abs(np.linalg.norm(af.matrix, 2) - np.linalg.norm(f)),
+                (proj @ proj).matrix - norm_f**2 * proj.matrix).max(),
+            "norm_identity": abs(np.linalg.norm(af.matrix, 2) - norm_f),
         }
-        scale = 1.0 + np.linalg.norm(f) * np.linalg.norm(g)
+        scale = {"adjoint_relation": norm_f, "projection_identity": norm_f**4,
+                 "norm_identity": norm_f}
         for key, val in res.items():
-            key_scale = 1.0 + np.linalg.norm(f) if key == "norm_identity" else scale
-            worst[key] = max(worst[key], float(val / key_scale))
+            worst[key] = max(worst[key], residual_ratio(val, scale.get(key, norm_f * norm_g)))
     return worst
 
 
@@ -231,15 +223,17 @@ def car_failures(residuals: dict) -> list[str]:
 
 
 def check_commutator(space: FockSpace, A, C) -> float:
-    A = require_skew(_as_one_body(space, A, "A"), "A")
-    C = require_skew(_as_one_body(space, C, "C"), "C")
-    da, dpc = delta(space, A), delta_plus(space, C)
+    # skew as given, and then brought to unit scale, as the package checks them
+    A = unit_scaled(require_skew(_as_one_body(space, A, "A"), "A"))
+    C = unit_scaled(require_skew(_as_one_body(space, C, "C"), "C"))
+    da = _quadratic(space, A, _annihilation_matrix, _annihilation_matrix, -2)
+    dpc = _quadratic(space, C, _creation_matrix, _creation_matrix, 2)
     comm = (da @ dpc).matrix - (dpc @ da).matrix
     target = -4.0 * d_gamma(space, C @ A).matrix \
         + 2.0 * np.trace(A @ C) * np.eye(space.dim)
     residual = float(np.abs(comm - target).max(initial=0.0))
-    scale = 1.0 + float(np.abs(comm).max(initial=0.0) + np.abs(target).max(initial=0.0))
-    return residual / scale
+    scale = float(np.abs(comm).max(initial=0.0) + np.abs(target).max(initial=0.0))
+    return residual_ratio(residual, scale)
 
 
 def run_verify_algebra(cfg: argparse.Namespace) -> list[dict]:

@@ -509,9 +509,8 @@ def test_algebra_rows_under_power_of_two_scalings(name, factor, k, corrupt_block
 def test_algebra_rows_at_entries_near_1e150_and_1e_minus_150(m, scale, monkeypatch):
     # B, A and C drawn times a scale that is no power of two: the commutator
     # residual stays at rounding size over its scale, with no overflow warning,
-    # and each adjoint pair of blocks stays exactly equal.  At 1e-150 the
-    # commutator row cannot fail: its scale 1 + max|comm| + max|target| is 1,
-    # so its metric is the absolute residual, about 1e-315
+    # and each adjoint pair of blocks stays exactly equal: A and C are brought
+    # to unit scale before the commutator's blocks are built
     skew, complex_matrix = cli.skew_matrix, cli.complex_matrix
     monkeypatch.setattr(cli, "skew_matrix", lambda rng, m: skew(rng, m) * scale)
     monkeypatch.setattr(cli, "complex_matrix", lambda rng, m: complex_matrix(rng, m) * scale)
@@ -521,6 +520,18 @@ def test_algebra_rows_at_entries_near_1e150_and_1e_minus_150(m, scale, monkeypat
     assert all(row["pass"] for row in rows.values())
     assert rows["commutator"]["metric"] <= 1e-14
     assert rows["adjoint_dgamma"]["metric"] == rows["adjoint_delta"]["metric"] == 0.0
+
+
+def test_algebra_commutator_row_sees_a_corrupt_block_at_1e_minus_150(monkeypatch,
+                                                                     corrupt_block):
+    # the commutator's scale has no absolute floor, so a wrong block of
+    # operators near 1e-150 fails the row as it does at unit scale
+    skew = cli.skew_matrix
+    monkeypatch.setattr(cli, "skew_matrix", lambda rng, m: skew(rng, m) * 1e-150)
+    flips = corrupt_block("Delta", 2)
+    row = algebra_rows(4, trials=2)["commutator"]
+    assert flips
+    assert not row["pass"] and row["metric"] > 1e-3
 
 
 @pytest.mark.parametrize("name", ["dGamma", "Delta", "DeltaPlus"])

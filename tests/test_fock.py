@@ -1,4 +1,5 @@
 
+import itertools
 import math
 import types
 
@@ -481,15 +482,92 @@ def test_each_sector_blocks_call_builds_once(monkeypatch):
     assert scatter.calls == 1 + 3 * 6 + 3
 
 
-def test_verify_car_fails_when_a_residual_overflows(monkeypatch):
-    # |f|^2 proj overflows at this scale, so the projection identity is NaN,
-    # which the builtin max would drop.  Warnings are silenced to see the
-    # verdict a caller gets when numpy does not warn.
-    monkeypatch.setattr(fb.fock, "complex_vector", lambda rng, n: 1e150 * complex_vector(rng, n))
-    with np.errstate(all="ignore"):
+def scaled_draws(monkeypatch, scale):
+    """Makes verify_car draw f and g times `scale`."""
+    monkeypatch.setattr(fb.fock, "complex_vector", lambda rng, n: scale * complex_vector(rng, n))
+
+
+def test_verify_car_passes_at_1e150_and_sees_a_corrupt_block_there(monkeypatch, corrupt_block):
+    # f and g are brought to unit scale before any block is built, so no
+    # product overflows at 1e150 and every row stays at rounding size; a
+    # corrupt creation block still fails its rows there.  Warnings are errors,
+    # so nothing overflows on the way.
+    scaled_draws(monkeypatch, 1e150)
+    with np.errstate(all="raise"):
         residuals = fb.verify_car(fb.make_space(4), trials=2, seed=0)
+    assert jw.car_failures(residuals) == []
+    assert max(residuals.values()) < 1e-14
+    flips = corrupt_block("creation", 1)
+    with np.errstate(all="raise"):
+        residuals = fb.verify_car(fb.make_space(4), trials=2, seed=0)
+    assert flips
     assert jw.car_failures(residuals)
-    assert math.isnan(residuals["projection_identity"])
+
+
+# the rows a corrupt creation block fails at m = 4, seed 5
+CREATION_ROWS = ["anticommutator_adad", "anticommutator_mixed", "adjoint_relation",
+                 "projection_identity"]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150])
+def test_verify_car_corrupt_creation_block_fails_the_same_rows_at_every_scale(
+        scale, monkeypatch, corrupt_block):
+    # no residual is floored by an absolute term or lost to underflow
+    scaled_draws(monkeypatch, scale)
+    flips = corrupt_block("creation", 1)
+    residuals = fb.verify_car(fb.make_space(4), trials=2, seed=5)
+    assert flips
+    assert sorted(jw.car_failures(residuals)) == sorted(CREATION_ROWS)
+    for key in CREATION_ROWS:
+        assert residuals[key] > 1e-3, key
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+@pytest.mark.parametrize("target", [1, 2, 4])
+def test_verify_car_norm_row_sees_one_entry_times_1_01(target, scale, monkeypatch,
+                                                       corrupt_block):
+    # one annihilation entry off by 1% moves a singular value of its block
+    # away from |f|, so b b* b - |f|^2 b is no longer 0; block 4 is the
+    # filled state's, which also gives the lower end c of the certificate
+    scaled_draws(monkeypatch, scale)
+    flips = corrupt_block("annihilation", target, factor=1.01)
+    residuals = fb.verify_car(fb.make_space(4), trials=2, seed=5)
+    assert flips
+    assert "norm_identity" in jw.car_failures(residuals)
+    assert residuals["norm_identity"] > 1e-4
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_verify_car_rows_are_0_for_f_and_g_0(m, monkeypatch):
+    # every residual of zero inputs is exactly 0, and 0/0 reads as 0
+    scaled_draws(monkeypatch, 0.0)
+    with np.errstate(all="raise"):
+        residuals = fb.verify_car(fb.make_space(m), trials=2, seed=1)
+    assert residuals == dict.fromkeys(fb.fock.CAR_TOL, 0.0)
+
+
+def test_verify_car_rows_are_bit_identical_under_power_of_two_scalings(monkeypatch):
+    sp = fb.make_space(3)
+    plain = fb.verify_car(sp, trials=2, seed=29)
+    assert all(value > 0 for key, value in plain.items() if key != "adjoint_relation")
+    for k in range(-300, 301):
+        scaled_draws(monkeypatch, 2.0**k)
+        assert fb.verify_car(sp, trials=2, seed=29) == plain, k
+
+
+def test_verify_car_runs_no_eigensolve(monkeypatch):
+    # np.linalg.norm(x, 2) reaches the SVD through numpy.linalg._linalg, so
+    # both bindings of each solver are replaced
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify_car called an eigensolver")
+
+    for name in ("svd", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(np.linalg._linalg, name, refuse)
+    with pytest.raises(AssertionError, match="eigensolver"):
+        np.linalg.norm(np.eye(2), 2)
+    residuals = fb.verify_car(fb.make_space(5), trials=2, seed=67)
+    assert jw.car_failures(residuals) == []
 
 
 def test_verify_car_fails_on_a_nan_in_one_block(corrupt_block):
@@ -502,9 +580,12 @@ def test_verify_car_fails_on_a_nan_in_one_block(corrupt_block):
 
 
 def test_verify_car_norm_identity_is_nan_on_a_non_finite_block(corrupt_block):
-    flips = corrupt_block("annihilation", 2, factor=math.nan)
-    with np.errstate(all="ignore"):
-        residuals = fb.verify_car(fb.make_space(3), trials=2, seed=5)
-    assert flips
-    assert jw.car_failures(residuals)
-    assert math.isnan(residuals["norm_identity"])
+    # every annihilation block of m = 3, the filled state's (3) included, whose
+    # norm is the lower end c of the certificate
+    for target, factor in itertools.product((1, 2, 3), (math.nan, math.inf)):
+        flips = corrupt_block("annihilation", target, factor=factor)
+        with np.errstate(all="ignore"):
+            residuals = fb.verify_car(fb.make_space(3), trials=2, seed=5)
+        assert flips
+        assert "norm_identity" in jw.car_failures(residuals)
+        assert math.isnan(residuals["norm_identity"]), (target, factor)

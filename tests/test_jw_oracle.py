@@ -230,6 +230,17 @@ def test_blocked_car_suite_equals_dense(m):
                         jw.verify_car(sp, trials=3, seed=seed))
 
 
+@pytest.mark.parametrize("m", MODES)
+def test_certified_norm_row_bounds_the_dense_svd_residual(m):
+    # the certificate bounds | |a(f)|_2 - |f| | of the blocks as built; the
+    # dense SVD's own rounding may put its residual up to an ulp or so above
+    sp = fb.make_space(m)
+    for seed in (0, 29, 67):
+        new = fb.verify_car(sp, trials=3, seed=seed)["norm_identity"]
+        old = jw.verify_car(sp, trials=3, seed=seed)["norm_identity"]
+        assert old - 1e-15 <= new <= old + 1e-13
+
+
 @pytest.mark.parametrize("zeroed", ["f", "f and g"])
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_blocked_car_suite_equals_dense_for_zero_f(m, zeroed, monkeypatch):

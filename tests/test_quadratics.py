@@ -246,24 +246,28 @@ def test_overflowing_commutator_rejected_before_any_block(scale, monkeypatch):
         fb.check_commutator(fb.make_space(4), scale * A, scale * C)
 
 
-def test_unguarded_overflowing_commutator_fails(monkeypatch):
-    # with the guard off, the NaN residual and the infinite scale must fail
+def test_unguarded_commutator_at_1e160_passes_and_sees_a_corrupt_block(monkeypatch,
+                                                                        corrupt_block):
+    # with the guard off, A and C of entries near 1e160 are still brought to
+    # unit scale before any block is built: no product overflows, the ratio
+    # stays at rounding size, and a corrupt Delta block fails the identity
     monkeypatch.setattr(quadratics, "require_representable", lambda *args: None)
     rng = trial_rng(3, 0)
-    with np.errstate(all="ignore"):
-        residual = fb.check_commutator(fb.make_space(4), 1e160 * skew_matrix(rng, 4),
-                                       1e160 * skew_matrix(rng, 4))
+    A, C = 1e160 * skew_matrix(rng, 4), 1e160 * skew_matrix(rng, 4)
+    with np.errstate(all="raise"):
+        assert fb.check_commutator(fb.make_space(4), A, C) < 1e-14
+        flips = corrupt_block("Delta", 2)
+        residual = fb.check_commutator(fb.make_space(4), A, C)
+    assert flips
     assert not residual <= NORM_TOL
-    assert math.isnan(residual)
 
 
 @pytest.mark.parametrize("k", [490, -490])
 @pytest.mark.parametrize("m", [2, 4, 6])
 def test_commutator_residual_is_exact_under_opposite_power_of_two_scalings(m, k):
-    # Delta(2^k A) and Delta+(2^-k C) are 2^k Delta(A) and 2^-k Delta+(C)
-    # exactly, and (2^-k C)(2^k A) = C A, so every product, residual and scale
-    # is the unscaled one bit for bit.  Entries near 1e+-147 pass
-    # require_representable.
+    # 2^k A and 2^-k C are brought to the unit scale of A and C, so every
+    # product, residual and scale is the unscaled one bit for bit.  Entries
+    # near 1e+-147 pass require_representable.
     rng = trial_rng(41, m)
     A, C = skew_matrix(rng, m), skew_matrix(rng, m)
     scaled_A, scaled_C = A * 2.0**k, C * 2.0**-k
@@ -271,6 +275,17 @@ def test_commutator_residual_is_exact_under_opposite_power_of_two_scalings(m, k)
     sp = fb.make_space(m)
     residual = fb.check_commutator(sp, scaled_A, scaled_C)
     assert residual.hex() == fb.check_commutator(sp, A, C).hex()
+
+
+@pytest.mark.parametrize("j, k", [(-300, -300), (300, 300), (-1, 2), (250, -7)])
+def test_commutator_ratio_is_exact_under_power_of_two_scalings(j, k):
+    # the identity is bilinear in (A, C), and its scale is the size of its
+    # two sides, so no power of two on either argument moves the ratio
+    rng = trial_rng(43, 0)
+    A, C = skew_matrix(rng, 4), skew_matrix(rng, 4)
+    sp = fb.make_space(4)
+    assert fb.check_commutator(sp, A * 2.0**j, C * 2.0**k).hex() == \
+        fb.check_commutator(sp, A, C).hex()
 
 
 def test_check_commutator_fails_on_a_nan_in_one_block(corrupt_block):

@@ -8,14 +8,12 @@ relations hold exactly.  Every operator is built straight from the bitmasks,
 in particle-number sector blocks.  Which basis state a term sends where, and
 with which sign, depends only on (m, operator), so `_ladder_pattern` walks
 the bitmasks of every sector once per (m, operator) and process, checks the
-walked rows against their blocks, and caches that coefficient-free layout:
-every entry's position in one flat buffer of all the blocks.  A build is one
-coefficient gather onto the layout (`_gather`) and one `np.add.at`:
-`sector_blocks` scatters into that buffer and returns its blocks as views,
-`ladder_matrix` scatters one sector's slice into its block.  A whole-space
-operator (`ladder_operator`: `op_a`, `op_adag` and the quadratics) is its
-sector blocks put in place, and a single mode's a_j is `op_a` of the basis
-vector e_j.
+walked rows against their blocks, and caches that coefficient-free layout
+sector by sector.  A block (`ladder_matrix`) is one coefficient gather onto
+its sector's layout (`_gather`) and one `np.add.at`; `sector_blocks` is that
+block for every sector key.  A whole-space operator (`ladder_operator`:
+`op_a`, `op_adag` and the quadratics) is its sector blocks put in place, and
+a single mode's a_j is `op_a` of the basis vector e_j.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -155,7 +152,7 @@ def _walk(m: int, name: str, sector: int):
     shape = (int(r1 - row0), int(c1 - c0))
     if 0 in shape:  # an empty side has no entries
         empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0, np.int16), np.empty(0, np.int8), shape
+        return empty, empty, empty, empty, shape
     terms = np.unravel_index(np.arange(m ** len(kinds)), (m,) * len(kinds))
     cols = space.masks[c0:c1]
     masks = np.repeat(cols[None, :], terms[0].size, axis=0)
@@ -168,88 +165,66 @@ def _walk(m: int, name: str, sector: int):
         parity += np.bitwise_count(masks & (bit - 1))
         masks ^= bit
     term, col = np.nonzero(alive)
-    return (space.index_of[masks[term, col]] - row0, col, term.astype(np.int16),
-            (1 - 2 * (parity[term, col] & 1)).astype(np.int8), shape)
+    return space.index_of[masks[term, col]] - row0, col, term, 1 - 2 * (parity[term, col] & 1), shape
 
 
-# one entry of a layout: its flat position in the buffer of all the blocks,
-# its flat coefficient index and its Jordan-Wigner sign; packed, 11 bytes
-_ENTRY = np.dtype({"names": ["position", "term", "sign"],
-                   "formats": [np.int64, np.int16, np.int8]})
-
-
-class _Layout(NamedTuple):
-    entries: np.ndarray  # of _ENTRY, sector by sector, read-only
-    sectors: dict  # sector n -> (first entry, entry stop, block offset, block shape)
-    size: int  # entries of the buffer that holds every block
+_NO_ENTRIES = (np.empty(0, np.int64), np.empty(0, np.int16), np.empty(0, np.int8), (0, 0))
 
 
 @lru_cache(maxsize=None)
-def _ladder_pattern(m: int, name: str) -> _Layout:
-    """The coefficient-free layout of `name` on m modes: every sector key's `_walk`.
+def _ladder_pattern(m: int, name: str) -> dict:
+    """The coefficient-free layout of `name` on m modes: for every sector key n,
+    (positions, terms, signs, shape) of its `_walk`.
 
     The keys run |shift| past 0..m on both sides.  Blocks there have an empty
     side, so a product of two blocks next to an edge sector is an exact zero
-    block of the right shape instead of a wrapped-around index.  The blocks
-    lie one after another in one flat buffer, each row-major; an entry's
-    position is its place in that buffer.  Each walked row is checked against
-    its block once, here, before its position is formed: a target whose
-    particle number is not n + shift raises GradingError, where a row of -1
-    would otherwise land in the neighbouring block.  Walked once per (m, name)
-    and process, and shared by every caller, so the entries are read-only.
+    block of the right shape instead of a wrapped-around index.  An entry's
+    position is its flat place in its row-major block (int64), beside its
+    flat term index (int16) and its sign (int8): 11 bytes per entry.  Each
+    walked row is checked against its block once, here, before its position
+    is formed: a target whose particle number is not n + shift raises
+    GradingError, where a row of -1 would otherwise wrap into the block's
+    last row.  Walked once per (m, name) and process, and shared by every
+    caller, so the arrays are read-only.
     """
     shift = LADDERS[name][1]
-    walks, sectors, start, offset = [], {}, 0, 0
+    layout = {}
     for n in range(-abs(shift), m + abs(shift) + 1):
-        rows, cols, term, sign, shape = _walk(m, name, n)
+        rows, cols, terms, signs, shape = _walk(m, name, n)
         if rows.min(initial=0) < 0 or rows.max(initial=-1) >= shape[0]:
             raise GradingError(f"{name} entries leave the sector shift {shift}")
-        walk = np.empty(rows.size, dtype=_ENTRY)
-        walk["position"] = offset + rows * shape[1] + cols
-        walk["term"], walk["sign"] = term, sign
-        walks.append(walk)
-        sectors[n] = (start, start + walk.size, offset, shape)
-        start, offset = start + walk.size, offset + shape[0] * shape[1]
-    entries = np.concatenate(walks)
-    entries.setflags(write=False)
-    return _Layout(entries, sectors, offset)
+        # cast here, once the walk's temporaries are freed, so the cached
+        # arrays do not pin the heap pages those leave
+        arrays = rows * shape[1] + cols, terms.astype(np.int16), signs.astype(np.int8)
+        for a in arrays:
+            a.setflags(write=False)
+        layout[n] = *arrays, shape
+    return layout
 
 
-def _gather(space: FockSpace, name: str, coeffs, sector: int | None = None):
-    """(positions, values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1]:
-    the layout entries whose coefficient is nonzero, each with value
-    coefficient * sign, so no operator matrix is ever multiplied.
-
-    With a `sector` n, the entries of its block, the one from the n-particle to
-    the (n + shift)-particle sector, at flat positions within that block of
-    `shape`; a sector outside the keys has an empty (0, 0) block.  With None,
-    every entry at its position in the buffer of all the blocks, shape
-    (layout size,).  A position recurs once for each term that reaches it, in
-    term order.  The returned arrays are fresh; the layout is never handed out.
+def _gather(space: FockSpace, name: str, coeffs, sector: int):
+    """(positions, values, shape) of sum_idx coeffs[idx] op_idx[0] ... op_idx[k-1]
+    on the block from sector n = `sector` to n + shift: every entry of that
+    sector's layout, valued coefficient * sign, so no operator matrix is ever
+    multiplied; a sector outside the keys has an empty (0, 0) block.
+    `positions` is the layout's read-only array.  Zero coefficients stay: each
+    adds +-0 to a sum that starts at +0.0 and so is never -0.0, which leaves
+    the sum bit for bit as it is, NaN and inf included.
     """
     kinds, _ = LADDERS[name]
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (space.m,) * len(kinds):
         raise ValueError(f"{name} needs {len(kinds)}-index coefficients over {space.m} modes")
-    layout = _ladder_pattern(space.m, name)
-    if sector is None:
-        entries, offset, shape = layout.entries, 0, (layout.size,)
-    else:
-        start, stop, offset, shape = layout.sectors.get(sector, (0, 0, 0, (0, 0)))
-        entries = layout.entries[start:stop]
-    c = coeffs.ravel()[entries["term"]]
-    keep = c != 0  # as np.nonzero(coeffs): drops -0.0, keeps NaN
-    c = c[keep]
-    c *= entries["sign"][keep]
-    positions = entries["position"][keep]
-    positions -= offset
-    return positions, c, shape
+    positions, terms, signs, shape = _ladder_pattern(space.m, name).get(sector, _NO_ENTRIES)
+    values = coeffs.ravel()[terms]
+    values *= signs
+    return positions, values, shape
 
 
 def ladder_matrix(space: FockSpace, name: str, coeffs, sector: int) -> np.ndarray:
     """The block of `name` with `coeffs` from the n-particle sector, n = `sector`,
-    to the (n + shift)-particle sector: the `_gather` of that sector's slice of
-    the layout summed into a dense block in term order, as the sum is written."""
+    to the (n + shift)-particle sector: its `_gather` summed into a dense block
+    in term order, as the sum is written."""
     if not isinstance(sector, (int, np.integer)):
         raise ValueError(f"sector must be an integer, got {sector!r}")
     positions, values, shape = _gather(space, name, coeffs, int(sector))
@@ -260,19 +235,13 @@ def ladder_matrix(space: FockSpace, name: str, coeffs, sector: int) -> np.ndarra
 
 def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
     """`ladder_matrix(space, name, coeffs, sector=n)` for every key n of the layout,
-    keyed by n, from one gather and one scatter into one buffer.
+    keyed by n, each block an array of its own.
 
-    Each block is a view of that buffer, of exactly the sum of rows * cols
-    complex entries, so every block is held at once; the checks that need
-    one sector at a time build it themselves with `ladder_matrix(...,
-    sector=n)`: the dGamma bounds (`bounds._sector_extremes`) and the
-    Gaussian pair powers.
+    Every block is held at once; the checks that need one sector at a time
+    build it themselves with `ladder_matrix(..., sector=n)`: the dGamma
+    bounds (`bounds._sector_extremes`) and the Gaussian pair powers.
     """
-    positions, values, (size,) = _gather(space, name, coeffs)
-    out = np.zeros(size, dtype=complex)
-    np.add.at(out, positions, values)
-    return {n: out[offset:offset + rows * cols].reshape(rows, cols)
-            for n, (_, _, offset, (rows, cols)) in _ladder_pattern(space.m, name).sectors.items()}
+    return {n: ladder_matrix(space, name, coeffs, n) for n in _ladder_pattern(space.m, name)}
 
 
 def ladder_operator(space: FockSpace, name: str, coeffs) -> FockOperator:

@@ -6,12 +6,11 @@ delta_plus(C)= sum_{j,k} C[k,j] a+_k a+_j     (pair creation,     shift +2)
 
 Each is fock.ladder_operator with the one-body matrix as coefficients: its
 sector blocks, one fock.ladder_matrix call each, put in place.  The checks
-never form them whole: check_commutator multiplies fock.sector_blocks, views
-of one buffer that one gather and one scatter onto the operator's cached
-layout fill, the dGamma bounds build one fock.ladder_matrix block at a time
-from the same layout, and the Delta and DeltaPlus bounds read only the pair
-weights (bounds._pair_extremes).  Every one-body
-argument is checked by one_body, the same check for builders and checks.
+never form them whole: check_commutator multiplies fock.sector_blocks, the
+dGamma bounds build one fock.ladder_matrix block at a time, both from the
+operator's cached layout, and the Delta and DeltaPlus bounds read only the
+pair weights (bounds._pair_extremes).  Every one-body argument is checked by
+one_body, the same check for builders and checks.
 
 delta and delta_plus require skew arguments (A^T = -A with the entrywise
 transpose); symmetric parts would cancel identically, so non-skew input is
@@ -38,17 +37,18 @@ def _as_one_body(space: FockSpace, X, name: str = "operator") -> np.ndarray:
 
 
 def is_skew(A) -> bool:
-    """max |A + A^T| <= ENTRY_TOL (1 + max |A|), over the entries.
+    """max |A + A^T| <= ENTRY_TOL max |A|, over the entries.
 
     Compared on A divided by its largest real or imaginary part, so that
-    A + A^T cannot overflow; a non-finite A is not skew.
+    A + A^T cannot overflow, and with no absolute floor, so the verdict is
+    the same for A and for 2^k A; a non-finite A is not skew.
     """
     A = np.asarray(A, dtype=complex)
     part = float(np.maximum(np.abs(A.real), np.abs(A.imag)).max(initial=0.0))
     if not 0.0 < part < math.inf:
         return part == 0.0
     A = A / part
-    return bool(np.abs(A + A.T).max() <= ENTRY_TOL * (1.0 / part + np.abs(A).max()))
+    return bool(np.abs(A + A.T).max() <= ENTRY_TOL * np.abs(A).max())
 
 
 def require_skew(A, name: str = "operator") -> np.ndarray:

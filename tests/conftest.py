@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -77,3 +79,28 @@ def widest_bracket(monkeypatch):
 
     monkeypatch.setattr(bounds, "_gram_extremes", recording)
     return lambda: max((float(extremes[:, 2].max()) for extremes in seen), default=0.0)
+
+
+@pytest.fixture
+def block_builds(monkeypatch):
+    """Records every block build: `gathers` lists the (name, sector) of each
+    fock._gather call, and `scatters` counts fock's np.add.at calls."""
+    gather, record = fock._gather, types.SimpleNamespace(gathers=[], scatters=0)
+
+    def gathering(space, name, coeffs, sector):
+        record.gathers.append((name, sector))
+        return gather(space, name, coeffs, sector)
+
+    def scatter(*args):
+        record.scatters += 1
+        return np.add.at(*args)
+
+    class CountingNumpy:  # numpy, with np.add.at counted
+        add = types.SimpleNamespace(at=scatter)
+
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+    monkeypatch.setattr(fock, "_gather", gathering)
+    monkeypatch.setattr(fock, "np", CountingNumpy())
+    return record

@@ -27,9 +27,9 @@ spectral norm (an SVD), which the package's certified bound lies above, to
 rounding.  car_failures holds such a residual dict to
 CAR_TOL, the rule of the car/ report rows.
 
-sector_blocks is the per-key builder the package used before it cached one
-layout per operator: one ladder_matrix call per sector key, each block an
-array of its own.  The tests patch it in place of fock.sector_blocks, where
+sector_blocks is one ladder_matrix call per key of sector_keys, each block an
+array of its own, with the keys written out rather than read from the
+package's layout.  The tests patch it in place of fock.sector_blocks, where
 fock, quadratics and cli read that name.
 
 run_verify_algebra, pair_coefficients, gaussian_state and slater_expectation
@@ -299,12 +299,17 @@ def slater_expectation(space: FockSpace, B, modes) -> complex:
     return value
 
 
-def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
-    """`ladder_matrix(space, name, coeffs, sector=n)` for every n from -|shift| to
-    m + |shift|, keyed by n: one build per key."""
+def sector_keys(name: str, m: int) -> list[tuple[str, int]]:
+    """(name, n) for every n from -|shift| to m + |shift|: the keys of sector_blocks."""
     shift = abs(LADDERS[name][1])
+    return [(name, n) for n in range(-shift, m + shift + 1)]
+
+
+def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
+    """`ladder_matrix(space, name, coeffs, sector=n)` for every key n of
+    sector_keys, keyed by n: one build per key."""
     return {n: ladder_matrix(space, name, coeffs, sector=n)
-            for n in range(-shift, space.m + shift + 1)}
+            for _, n in sector_keys(name, space.m)}
 
 
 def sector_extremes(space: FockSpace, operator: str, X) -> np.ndarray:

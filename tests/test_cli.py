@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import jw_oracle as jw
 from fockbound import bounds, cli, fock, gaussian
 
 
@@ -307,11 +308,11 @@ def test_non_skew_matrix_file_rejected_before_building(entry, tmp_path, capsys, 
 
 @pytest.mark.parametrize("rs", [["2"], ["1", "4/3", "2", "inf"]])
 def test_one_sector_build_per_trial_for_every_r(rs, capsys, monkeypatch):
-    # one gather of one sector's slice of the layout per block
+    # one gather of one sector's layout per block
     calls = []
     gather = fock._gather
 
-    def counting(space, name, coeffs, sector=None):
+    def counting(space, name, coeffs, sector):
         calls.append(sector)
         return gather(space, name, coeffs, sector)
 
@@ -574,23 +575,18 @@ def test_a_row_outside_its_sector_is_a_verification_failure(argv, kind, misplace
         assert "sector shift" in captured.err
 
 
-def test_verify_algebra_builds_each_operator_once_per_trial(monkeypatch, capsys):
+def test_verify_algebra_builds_each_operator_once_per_trial(block_builds, capsys):
     # the commutator's Delta(A), DeltaPlus(C) and dGamma(CA), and the adjoint
     # rows' dGamma(B), dGamma(B*), Delta(A) and DeltaPlus(A*), each one gather
-    # of every sector key at once; the grading row reads these builds and
+    # and one scatter per sector key; the grading row reads these builds and
     # gathers no entries of its own
     assert not hasattr(cli, "_gather")
-    gather, calls = fock._gather, []
-
-    def counting(space, name, coeffs, sector=None):
-        calls.append((name, sector))
-        return gather(space, name, coeffs, sector)
-
-    monkeypatch.setattr(fock, "_gather", counting)
     code, _ = run(["verify-algebra", "--m", "3", "--trials", "2"], capsys)
     assert code == cli.EXIT_OK
     builds = {"dGamma": 3, "Delta": 2, "DeltaPlus": 2}
-    assert Counter(calls) == {(name, None): 2 * count for name, count in builds.items()}
+    assert Counter(block_builds.gathers) == {
+        key: 2 * count for name, count in builds.items() for key in jw.sector_keys(name, 3)}
+    assert block_builds.scatters == len(block_builds.gathers)
 
 
 @pytest.mark.parametrize("argv, keys", [
@@ -607,7 +603,7 @@ def test_each_entry_pattern_is_walked_once_per_process(argv, keys, monkeypatch, 
         walks.append((m, name, sector))
         return walk(m, name, sector)
 
-    def gathering(space, name, coeffs, sector=None):
+    def gathering(space, name, coeffs, sector):
         gathers.append(name)
         return gather(space, name, coeffs, sector)
 

@@ -1,7 +1,6 @@
 
 import itertools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -261,22 +260,33 @@ def ladder_coeffs(rng, m, name, kind):
     if kind == "nan":
         flat[::2] = complex(math.nan, 0.0)
         flat[1::4] = complex(0.0, math.nan)
+    if kind == "inf":  # times a sign, inf + 0j reads inf + nan j, as complex products do
+        flat[::2] = complex(math.inf, 0.0)
+        flat[1::4] = complex(1.0, -math.inf)
     return coeffs
 
 
-@pytest.mark.parametrize("kind", ["random", "zero", "one nonzero row"])
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+KINDS = ["random", "zero", "one nonzero row", "diagonal", "signed zeros", "nan", "inf"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
+@np.errstate(invalid="ignore")  # inf * 0 in the products of the inf kind
 def test_sector_blocks_equal_per_sector_builds_bit_for_bit(name, kind):
+    # compared as bits: np.array_equal on floats takes -0.0 for 0.0 and fails on NaN
     shift = fb.fock.LADDERS[name][1]
     for m in range(1, 9):
         sp = fb.make_space(m)
         coeffs = ladder_coeffs(trial_rng(91, m), m, name, kind)
-        blocks = fb.fock.sector_blocks(sp, name, coeffs)
-        assert list(blocks) == list(range(-abs(shift), m + abs(shift) + 1))
+        blocks, want = fb.fock.sector_blocks(sp, name, coeffs), jw.sector_blocks(sp, name, coeffs)
+        assert list(blocks) == list(want) == list(range(-abs(shift), m + abs(shift) + 1))
         for n, block in blocks.items():
-            assert block.shape == (sector_dim(m, n + shift), sector_dim(m, n))
-            built = fb.fock.ladder_matrix(sp, name, coeffs, sector=n)
-            assert np.array_equal(block.view(float), built.view(float)), (m, n)
+            assert block.shape == want[n].shape == (sector_dim(m, n + shift), sector_dim(m, n))
+            assert np.array_equal(bits(block), bits(want[n])), (m, n)
 
 
 def walked_entries(space, name, coeffs, sector=None):
@@ -306,13 +316,13 @@ def walked_entries(space, name, coeffs, sector=None):
             coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)), (nrows, cols.size))
 
 
-def bits(values):
-    return np.ascontiguousarray(values).view(np.uint64)
-
-
-@pytest.mark.parametrize("kind", ["random", "diagonal", "signed zeros", "nan"])
+@pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
+@np.errstate(invalid="ignore")  # inf * 0 in the products of the inf kind
 def test_cached_entries_equal_an_uncached_walk_bit_for_bit(name, kind):
+    # the walk drops the terms whose coefficient is zero and the gather keeps
+    # them, so the blocks must agree bit for bit (no -0.0 where the walk has
+    # +0.0), and the entry lists wherever no coefficient is zero
     for m in range(1, 7):
         sp = fb.make_space(m)
         coeffs = ladder_coeffs(trial_rng(93, m), m, name, kind)
@@ -324,58 +334,44 @@ def test_cached_entries_equal_an_uncached_walk_bit_for_bit(name, kind):
                 built = fb.fock.ladder_operator(sp, name, coeffs).matrix
                 assert np.array_equal(bits(built), bits(block)), m
                 continue
-            positions, values, shape = fb.fock._gather(sp, name, coeffs, sector)
-            rows, cols = np.divmod(positions, shape[1])
-            assert shape == want_shape, (m, sector)
-            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
-            assert np.array_equal(bits(values), bits(want)), (m, sector)
             built = fb.fock.ladder_matrix(sp, name, coeffs, sector=sector)
+            assert built.shape == want_shape, (m, sector)
             assert np.array_equal(bits(built), bits(block)), (m, sector)
+            if np.all(coeffs != 0):
+                positions, values, shape = fb.fock._gather(sp, name, coeffs, sector)
+                rows, cols = np.divmod(positions, shape[1])
+                assert shape == want_shape, (m, sector)
+                assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+                assert np.array_equal(bits(values), bits(want)), (m, sector)
 
 
 def test_cached_pattern_is_read_only_and_never_handed_out():
+    # every array of every sector's layout is read-only, so the positions a
+    # gather returns cannot be written through; values and blocks are fresh
     sp, X = fb.make_space(4), complex_vector(trial_rng(3, 0), 16).reshape(4, 4)
     layout = fb.fock._ladder_pattern(4, "dGamma")
-    entries, kept = layout.entries, layout.entries.copy()
-    assert entries.itemsize == 11  # bytes per entry: int64 position, int16 term, int8 sign
-    assert not entries.flags.writeable
+    kept = {n: [a.copy() for a in arrays[:3]] for n, arrays in layout.items()}
+    for positions, terms, signs, _ in layout.values():
+        assert not any(a.flags.writeable for a in (positions, terms, signs))
+        # bytes per entry: int64 position, int16 term, int8 sign
+        assert positions.itemsize + terms.itemsize + signs.itemsize == 11
     positions, values, _ = fb.fock._gather(sp, "dGamma", X, sector=2)
-    first = positions.copy(), values.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        positions[0] = 0
+    first = values.copy()
     block = fb.fock.ladder_matrix(sp, "dGamma", X, sector=2)
     first_block = block.copy()
     blocks = fb.fock.sector_blocks(sp, "dGamma", X)
-    for a in (positions, values, block, *blocks.values()):
+    arrays = [a for entry in layout.values() for a in entry[:3]]
+    for a in (values, block, *blocks.values()):
         assert a.flags.writeable
-        assert not np.shares_memory(a, entries)
+        assert not any(np.shares_memory(a, b) for b in arrays)
         a[...] = 0
     assert fb.fock._ladder_pattern(4, "dGamma") is layout
-    assert np.array_equal(entries, kept)
-    positions, values, _ = fb.fock._gather(sp, "dGamma", X, sector=2)
-    assert all(np.array_equal(a, b) for a, b in zip((positions, values), first))
+    assert all(np.array_equal(a, b) for n in layout for a, b in zip(layout[n], kept[n]))
+    assert np.array_equal(fb.fock._gather(sp, "dGamma", X, sector=2)[1], first)
     assert np.array_equal(fb.fock.ladder_matrix(sp, "dGamma", X, sector=2), first_block)
     assert np.array_equal(fb.fock.sector_blocks(sp, "dGamma", X)[2], first_block)
-
-
-@pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
-def test_sector_blocks_are_views_of_one_buffer(name):
-    # one buffer of exactly sum rows * cols complex entries; an edit to one
-    # block reaches no other block, and neither the cached layout nor a later build
-    shift = fb.fock.LADDERS[name][1]
-    for m in range(1, 9):
-        sp = fb.make_space(m)
-        coeffs = ladder_coeffs(trial_rng(92, m), m, name, "random")
-        blocks = fb.fock.sector_blocks(sp, name, coeffs)
-        buffer = blocks[0].base
-        assert all(block.base is buffer for block in blocks.values())
-        assert buffer.dtype == complex and buffer.shape == (sum(
-            sector_dim(m, n + shift) * sector_dim(m, n) for n in blocks),)
-        kept = fb.fock._ladder_pattern(m, name).entries.copy()
-        others = {n: block.copy() for n, block in blocks.items() if n != m // 2}
-        blocks[m // 2][...] = 7.0
-        assert all(np.array_equal(blocks[n], block) for n, block in others.items())
-        assert np.array_equal(fb.fock._ladder_pattern(m, name).entries, kept)
-        again = fb.fock.sector_blocks(sp, name, coeffs)
-        assert np.array_equal(again[m // 2], fb.fock.ladder_matrix(sp, name, coeffs, m // 2))
 
 
 @pytest.mark.parametrize("sector", [2.5, 2.0, "2", math.nan])
@@ -436,50 +432,22 @@ def test_sector_blocks_reject_an_entry_outside_its_sector(misplace_row):
         assert moved == ["dGamma"]
 
 
-def sector_keys(name, m):
-    """(name, n) for every key of sector_blocks(space, name, coeffs) on m modes."""
-    shift = abs(fb.fock.LADDERS[name][1])
-    return [(name, n) for n in range(-shift, m + shift + 1)]
+def test_each_sector_blocks_call_builds_once(block_builds):
+    # one gather and one scatter per sector key of every operator build
+    def builds(run):
+        block_builds.gathers, block_builds.scatters = [], 0
+        run()
+        assert block_builds.scatters == len(block_builds.gathers)
+        return block_builds.gathers
 
-
-class CountingScatter:
-    """numpy, with every np.add.at call counted in `calls`."""
-
-    def __init__(self):
-        self.calls = 0
-        self.add = types.SimpleNamespace(at=self.at)
-
-    def at(self, *args):
-        self.calls += 1
-        return np.add.at(*args)
-
-    def __getattr__(self, attr):
-        return getattr(np, attr)
-
-
-def test_each_sector_blocks_call_builds_once(monkeypatch):
-    # one gather of every sector key at once and one scatter per operator build
-    gather, calls, scatter = fb.fock._gather, [], CountingScatter()
-
-    def counting(space, name, coeffs, sector=None):
-        calls.append((name, sector))
-        return gather(space, name, coeffs, sector)
-
-    monkeypatch.setattr(fb.fock, "_gather", counting)
-    monkeypatch.setattr(fb.fock, "np", scatter)
-    sp = fb.make_space(5)
-    blocks = fb.fock.sector_blocks(sp, "Delta", np.zeros((5, 5)))
-    assert calls == [("Delta", None)] and scatter.calls == 1
-    assert [("Delta", n) for n in blocks] == sector_keys("Delta", 5)
-    calls.clear()
-    fb.verify_car(sp, trials=3, seed=2)
-    assert calls == 3 * (3 * [("annihilation", None)] + 3 * [("creation", None)])
-    assert scatter.calls == 1 + 3 * 6
-    calls.clear()
-    rng = trial_rng(4, 0)
-    fb.check_commutator(sp, skew_matrix(rng, 5), skew_matrix(rng, 5))
-    assert calls == [("Delta", None), ("DeltaPlus", None), ("dGamma", None)]
-    assert scatter.calls == 1 + 3 * 6 + 3
+    sp, rng = fb.make_space(5), trial_rng(4, 0)
+    A, C = skew_matrix(rng, 5), skew_matrix(rng, 5)
+    assert builds(lambda: fb.fock.sector_blocks(sp, "Delta", np.zeros((5, 5)))) == \
+        jw.sector_keys("Delta", 5)
+    assert builds(lambda: fb.verify_car(sp, trials=3, seed=2)) == 3 * (
+        3 * jw.sector_keys("annihilation", 5) + 3 * jw.sector_keys("creation", 5))
+    assert builds(lambda: fb.check_commutator(sp, A, C)) == [
+        key for name in ("Delta", "DeltaPlus", "dGamma") for key in jw.sector_keys(name, 5)]
 
 
 def scaled_draws(monkeypatch, scale):

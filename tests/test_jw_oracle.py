@@ -272,8 +272,10 @@ def test_blocked_car_suite_equals_dense_at_tiny_scale(m, monkeypatch):
 
 
 def rank_two_skew(rng, m):
-    u, v = complex_vector(rng, m), complex_vector(rng, m)
-    return np.outer(u, v) - np.outer(v, u)
+    # M - M^T is exactly skew; outer(u, v) - outer(v, u) need not be, as
+    # u_j v_k and v_k u_j may round apart
+    M = np.outer(complex_vector(rng, m), complex_vector(rng, m))
+    return M - M.T
 
 
 @pytest.mark.parametrize("m", MODES)
@@ -374,7 +376,7 @@ def identity_report_bodies(capsys) -> list[str]:
 
 
 def test_identity_reports_equal_the_per_key_builder_byte_for_byte(monkeypatch, capsys):
-    # the one-layout builder and the oracle's one build per key, each patched
+    # the package's builder and the oracle's one build per key, each patched
     # in where fock, quadratics and cli read sector_blocks
     bodies, calls, builders = [], [], (fock.sector_blocks, jw.sector_blocks)
     for builder in builders:

@@ -231,6 +231,16 @@ def test_is_skew_near_the_float_maximum():
     assert not fb.is_skew(np.full((2, 2), np.nan)) and fb.is_skew(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 2.0**-1000, 2.0**1000])
+def test_is_skew_verdict_is_free_of_scale(scale):
+    # the test is relative to max |A| alone, with no absolute floor: a draw
+    # that is not skew stays rejected at 1e-20, and exactly skew draws pass
+    # 1000 binades from 1 on either side
+    assert not fb.is_skew(scale * complex_matrix(trial_rng(3, 0), 4))
+    for t in range(5):
+        assert fb.is_skew(scale * skew_matrix(trial_rng(3, t), 4))
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e200])
 def test_overflowing_commutator_rejected_before_any_block(scale, monkeypatch):
     # unchecked, these products overflow to a NaN residual and an infinite scale

@@ -188,7 +188,7 @@ def run_gaussian_check(cfg: argparse.Namespace) -> list[dict]:
                "overlap series equals calibrated determinant formula",
                inputs, worst_diff, NORM_TOL),
         _check(f"gaussian/m={cfg.m}/zeros",
-               "trials whose formula zeros miss the companion-matrix polynomial roots",
+               "trials whose series coefficients miss those of the formula zeros",
                inputs, zeros_failures, 0),
         _check(f"gaussian/m={cfg.m}/convention",
                "trials whose calibration misses the square-root determinant convention",

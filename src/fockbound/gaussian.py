@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockSpace, ladder_matrix
+from .fock import FockSpace, ladder_matrix, unit_scaled
 from .quadratics import one_body, pair_weights, require_skew
-from .tolerances import EIGEN_TOL, UNIT_ROUNDOFF
+from .tolerances import UNIT_ROUNDOFF
 
 DEFAULT_CONVENTION = 0.5
 
@@ -104,29 +104,6 @@ def _predicted(weights: np.ndarray) -> np.ndarray:
     return e * np.array([float(math.factorial(n)) ** 2 for n in range(e.size)])
 
 
-def _counted_pairs(C, weights: np.ndarray) -> int:
-    """How many pairs, largest weight first, both sides resolve together to EIGEN_TOL.
-
-    The zero +-i/(2 w_k) moves relatively as w_k does.  The formula reads w_k
-    from the SVD to within `_weight_error` d, a relative error d / w_k.  The
-    series reads w_k from c_k = |Dp^k Omega|^2: the computed |Dp^k Omega| is
-    within F_k = sqrt(`_rounding_floors`) of the exact one, so c_k moves
-    relatively by at most about 2 F_k / sqrt(c_k), and c_(k-1) by less; the
-    root -k^2 c_(k-1) / c_k, which is -1 / (4 w_k^2) for well separated
-    weights, by the sum, and w_k by half of that.  Pair k counts iff
-        d / w_k + 2 F_k / sqrt(c_k) <= EIGEN_TOL,
-    with c_k and F_k evaluated on the coefficients the weights predict
-    (`_predicted`), so the count is one decision on C alone that both sides
-    then read, and the pairs after the first that fails are left out on both.
-    """
-    predicted = _predicted(weights)
-    root = np.sqrt(predicted[1:])
-    floors = np.sqrt(_rounding_floors(predicted, C)[1:])
-    resolved = (weights > 0) & (_weight_error(C, weights) * root + 2.0 * floors * weights
-                                <= EIGEN_TOL * weights * root)
-    return int(np.argmin(np.append(resolved, False)))
-
-
 def omega_determinant(C, z: complex,
                       exponent_convention: float = DEFAULT_CONVENTION) -> complex:
     """det(Id + 4 z^2 C*C)^exponent_convention for a skew C, with exponent 1 or 1/2."""
@@ -137,7 +114,7 @@ def omega_determinant(C, z: complex,
 
 
 def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
-    """The largest value rounding can give |Dp^n Omega|^2 where its exact value is 0.
+    """F_n^2 for a bound F_n on |computed - exact| of Dp^n Omega, for every n.
 
     `_pair_powers` computes v_n = Dp^n Omega as v_n = fl(D_n v_{n-1}), D_n the
     sector block of Dp.  Each entry of D_n is 2 C_jk for the one pair j < k
@@ -151,9 +128,9 @@ def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
     S = sum_jk |C_jk|.  The error d_n of v_n therefore obeys
         |d_n| <= S |d_{n-1}| + gamma_{K+3} S |v_{n-1}|,  d_0 = 0,
     which is the recursion for the floor F_n below, read with the computed
-    |v_{n-1}| = sqrt(coeffs[n-1]).  Where the exact v_n is 0, the computed
-    v_n is d_n, so its squared norm is at most F_n^2; the factor 1 + 1e-6
-    covers the rounding of the norm and of this recursion.
+    |v_{n-1}| = sqrt(coeffs[n-1]); where the exact v_n is 0, the computed one
+    is d_n.  The factor 1 + 1e-6 covers the rounding of the norm and of this
+    recursion.
     """
     m = len(C)
     terms = m * (m - 1) // 2 + 3
@@ -165,48 +142,34 @@ def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
     return (floors * (1.0 + 1e-6)) ** 2
 
 
-def _polynomial_roots(coeffs: np.ndarray, C, weights: np.ndarray, count: int) -> np.ndarray:
-    """Roots in z of sum_n coeffs[n] z^(2n) / (n!)^2 for the `count` pairs that
-    `_counted_pairs` keeps, if the tail it leaves out is what the other pairs give.
+def _coefficients_match(coeffs: np.ndarray, C, weights: np.ndarray, convention: float) -> bool:
+    """Whether the series polynomial has the formula's zeros, multiplicities
+    included, read from its coefficients.
 
-    Trailing coefficients up to `_rounding_floors` are rounding of an exact 0
-    (a rank-deficient C) and are dropped.  The roots in y = z^2 of the rest
-    are -1 / (4 w_k^2), so the `count` pairs of largest weight are the `count`
-    roots of least |y|; they are kept from the whole polynomial, not from a
-    cut one, whose roots the left-out pairs would move.  Exactly,
-    c_n <= (n!)^2 e_n(4 (w + d)^2) for the weights w within their error d
-    (`_weight_error`), and the computed |Dp^n Omega| is within F_n of the
-    exact one.  So every sqrt(c_n) past n = `count` must be at most
-    sqrt((n!)^2 e_n(4 (w + d)^2)) + F_n, with 1e-6 for the rounding of the
-    check; a tail above that is a pair the weights do not show, and then every
-    root is returned, more than the zeros.
+    In y = z^2 the series is sum_n c_n y^n / (n!)^2 and the formula is
+    prod_k (1 + 4 w_k^2 y), the weights tiled once per convention (twice at
+    exponent 1).  Both are 1 at y = 0, so their zeros agree, with
+    multiplicity, iff c_n = P_n(w) (`_predicted`) for every n, c_n = 0 past
+    m / 2; a cluster of equal zeros is no worse conditioned in these symmetric
+    functions than a simple zero.  Exactly, c_n is P_n at the weights of C's
+    skew part, within d = `_weight_error` of `weights` (Weyl's inequality),
+    and e_n increases in each nonnegative argument, so P_n(w - d) <= c_n <=
+    P_n(w + d), w - d clipped at 0; the computed |Dp^n Omega| is within F_n =
+    sqrt(`_rounding_floors`) of the exact one.  So sqrt(coeffs[n]) lies in
+    [sqrt(P_n(w - d)) - F_n, sqrt(P_n(w + d)) + F_n], each end widened by
+    gamma_(2^m + 3m + 4) for the rounding of the norm (at most 2^m positive
+    squares: gamma_(2^m) on its root), of `_predicted` (positive sums over at
+    most m factors and w +- d: gamma_(3m+1) on its root) and of the check.
     """
-    floors = _rounding_floors(coeffs, C)
-    kept = np.nonzero(coeffs > floors)[0]
-    poly = np.array([c / math.factorial(n) ** 2
-                     for n, c in enumerate(coeffs[: kept.max(initial=0) + 1])])
-    if poly.size < 2:
-        return np.array([], dtype=complex)
-    y = np.roots(poly[::-1]).astype(complex)
-    most = _predicted(weights + _weight_error(C, weights))
-    tail = slice(count + 1, None)
-    if np.all(np.sqrt(coeffs[tail])
-              <= (np.sqrt(most[tail]) + np.sqrt(floors[tail])) * (1.0 + 1e-6)):
-        y = y[np.argsort(np.abs(y))[:count]]
-    root = np.sqrt(y)
-    return np.column_stack([root, -root]).ravel()
-
-
-def _sorted_zeros(zs: np.ndarray) -> np.ndarray:
-    return np.array(sorted(zs, key=lambda z: (round(abs(z), 9), z.real, z.imag)))
-
-
-def zeros_match(formula: np.ndarray, roots: np.ndarray) -> bool:
-    """Set equality of the two zero lists up to EIGEN_TOL, multiplicities included."""
-    if formula.size != roots.size:
-        return False
-    a, b = _sorted_zeros(formula), _sorted_zeros(roots)
-    return bool(np.all(np.abs(a - b) <= EIGEN_TOL * (1.0 + np.abs(a))))
+    tiled = np.tile(weights, 1 if convention == 0.5 else 2)
+    error = _weight_error(C, weights)
+    terms = 2**len(C) + 3 * len(C) + 4
+    gamma = terms * UNIT_ROUNDOFF / (1.0 - terms * UNIT_ROUNDOFF)
+    coeffs = np.pad(coeffs, (0, tiled.size + 1 - coeffs.size))
+    floors = np.sqrt(_rounding_floors(coeffs, C))
+    low = np.sqrt(_predicted(np.maximum(tiled - error, 0.0))) * (1.0 - gamma) - floors
+    high = np.sqrt(_predicted(tiled + error)) * (1.0 + gamma) + floors
+    return bool(np.all((low <= np.sqrt(coeffs)) & (np.sqrt(coeffs) <= high)))
 
 
 @dataclass(frozen=True)
@@ -260,23 +223,24 @@ def default_z_grid() -> np.ndarray:
 
 
 def gaussian_report(space: FockSpace, C) -> GaussianReport:
-    """The series against the determinant on default_z_grid(), with the convention
-    calibrated on its first five points, and the formula zeros against the roots
-    of the series polynomial.  C is checked once, as Dp's one-body matrix; one SVD
-    of it gives its pair weights, for every z and the zeros, and one
-    `_counted_pairs` decision says which zeros both sides compare."""
+    """The series against the determinant on default_z_grid(), the convention
+    calibrated on its first five points, and the zeros decided on the series
+    coefficients (`_coefficients_match`) of C at unit scale, 2^-e C, where none
+    under- or overflows; the report's are theirs times 2^(2 e n), exact in the
+    normal range.  C is checked once, as Dp's one-body matrix, and one SVD gives
+    its weights; the zeros listed are those of the weights above their error."""
     C = one_body(space, "DeltaPlus", C)
     weights = _pair_weights(C)
-    count = _counted_pairs(C, weights)
-    coeffs = pair_coefficients(space, C)
+    e = math.frexp(float(np.maximum(np.abs(C.real), np.abs(C.imag)).max(initial=0.0)))[1]
+    unit, unit_weights = unit_scaled(C), np.ldexp(weights, -e)
+    unit_coeffs = pair_coefficients(space, unit)
+    coeffs = np.ldexp(unit_coeffs, 2 * e * np.arange(unit_coeffs.size))
     z = default_z_grid()
     series = _series(coeffs, z)
     convention = _calibrate(series[:5], weights, z[:5])
     det = _determinant(weights, z, convention)
-    max_rel_diff = _rel_diff(series, det)
-    zeros = _zeros(weights[:count], convention)
-    matched = zeros_match(zeros, _polynomial_roots(coeffs, C, weights, count))
     return GaussianReport(
         coefficients=coeffs, convention=convention, z_grid=z,
-        series_values=series, determinant_values=det, max_rel_diff=max_rel_diff,
-        zeros=zeros, zeros_matched=matched)
+        series_values=series, determinant_values=det, max_rel_diff=_rel_diff(series, det),
+        zeros=_zeros(weights[weights > _weight_error(C, weights)], convention),
+        zeros_matched=_coefficients_match(unit_coeffs, unit, unit_weights, convention))

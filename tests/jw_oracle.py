@@ -27,10 +27,11 @@ spectral norm (an SVD), which the package's certified bound lies above, to
 rounding.  car_failures holds such a residual dict to
 CAR_TOL, the rule of the car/ report rows.
 
-sector_blocks is one ladder_matrix call per key of sector_keys, each block an
-array of its own, with the keys written out rather than read from the
-package's layout.  The tests patch it in place of fock.sector_blocks, where
-fock, quadratics and cli read that name.
+sector_blocks builds the block of every key of sector_keys from
+walked_entries, the bitmask walk over the nonzero coefficients with no cache,
+with the keys written out rather than read from the package's layout.  The
+tests compare it with fock.sector_blocks and patch it in place of that name,
+where fock, quadratics and cli read it.
 
 run_verify_algebra, pair_coefficients, gaussian_state and slater_expectation
 are the package's whole-space versions from before those too read sector
@@ -305,11 +306,42 @@ def sector_keys(name: str, m: int) -> list[tuple[str, int]]:
     return [(name, n) for n in range(-shift, m + shift + 1)]
 
 
+def walked_entries(space: FockSpace, name: str, coeffs, sector: int | None = None):
+    """The bitmask walk over the nonzero coefficients alone, with no cache: the
+    reference that a sector's `_gather`, its positions split into rows and
+    columns, must equal entry for entry."""
+    kinds, shift = LADDERS[name]
+    coeffs = np.asarray(coeffs, dtype=complex)
+    terms = np.nonzero(coeffs)
+    if sector is None:
+        cols, row0, nrows = space.masks, 0, space.dim
+    else:
+        c0, c1, row0, r1 = np.searchsorted(
+            space.occupations, [sector, sector + 1, sector + shift, sector + shift + 1])
+        cols, nrows = space.masks[c0:c1], r1 - row0
+    masks = np.repeat(cols[None, :], terms[0].size, axis=0)
+    alive = np.ones(masks.shape, dtype=bool)
+    parity = np.zeros(masks.shape, dtype=np.int64)
+    for kind, modes in zip(kinds[::-1], terms[::-1]):
+        bit = (np.int64(1) << modes.astype(np.int64))[:, None]
+        occupied = (masks & bit) != 0
+        alive &= occupied if kind == "-" else ~occupied
+        parity += np.bitwise_count(masks & (bit - 1))
+        masks ^= bit
+    term, col = np.nonzero(alive)
+    return ((space.index_of[masks[term, col]] - row0, col),
+            coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)), (nrows, cols.size))
+
+
 def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
-    """`ladder_matrix(space, name, coeffs, sector=n)` for every key n of
-    sector_keys, keyed by n: one build per key."""
-    return {n: ladder_matrix(space, name, coeffs, sector=n)
-            for _, n in sector_keys(name, space.m)}
+    """The block of every key n of sector_keys, keyed by n: the entries of
+    walked_entries, the uncached walk, summed into a zero block in term order."""
+    blocks = {}
+    for _, n in sector_keys(name, space.m):
+        places, values, shape = walked_entries(space, name, coeffs, n)
+        blocks[n] = np.zeros(shape, dtype=complex)
+        np.add.at(blocks[n], places, values)
+    return blocks
 
 
 def sector_extremes(space: FockSpace, operator: str, X) -> np.ndarray:

@@ -149,7 +149,7 @@ def test_criterion_7_gaussian_calibration():
     ok = ok and hand.convention == 0.5
     report(7, "overlap series equals sqrt-determinant on 20 skew C x 25-point "
               "z grid; calibration case gives 2 and selects exponent 1/2; "
-              "zeros match polynomial roots to 1e-8", ok)
+              "series coefficients match those of the formula zeros", ok)
 
 
 def test_criterion_8_converse_sweep():

@@ -289,33 +289,6 @@ def test_sector_blocks_equal_per_sector_builds_bit_for_bit(name, kind):
             assert np.array_equal(bits(block), bits(want[n])), (m, n)
 
 
-def walked_entries(space, name, coeffs, sector=None):
-    """The bitmask walk over the nonzero coefficients alone, with no cache: the
-    reference that a sector's `_gather`, its positions split into rows and
-    columns, must equal entry for entry."""
-    kinds, shift = fb.fock.LADDERS[name]
-    coeffs = np.asarray(coeffs, dtype=complex)
-    terms = np.nonzero(coeffs)
-    if sector is None:
-        cols, row0, nrows = space.masks, 0, space.dim
-    else:
-        c0, c1, row0, r1 = np.searchsorted(
-            space.occupations, [sector, sector + 1, sector + shift, sector + shift + 1])
-        cols, nrows = space.masks[c0:c1], r1 - row0
-    masks = np.repeat(cols[None, :], terms[0].size, axis=0)
-    alive = np.ones(masks.shape, dtype=bool)
-    parity = np.zeros(masks.shape, dtype=np.int64)
-    for kind, modes in zip(kinds[::-1], terms[::-1]):
-        bit = (np.int64(1) << modes.astype(np.int64))[:, None]
-        occupied = (masks & bit) != 0
-        alive &= occupied if kind == "-" else ~occupied
-        parity += np.bitwise_count(masks & (bit - 1))
-        masks ^= bit
-    term, col = np.nonzero(alive)
-    return ((space.index_of[masks[term, col]] - row0, col),
-            coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)), (nrows, cols.size))
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
 @np.errstate(invalid="ignore")  # inf * 0 in the products of the inf kind
@@ -327,7 +300,7 @@ def test_cached_entries_equal_an_uncached_walk_bit_for_bit(name, kind):
         sp = fb.make_space(m)
         coeffs = ladder_coeffs(trial_rng(93, m), m, name, kind)
         for sector in [None, *range(-3, m + 4)]:
-            (want_rows, want_cols), want, want_shape = walked_entries(sp, name, coeffs, sector)
+            (want_rows, want_cols), want, want_shape = jw.walked_entries(sp, name, coeffs, sector)
             block = np.zeros(want_shape, dtype=complex)
             np.add.at(block, (want_rows, want_cols), want)
             if sector is None:  # the whole space is its sector blocks put in place

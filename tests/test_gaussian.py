@@ -248,8 +248,7 @@ def test_pointwise_wrappers_equal_the_report_arrays(m):
 @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e-4])
 @pytest.mark.parametrize("m", [4, 6])
 def test_gaussian_report_keeps_the_zeros_of_a_small_c(m, scale):
-    # the pair count compares relative errors, so it holds at every scale; an
-    # absolute floor of NORM_TOL once dropped every zero of C below about 1e-5
+    # an absolute floor of NORM_TOL once dropped every zero of C below about 1e-5
     rep = fb.gaussian_report(fb.make_space(m), scale * skew_matrix(trial_rng(1, 0), m))
     assert rep.zeros.size == m
     assert rows_pass(rep)
@@ -272,8 +271,8 @@ def test_gaussian_report_edge_cases():
 @pytest.mark.parametrize("m", range(4, 11))
 def test_rotated_rank_two_c_keeps_only_its_two_zeros(m):
     # Q^T C0 Q has one canonical pair, so |Dp^n Omega|^2 = 0 for n >= 2; the
-    # block products leave about 1e-32 there, which used to add spurious
-    # companion-matrix roots
+    # block products leave about 1e-32 there, within the rounding floors, and
+    # the other weights are within their error of 0
     rng = trial_rng(61, m)
     C0 = np.zeros((m, m), dtype=complex)
     C0[:2, :2] = 0.7 * ROTATION
@@ -283,9 +282,6 @@ def test_rotated_rank_two_c_keeps_only_its_two_zeros(m):
     assert rep.zeros.size == 2 and rep.zeros_matched and rows_pass(rep)
     floors = _rounding_floors(rep.coefficients, C)
     assert np.all(rep.coefficients[2:] <= floors[2:])
-    weights = gaussian._pair_weights(C)
-    count = gaussian._counted_pairs(C, weights)
-    assert gaussian._polynomial_roots(rep.coefficients, C, weights, count).size == 2
 
 
 @pytest.mark.parametrize("m", range(2, 11))
@@ -308,20 +304,17 @@ def rotated_pair_forms(weights, m):
 def test_a_small_pair_weight_counts_on_both_sides_or_neither(m, eps):
     # the eigenvalues of C*C put eps^2 under a NORM_TOL cut-off that the series
     # coefficient 64 eps^2 passed, and rounded it to about 1e-6 relative: 2
-    # formula zeros against 4 roots, or 4 zeros that missed the roots
+    # formula zeros against 4 roots, or 4 zeros that missed the roots; eps is
+    # far above its SVD error bound, so its zeros are listed and checked
     for C in rotated_pair_forms([1.0, eps], m):
         rep = fb.gaussian_report(fb.make_space(m), C)
         assert rep.zeros_matched and rows_pass(rep), (m, eps)
-        if eps >= 1e-5:  # both sides resolve the small pair
-            assert rep.zeros.size == 4
-        if eps <= 1e-8:  # the SVD's error bound alone is above EIGEN_TOL eps
-            assert rep.zeros.size == 2
+        assert rep.zeros.size == 4
 
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_formula_zeros_and_series_roots_count_the_same_pairs(m):
-    # one decision for both sides, also at the edge of the rule
-    # zeros_matched holds iff the formula zeros and the series roots are as many and agree
+    # the weights from 1e-5 to 1e-8 that a pair count once put on either side of its rule
     sp = fb.make_space(m)
     for eps in np.geomspace(1e-5, 1e-8, 31):
         for C in rotated_pair_forms([1.0, eps], m):
@@ -331,32 +324,68 @@ def test_formula_zeros_and_series_roots_count_the_same_pairs(m):
 @pytest.mark.parametrize("weights", [[1.0, 1e-4, 1e-5], [1.0, 1e-5, 1e-7]])
 @pytest.mark.parametrize("m", [6, 7])
 def test_a_left_out_pair_does_not_move_the_counted_zeros(m, weights):
-    # the series roots of the counted pairs come from the whole polynomial; a
-    # polynomial cut after them would move the root of 1e-4 by about 1e-2
+    # a count that kept only the pairs of 1 and 1e-4 once cut the series
+    # polynomial after them, which moved the root of 1e-4 by about 1e-2; every
+    # weight is above its error, so all three pairs are listed and checked
     for C in rotated_pair_forms(weights, m):
         rep = fb.gaussian_report(fb.make_space(m), C)
-        assert rep.zeros.size == 4 and rep.zeros_matched and rows_pass(rep), (m, weights)
+        assert rep.zeros.size == 6 and rep.zeros_matched and rows_pass(rep), (m, weights)
 
 
 def test_a_dropped_series_tail_must_be_what_the_left_out_pairs_give():
     C = jw.pair_form([1.0, 1e-9], 4)
     coeffs, weights = fb.pair_coefficients(fb.make_space(4), C), gaussian._pair_weights(C)
-    assert gaussian._polynomial_roots(coeffs, C, weights, 1).size == 2
+    assert gaussian._coefficients_match(coeffs, C, weights, 0.5)
     coeffs[2] = 1e-6  # a pair of weight about 1.2e-4, which the weights do not show
-    assert gaussian._polynomial_roots(coeffs, C, weights, 1).size == 4
+    assert not gaussian._coefficients_match(coeffs, C, weights, 0.5)
 
 
-@pytest.mark.xfail(strict=True, reason="zeros are matched root by root, and rounding "
-                   "moves a cluster of k roots apart by about u^(1/k)")
 @pytest.mark.parametrize("weights, m, k", [
     ([1.0, 1.0, 1.0], 6, None), ([1.0, 1.0, 1.0, 1.0], 8, None),
     ([0.7, 0.7, 0.7, 0.3], 8, None),
     *(([1.0, 3e-6, 1e-6], 6, k) for k in (1, 2, 4, 5))])
 def test_repeated_pair_weights_match_their_zeros(weights, m, k):
-    # the flat weights, and a counted weight 3e-6 next to a left-out 1e-6,
-    # rotated by U^T C0 U; the series equals the determinant in every case
+    # the flat weights, and a weight 3e-6 next to 1e-6 rotated by U^T C0 U:
+    # matched root by root, rounding moved a cluster of k roots apart by about
+    # u^(1/k), and a pair count cut between the two small weights
     C = jw.pair_form(weights, m)
     if k is not None:
         U = unitary_matrix(trial_rng(40 + k, m), m)
         C = U.T @ C @ U
     assert fb.gaussian_report(fb.make_space(m), C).zeros_matched
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_rotated_equal_pair_weights_match_their_zeros(m):
+    # two equal weights in a random basis: their double root defeated the
+    # root-by-root matching in most of these draws
+    C0 = jw.pair_form([1.0, 1.0, 0.6, 0.3][: m // 2], m)
+    for t in range(10):
+        U = unitary_matrix(trial_rng(80, m, t), m)
+        rep = fb.gaussian_report(fb.make_space(m), U.T @ C0 @ U)
+        assert rep.zeros.size == m and rep.zeros_matched and rows_pass(rep), t
+
+
+@pytest.mark.parametrize("moved", [0, -1])
+@pytest.mark.parametrize("m", [4, 7, 8])
+def test_zeros_verdict_is_free_of_scale(m, moved, monkeypatch):
+    # at 2^-300 C the coefficient |Dp^2 Omega|^2 underflows, so the zeros are
+    # decided on C at unit scale; a formula weight moved by 1e-9 relative,
+    # far below EIGEN_TOL, fails at 2^-300 as at 1
+    sp, C = fb.make_space(m), skew_matrix(trial_rng(63, m), m)
+
+    def scaled(k):
+        return np.ldexp(C.real, k) + 1j * np.ldexp(C.imag, k)
+
+    for k in (-300, -100, 0):
+        assert fb.gaussian_report(sp, scaled(k)).zeros_matched, k
+    svd_weights = gaussian._pair_weights
+
+    def moved_weights(C):
+        weights = svd_weights(C)
+        weights[moved] *= 1.0 + 1e-9
+        return weights
+
+    monkeypatch.setattr(gaussian, "_pair_weights", moved_weights)
+    for k in (-300, 0):
+        assert not fb.gaussian_report(sp, scaled(k)).zeros_matched, k

@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds, converse, gaussian, quadratics
-from .fock import (CAR_TOL, LADDERS, GradingError, ResourceError, make_space,
-                   sector_blocks, verify_car)
+from .fock import (CAR_TOL, LADDERS, GradingError, ResourceError, ladder_matrix,
+                   make_space, verify_car)
 from .rng import complex_matrix, skew_matrix, trial_rng
 from .tolerances import NORM_TOL, ORDER_TOL, SLOPE_TOL
 
@@ -149,9 +149,9 @@ def run_verify_algebra(cfg: argparse.Namespace) -> list[dict]:
             # Q(X)[n]^H and Q'(X^H)[n + shift] map sector n + shift to n; all else is 0
             for key, name, X, adjoint in (("adjoint_dgamma", "dGamma", B, "dGamma"),
                                           ("adjoint_delta", "Delta", A, "DeltaPlus")):
-                q, qa = sector_blocks(space, name, X), sector_blocks(space, adjoint, X.conj().T)
-                worst[key] = np.max([worst[key], *(
-                    np.abs(q[n].conj().T - qa[n + LADDERS[name][1]]).max(initial=0.0)
+                worst[key] = np.max([worst[key], *(np.abs(
+                    ladder_matrix(space, name, X, n).conj().T - ladder_matrix(
+                        space, adjoint, X.conj().T, n + LADDERS[name][1])).max(initial=0.0)
                     for n in range(cfg.m + 1))])
         except GradingError:
             grading_failures += 1

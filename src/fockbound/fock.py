@@ -10,10 +10,11 @@ with which sign, depends only on (m, operator), so `_ladder_pattern` walks
 the bitmasks of every sector once per (m, operator) and process, checks the
 walked rows against their blocks, and caches that coefficient-free layout
 sector by sector.  A block (`ladder_matrix`) is one coefficient gather onto
-its sector's layout (`_gather`) and one `np.add.at`; `sector_blocks` is that
-block for every sector key.  A whole-space operator (`ladder_operator`:
-`op_a`, `op_adag` and the quadratics) is its sector blocks put in place, and
-a single mode's a_j is `op_a` of the basis vector e_j.
+its sector's layout (`_gather`) and one `np.add.at`; the identity checks
+build their blocks link by link, holding only the links a later sector reads.
+A whole-space operator (`ladder_operator`: `op_a`, `op_adag` and the
+quadratics) is its sector blocks put in place, and a single mode's a_j is
+`op_a` of the basis vector e_j.
 """
 
 from __future__ import annotations
@@ -233,17 +234,6 @@ def ladder_matrix(space: FockSpace, name: str, coeffs, sector: int) -> np.ndarra
     return out
 
 
-def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
-    """`ladder_matrix(space, name, coeffs, sector=n)` for every key n of the layout,
-    keyed by n, each block an array of its own.
-
-    Every block is held at once; the checks that need one sector at a time
-    build it themselves with `ladder_matrix(..., sector=n)`: the dGamma
-    bounds (`bounds._sector_extremes`) and the Gaussian pair powers.
-    """
-    return {n: ladder_matrix(space, name, coeffs, n) for n in _ladder_pattern(space.m, name)}
-
-
 def ladder_operator(space: FockSpace, name: str, coeffs) -> FockOperator:
     """Every `ladder_matrix(..., sector=n)` block put in its place on the whole space,
     tagged with the shift of LADDERS[name].  Every other entry is exactly 0."""
@@ -273,16 +263,16 @@ def op_adag(space: FockSpace, f) -> FockOperator:
     return ladder_operator(space, "creation", _check_vector(space, f))
 
 
-def unit_scaled(x) -> np.ndarray:
-    """x times the power of two 2^-e that brings its largest real or imaginary
-    part into [1/2, 1), as a complex array; x itself if that part is 0 or not
+def unit_scaled(x) -> tuple[np.ndarray, int]:
+    """(2^-e x as a complex array, e) for the power of two that brings the largest
+    real or imaginary part of x into [1/2, 1); (x, 0) if that part is 0 or not
     finite.  The scaling is exact unless an entry leaves the normal range, and
     the result is the same for x and for any 2^k x that is exact: the
     identity checks form every residual of unit-scale inputs, where nothing
     under- or overflows, and divide it by the same power of their sizes."""
     parts = np.ascontiguousarray(x, dtype=complex).view(np.float64)
     exponent = math.frexp(float(np.abs(parts).max(initial=0.0)))[1]
-    return np.ldexp(parts, -exponent).view(complex)
+    return np.ldexp(parts, -exponent).view(complex), exponent
 
 
 def residual_ratio(residual, scale) -> float:
@@ -302,32 +292,39 @@ CAR_TOL = {"anticommutator_aa": IDENTITY_TOL, "anticommutator_adad": IDENTITY_TO
            "projection_identity": IDENTITY_TOL, "norm_identity": NORM_TOL}
 
 
-def _norm_bound(af: dict, phi: float, m: int) -> float:
-    """A bound on | |a(f)|_2 - phi | from the blocks `af` of a(f), n = 1..m, with no
-    eigensolve; NaN if a block is not finite.
+def _norm_bound(rho, c: float, phi: float) -> float:
+    """A bound on | |a(f)|_2 - phi | from rho = max_n |R_n|_F and c = |a(f)[m]|,
+    with no eigensolve; NaN if either is not finite.
 
-    R_n = b b* b - phi^2 b for each block b = af[n], multiplied on its smaller
-    side.  With b = U S V* the SVD, R_n = U (S^3 - phi^2 S) V*, so every
-    singular value s of every block obeys |s^3 - phi^2 s| <= |R_n|_2 <= rho,
-    rho = max_n |R_n|_F.  |a(f)|_2 is the largest such s, and c = |af[m]|,
-    the norm of a(f) applied to the filled state, is at most |a(f)|_2.  So if
-    c > 0, s (s - phi)(s + phi) <= rho at s = |a(f)|_2 >= c gives
-    | |a(f)|_2 - phi | <= rho / (c (c + phi)).  If c = 0, then s <= phi, or
-    (s - phi)^3 <= s (s - phi)(s + phi) <= rho: the bound is max(rho^(1/3), phi).
-    Exact for the blocks as built, up to the rounding of the products and
-    norms that form rho and c.
+    R_n = b b* b - phi^2 b is U (S^3 - phi^2 S) V* for each block b = a(f)[n]
+    = U S V*, so each singular value s of a(f) obeys |s^3 - phi^2 s| <= rho.
+    |a(f)|_2 is the largest s, and c, the norm of a(f) on the filled state, is
+    at most |a(f)|_2.  If c > 0, s (s - phi)(s + phi) <= rho at s >= c gives
+    |s - phi| <= rho / (c (c + phi)); if c = 0, then s <= phi or (s - phi)^3 <=
+    rho, and the bound is max(rho^(1/3), phi).  Exact for the blocks as built,
+    up to the rounding of the products and norms that form rho and c.
     """
-    rho = 0.0
-    for n in range(1, m + 1):
-        b = af[n]
-        r = (b @ b.conj().T) @ b if b.shape[0] <= b.shape[1] else b @ (b.conj().T @ b)
-        r -= phi**2 * b
-        # np.maximum keeps a NaN that the builtin max would drop
-        rho = np.maximum(rho, np.linalg.norm(r))
-    c = float(np.linalg.norm(af[m]))
     if not math.isfinite(rho + c):
         return math.nan
     return float(rho / (c * (c + phi))) if c > 0.0 else max(float(rho) ** (1 / 3), phi)
+
+
+def _link_residuals(prev, link, pairing: complex, phi: float):
+    """(CAR_TOL key, value) of each CAR residual on links k - 1 (`prev`) and k (`link`),
+    reduced as it is formed: to its largest entry, or to |R_k|_F (`_norm_bound`)."""
+    (af0, ag0, _), (adf0, adg0, _) = prev
+    (af, ag, afbar), (adf, adg, adfbar) = link
+    yield "anticommutator_aa", np.abs(af0 @ ag + ag0 @ af).max(initial=0.0)  # sector k
+    yield "anticommutator_adad", np.abs(adf @ adg0 + adg @ adf0).max(initial=0.0)  # k - 2
+    yield "adjoint_relation", np.abs(af.conj().T - adfbar).max(initial=0.0)  # k
+    r = af @ adg  # {a(f), a+(g)} on sector k - 1
+    r += adg0 @ af0
+    r.reshape(-1)[::len(r) + 1] -= pairing  # on the diagonal
+    yield "anticommutator_mixed", np.abs(r).max(initial=0.0)
+    r = adf @ afbar  # the projection a+(f) a(fbar) on sector k
+    yield "projection_identity", np.abs(r @ r - phi**2 * r).max(initial=0.0)
+    r = (af @ af.conj().T) @ af if af.shape[0] <= af.shape[1] else af @ (af.conj().T @ af)
+    yield "norm_identity", np.linalg.norm(r - phi**2 * af)
 
 
 def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
@@ -345,44 +342,32 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
     and no product under- or overflows.  0/0 reads as 0, so f = 0 passes,
     and x/0 as inf (`residual_ratio`).
 
-    Every operator is used as its `sector_blocks`; a product maps sector n
-    through n +- 1, and all other entries of the whole-space residual vanish
-    exactly.  The singular values of an operator that shifts particle number
-    are those of its blocks together, so the norm identity is certified from
-    the blocks with no SVD or eigensolve (`_norm_bound`); its row reports
-    that bound on | |a(f)|_2 - |f| |, over |f|, which is at least the
-    residual of the computed spectral norm, to rounding.
+    A product maps sector n through n +- 1, and all other entries of the
+    whole-space residual vanish exactly, so the blocks are built upward and
+    two links are held at a time, link k being a(h) from sector k and a+(h)
+    from k - 1.  The norm row is `_norm_bound` over |f|, from the blocks with
+    no SVD: at least the residual of the computed spectral norm, to rounding.
     """
     if trials < 1:
         raise ValueError(f"verify_car needs trials >= 1, got {trials!r}")
     worst = dict.fromkeys(CAR_TOL, 0.0)
     for t in range(trials):
         rng = trial_rng(seed, t)
-        f = unit_scaled(complex_vector(rng, space.m))
-        g = unit_scaled(complex_vector(rng, space.m))
-        af, ag, afbar = (sector_blocks(space, "annihilation", h) for h in (f, g, f.conj()))
-        adf, adg, adfbar = (sector_blocks(space, "creation", h) for h in (f, g, f.conj()))
+        f = unit_scaled(complex_vector(rng, space.m))[0]
+        g = unit_scaled(complex_vector(rng, space.m))[0]
         pairing = complex(np.sum(f * g))  # (fbar, g) with the antilinear-first inner product
         norm_f, norm_g = float(np.linalg.norm(f)), float(np.linalg.norm(g))
         res = dict.fromkeys(CAR_TOL, 0.0)
-        for n in range(space.m + 1):
-            mixed = af[n + 1] @ adg[n]
-            mixed += adg[n - 1] @ af[n]
-            mixed.reshape(-1)[::len(mixed) + 1] -= pairing  # on the diagonal
-            proj = adf[n - 1] @ afbar[n]
-            projection = proj @ proj
-            projection -= norm_f**2 * proj
-            sector = {
-                "anticommutator_aa": af[n - 1] @ ag[n] + ag[n - 1] @ af[n],
-                "anticommutator_adad": adf[n + 1] @ adg[n] + adg[n + 1] @ adf[n],
-                "anticommutator_mixed": mixed,
-                "adjoint_relation": af[n].conj().T - adfbar[n - 1],
-                "projection_identity": projection,
-            }
-            for key, block in sector.items():
+        cur = [[np.zeros((0, 0), dtype=complex)] * 3] * 2  # link -1: every block is empty
+        for k in range(space.m + 2):
+            prev = cur  # drops link k - 2
+            cur = [[ladder_matrix(space, name, h, k - d) for h in (f, g, f.conj())]
+                   for name, d in (("annihilation", 0), ("creation", 1))]
+            for key, value in _link_residuals(prev, cur, pairing, norm_f):
                 # np.maximum keeps a NaN that the builtin max would drop
-                res[key] = np.maximum(res[key], np.abs(block).max(initial=0.0))
-        res["norm_identity"] = _norm_bound(af, norm_f, space.m)
+                res[key] = np.maximum(res[key], value)
+        c = float(np.linalg.norm(prev[0][0]))  # prev is link m, and this a(f)[m]
+        res["norm_identity"] = _norm_bound(res["norm_identity"], c, norm_f)
         scale = {"adjoint_relation": norm_f, "projection_identity": norm_f**4,
                  "norm_identity": norm_f}
         for key, val in res.items():

@@ -228,11 +228,19 @@ def gaussian_report(space: FockSpace, C) -> GaussianReport:
     coefficients (`_coefficients_match`) of C at unit scale, 2^-e C, where none
     under- or overflows; the report's are theirs times 2^(2 e n), exact in the
     normal range.  C is checked once, as Dp's one-body matrix, and one SVD gives
-    its weights; the zeros listed are those of the weights above their error."""
+    its weights; the zeros listed are those of the weights above their error.
+
+    C is rejected unless P^2 <= max / 8, P = prod_k (1 + 32 w_k^2): as |z|^2 <= 8
+    on the grid, the series sum_n e_n(4 w^2) z^2n and the determinant are at most
+    P (convention 1/2) or P^2 (convention 1) in modulus, a coefficient times z^2n
+    at most (7!)^2 P, and a complex product's parts at most twice the product of
+    the moduli: no value overflows.  P is formed in Python floats (inf, no warning)."""
     C = one_body(space, "DeltaPlus", C)
     weights = _pair_weights(C)
-    e = math.frexp(float(np.maximum(np.abs(C.real), np.abs(C.imag)).max(initial=0.0)))[1]
-    unit, unit_weights = unit_scaled(C), np.ldexp(weights, -e)
+    grid = math.prod(1.0 + 32.0 * w * w for w in weights.tolist())
+    if not grid * grid <= np.finfo(float).max / 8.0:
+        raise ValueError("C overflows the overlap series or determinant on the z grid")
+    unit, e = unit_scaled(C)
     unit_coeffs = pair_coefficients(space, unit)
     coeffs = np.ldexp(unit_coeffs, 2 * e * np.arange(unit_coeffs.size))
     z = default_z_grid()
@@ -243,4 +251,4 @@ def gaussian_report(space: FockSpace, C) -> GaussianReport:
         coefficients=coeffs, convention=convention, z_grid=z,
         series_values=series, determinant_values=det, max_rel_diff=_rel_diff(series, det),
         zeros=_zeros(weights[weights > _weight_error(C, weights)], convention),
-        zeros_matched=_coefficients_match(unit_coeffs, unit, unit_weights, convention))
+        zeros_matched=_coefficients_match(unit_coeffs, unit, np.ldexp(weights, -e), convention))

@@ -6,7 +6,7 @@ delta_plus(C)= sum_{j,k} C[k,j] a+_k a+_j     (pair creation,     shift +2)
 
 Each is fock.ladder_operator with the one-body matrix as coefficients: its
 sector blocks, one fock.ladder_matrix call each, put in place.  The checks
-never form them whole: check_commutator multiplies fock.sector_blocks, the
+never form them whole: check_commutator builds its blocks link by link, the
 dGamma bounds build one fock.ladder_matrix block at a time, both from the
 operator's cached layout, and the Delta and DeltaPlus bounds read only the
 pair weights (bounds._pair_extremes).  Every one-body argument is checked by
@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .fock import (LADDERS, FockOperator, FockSpace, ladder_operator, residual_ratio,
-                   sector_blocks, unit_scaled)
+from .fock import (LADDERS, FockOperator, FockSpace, ladder_matrix, ladder_operator,
+                   residual_ratio, unit_scaled)
 from .tolerances import ENTRY_TOL
 
 
@@ -39,16 +39,13 @@ def _as_one_body(space: FockSpace, X, name: str = "operator") -> np.ndarray:
 def is_skew(A) -> bool:
     """max |A + A^T| <= ENTRY_TOL max |A|, over the entries.
 
-    Compared on A divided by its largest real or imaginary part, so that
-    A + A^T cannot overflow, and with no absolute floor, so the verdict is
-    the same for A and for 2^k A; a non-finite A is not skew.
+    Compared on A at unit scale (fock.unit_scaled), so that A + A^T cannot
+    overflow, and with no absolute floor, so the verdict is the same for A
+    and for 2^k A; a non-finite A is not skew.
     """
-    A = np.asarray(A, dtype=complex)
-    part = float(np.maximum(np.abs(A.real), np.abs(A.imag)).max(initial=0.0))
-    if not 0.0 < part < math.inf:
-        return part == 0.0
-    A = A / part
-    return bool(np.abs(A + A.T).max() <= ENTRY_TOL * np.abs(A).max())
+    A = unit_scaled(A)[0]
+    size = np.abs(A).max(initial=0.0)
+    return bool(size < math.inf and np.abs(A + A.T).max(initial=0.0) <= ENTRY_TOL * size)
 
 
 def require_skew(A, name: str = "operator") -> np.ndarray:
@@ -93,10 +90,11 @@ def require_representable(space: FockSpace, X, name: str) -> None:
     right-hand side ((m^3 + 3) |X|_F^2 or (m + 2)^2 |X|_F^2, as
     |X|_r <= |X|_1 <= sqrt(m) |X|_F).  The factor 8 leaves room for a sum of
     two of them: G + G^H, a slack, a residual or a scale.  |X|_F is formed
-    from X scaled to entries of at most sqrt(2), so the check cannot overflow.
+    from X at unit scale (fock.unit_scaled), so the check cannot overflow.
     """
-    part = float(np.maximum(np.abs(X.real), np.abs(X.imag)).max(initial=0.0))
-    size = part * float(np.linalg.norm(X / part)) if 0.0 < part < math.inf else part
+    unit, exponent = unit_scaled(X)
+    with np.errstate(over="ignore"):  # a size past the float range reads inf
+        size = float(np.ldexp(np.linalg.norm(unit), exponent))
     limit = math.sqrt(np.finfo(float).max / 8.0 / (space.m + 2)**3)
     if not size <= limit:
         raise ValueError(f"{name} on {space.m} modes needs a finite Frobenius norm <= "
@@ -128,8 +126,8 @@ def delta_plus(space: FockSpace, C) -> FockOperator:
 def check_commutator(space: FockSpace, A, C) -> float:
     """Residual of [delta(A), delta_plus(C)] + 4 d_gamma(CA) - 2 tr(AC) Id over its
     scale max |comm| + max |target|, sector by sector: on sector n the commutator
-    is Delta_{n+2->n} Delta+_{n->n+2} - Delta+_{n-2->n} Delta_{n->n-2}, and every
-    entry of the whole-space residual outside these blocks vanishes exactly.
+    is Delta_{n+2->n} Delta+_{n->n+2} - Delta+_{n-2->n} Delta_{n->n-2}, links n and
+    n - 2, built upward and three held at a time; every other entry vanishes.
 
     A and C are first brought to unit scale by powers of two (fock.unit_scaled).
     The identity is bilinear in (A, C), so that changes no ratio, and the ratio
@@ -139,19 +137,21 @@ def check_commutator(space: FockSpace, A, C) -> float:
     A, C = one_body(space, "Delta", A), one_body(space, "DeltaPlus", C)
     require_representable(space, A, "A")
     require_representable(space, C, "C")
-    A, C = unit_scaled(A), unit_scaled(C)
-    da, dpc = sector_blocks(space, "Delta", A), sector_blocks(space, "DeltaPlus", C)
-    dg, trace = sector_blocks(space, "dGamma", C @ A), np.trace(A @ C)
+    A, C = unit_scaled(A)[0], unit_scaled(C)[0]
+    CA, trace = C @ A, np.trace(A @ C)
+    da, dpc, empty = {}, {}, np.zeros((0, 0), dtype=complex)
     residual = comm_max = target_max = 0.0
-    for n in range(space.m + 1):
+    for n in range(-2, space.m + 1):  # sectors -2 and -1, and links -4 and -3, are empty
+        da[n + 2] = ladder_matrix(space, "Delta", A, n + 2)
+        dpc[n] = ladder_matrix(space, "DeltaPlus", C, n)
         comm = da[n + 2] @ dpc[n]
-        comm -= dpc[n - 2] @ da[n]
-        target = -4.0 * dg[n]
+        comm -= dpc.pop(n - 2, empty) @ da.pop(n, empty)  # link n - 2 is read for the last time
+        target = -4.0 * ladder_matrix(space, "dGamma", CA, n)
         target.reshape(-1)[::len(target) + 1] += 2.0 * trace  # on the diagonal
         # np.maximum keeps a NaN that the builtin max would drop
-        residual = np.maximum(residual, np.abs(comm - target).max())
-        comm_max = np.maximum(comm_max, np.abs(comm).max())
-        target_max = np.maximum(target_max, np.abs(target).max())
+        residual = np.maximum(residual, np.abs(comm - target).max(initial=0.0))
+        comm_max = np.maximum(comm_max, np.abs(comm).max(initial=0.0))
+        target_max = np.maximum(target_max, np.abs(target).max(initial=0.0))
     return residual_ratio(residual, comm_max + target_max)
 
 

@@ -8,28 +8,27 @@ from fockbound import bounds, cli, fock, quadratics
 
 @pytest.fixture
 def corrupt_block(monkeypatch):
-    """corrupt_block(name, target, factor=-1) makes fock.sector_blocks multiply
+    """corrupt_block(name, target, factor=-1) makes fock.ladder_matrix multiply
     the largest entry of the block of `name` from sector `target` by `factor`
-    in every dict it returns; it returns the list of flips made, so a test can
-    tell that the patch bit.  `quadratics` and `cli` bind sector_blocks by name,
-    so their bindings are patched too.  A sign flip applied to the blocks of
-    both Q(X) and Q(X*) keeps them adjoint to each other; a phase such as 1j
-    does not."""
-    build = fock.sector_blocks
+    in every block of that key it returns; it returns the list of flips made,
+    so a test can tell that the patch bit.  `quadratics` and `cli` bind
+    ladder_matrix by name, so their bindings are patched too.  A sign flip
+    applied to the blocks of both Q(X) and Q(X*) keeps them adjoint to each
+    other; a phase such as 1j does not."""
+    build = fock.ladder_matrix
 
     def corrupt(name, target, factor=-1):
         flips = []
 
-        def corrupted(space, kind, coeffs):
-            blocks = build(space, kind, coeffs)
-            if kind == name:
-                out = blocks[target]
+        def corrupted(space, kind, coeffs, sector):
+            out = build(space, kind, coeffs, sector)
+            if kind == name and sector == target:
                 out[np.unravel_index(np.abs(out).argmax(), out.shape)] *= factor
                 flips.append(target)
-            return blocks
+            return out
 
         for module in (fock, quadratics, cli):
-            monkeypatch.setattr(module, "sector_blocks", corrupted)
+            monkeypatch.setattr(module, "ladder_matrix", corrupted)
         return flips
 
     return corrupt
@@ -84,11 +83,13 @@ def widest_bracket(monkeypatch):
 @pytest.fixture
 def block_builds(monkeypatch):
     """Records every block build: `gathers` lists the (name, sector) of each
-    fock._gather call, and `scatters` counts fock's np.add.at calls."""
-    gather, record = fock._gather, types.SimpleNamespace(gathers=[], scatters=0)
+    fock._gather call, `operators` the (name, coefficient bytes) of the same
+    call, and `scatters` counts fock's np.add.at calls."""
+    gather, record = fock._gather, types.SimpleNamespace(gathers=[], operators=[], scatters=0)
 
     def gathering(space, name, coeffs, sector):
         record.gathers.append((name, sector))
+        record.operators.append((name, np.asarray(coeffs, dtype=complex).tobytes()))
         return gather(space, name, coeffs, sector)
 
     def scatter(*args):

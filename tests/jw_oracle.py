@@ -27,11 +27,12 @@ spectral norm (an SVD), which the package's certified bound lies above, to
 rounding.  car_failures holds such a residual dict to
 CAR_TOL, the rule of the car/ report rows.
 
-sector_blocks builds the block of every key of sector_keys from
-walked_entries, the bitmask walk over the nonzero coefficients with no cache,
-with the keys written out rather than read from the package's layout.  The
-tests compare it with fock.sector_blocks and patch it in place of that name,
-where fock, quadratics and cli read it.
+sector_block builds one sector's block from walked_entries, the bitmask
+walk over the nonzero coefficients with no cache, and sector_blocks that
+block for every key of sector_keys, with the keys written out rather than
+read from the package's layout.  The tests compare them with
+fock.ladder_matrix and patch sector_block in place of that name, where fock,
+quadratics and cli read it.
 
 run_verify_algebra, pair_coefficients, gaussian_state and slater_expectation
 are the package's whole-space versions from before those too read sector
@@ -194,8 +195,8 @@ def verify_car(space: FockSpace, trials: int = 50, seed: int = 0) -> dict:
     eye = np.eye(space.dim)
     for t in range(trials):
         rng = trial_rng(seed, t)
-        f = unit_scaled(complex_vector(rng, space.m))
-        g = unit_scaled(complex_vector(rng, space.m))
+        f = unit_scaled(complex_vector(rng, space.m))[0]
+        g = unit_scaled(complex_vector(rng, space.m))[0]
         af, ag = op_a(space, f), op_a(space, g)
         adf, adg = op_adag(space, f), op_adag(space, g)
         pairing = complex(np.sum(f * g))  # (fbar, g) with the antilinear-first inner product
@@ -225,8 +226,8 @@ def car_failures(residuals: dict) -> list[str]:
 
 def check_commutator(space: FockSpace, A, C) -> float:
     # skew as given, and then brought to unit scale, as the package checks them
-    A = unit_scaled(require_skew(_as_one_body(space, A, "A"), "A"))
-    C = unit_scaled(require_skew(_as_one_body(space, C, "C"), "C"))
+    A = unit_scaled(require_skew(_as_one_body(space, A, "A"), "A"))[0]
+    C = unit_scaled(require_skew(_as_one_body(space, C, "C"), "C"))[0]
     da = _quadratic(space, A, _annihilation_matrix, _annihilation_matrix, -2)
     dpc = _quadratic(space, C, _creation_matrix, _creation_matrix, 2)
     comm = (da @ dpc).matrix - (dpc @ da).matrix
@@ -301,7 +302,7 @@ def slater_expectation(space: FockSpace, B, modes) -> complex:
 
 
 def sector_keys(name: str, m: int) -> list[tuple[str, int]]:
-    """(name, n) for every n from -|shift| to m + |shift|: the keys of sector_blocks."""
+    """(name, n) for every n from -|shift| to m + |shift|: the keys of fock's layout."""
     shift = abs(LADDERS[name][1])
     return [(name, n) for n in range(-shift, m + shift + 1)]
 
@@ -333,15 +334,18 @@ def walked_entries(space: FockSpace, name: str, coeffs, sector: int | None = Non
             coeffs[terms][term] * (1 - 2 * (parity[term, col] & 1)), (nrows, cols.size))
 
 
+def sector_block(space: FockSpace, name: str, coeffs, sector: int) -> np.ndarray:
+    """The block of `name` from sector n = `sector`: the entries of walked_entries,
+    the uncached walk, summed into a zero block in term order."""
+    places, values, shape = walked_entries(space, name, coeffs, sector)
+    block = np.zeros(shape, dtype=complex)
+    np.add.at(block, places, values)
+    return block
+
+
 def sector_blocks(space: FockSpace, name: str, coeffs) -> dict[int, np.ndarray]:
-    """The block of every key n of sector_keys, keyed by n: the entries of
-    walked_entries, the uncached walk, summed into a zero block in term order."""
-    blocks = {}
-    for _, n in sector_keys(name, space.m):
-        places, values, shape = walked_entries(space, name, coeffs, n)
-        blocks[n] = np.zeros(shape, dtype=complex)
-        np.add.at(blocks[n], places, values)
-    return blocks
+    """sector_block of every key n of sector_keys, keyed by n."""
+    return {n: sector_block(space, name, coeffs, n) for _, n in sector_keys(name, space.m)}
 
 
 def sector_extremes(space: FockSpace, operator: str, X) -> np.ndarray:

@@ -3,13 +3,13 @@ import dataclasses
 import json
 import math
 import warnings
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-import jw_oracle as jw
-from fockbound import bounds, cli, fock, gaussian
+from fockbound import bounds, cli, fock, gaussian, quadratics
 
 
 def run(argv, capsys):
@@ -576,17 +576,55 @@ def test_a_row_outside_its_sector_is_a_verification_failure(argv, kind, misplace
 
 
 def test_verify_algebra_builds_each_operator_once_per_trial(block_builds, capsys):
-    # the commutator's Delta(A), DeltaPlus(C) and dGamma(CA), and the adjoint
-    # rows' dGamma(B), dGamma(B*), Delta(A) and DeltaPlus(A*), each one gather
-    # and one scatter per sector key; the grading row reads these builds and
-    # gathers no entries of its own
+    # the commutator's Delta(A), DeltaPlus(C) and dGamma(CA) on links
+    # n = -2..m, and the adjoint rows' pairs Q(X)[n], Q'(X*)[n + shift] for
+    # n = 0..m: dGamma(B), dGamma(B*), Delta(A) and DeltaPlus(A*).  Each
+    # (operator, sector key) is one gather and one scatter, once per trial;
+    # the grading row reads these builds and gathers no entries of its own
     assert not hasattr(cli, "_gather")
     code, _ = run(["verify-algebra", "--m", "3", "--trials", "2"], capsys)
     assert code == cli.EXIT_OK
-    builds = {"dGamma": 3, "Delta": 2, "DeltaPlus": 2}
-    assert Counter(block_builds.gathers) == {
-        key: 2 * count for name, count in builds.items() for key in jw.sector_keys(name, 3)}
+    per_trial = Counter([*(("Delta", n + 2) for n in range(-2, 4)),
+                         *(("DeltaPlus", n) for n in range(-2, 4)),
+                         *(("dGamma", n) for n in range(-2, 4)),
+                         *(("dGamma", n) for n in range(4)), *(("dGamma", n) for n in range(4)),
+                         *(("Delta", n) for n in range(4)),
+                         *(("DeltaPlus", n - 2) for n in range(4))])
+    assert Counter(block_builds.gathers) == {key: 2 * count for key, count in per_trial.items()}
+    assert max(Counter(zip(block_builds.operators, block_builds.gathers)).values()) == 1
     assert block_builds.scatters == len(block_builds.gathers)
+
+
+def test_identity_checks_hold_only_the_links_they_read(monkeypatch):
+    # every block built is weakly referenced, and at each build the blocks
+    # still alive, the one just built included, are counted by operator:
+    # verify_car holds links k - 1 and k of a and a+ (6 blocks each), the
+    # commutator links n - 2, n - 1 and n of Delta and DeltaPlus (2 each) and
+    # one dGamma block, and an adjoint row one pair Q(X)[n], Q'(X*)[n + shift]
+    build, blocks, builds = fock.ladder_matrix, [], []
+
+    def tracking(module):
+        def tracked(space, name, coeffs, sector):
+            block = build(space, name, coeffs, sector)
+            blocks.append((name, weakref.ref(block)))
+            builds.append((module, Counter(name for name, ref in blocks if ref() is not None)))
+            return block
+        return tracked
+
+    for module in (fock, quadratics, cli):
+        monkeypatch.setattr(module, "ladder_matrix", tracking(module.__name__))
+    space = fock.make_space(6)
+    fock.verify_car(space, trials=2, seed=5)
+    assert len(builds) == 2 * 6 * 8
+    assert max(sum(live.values()) for _, live in builds) <= 12
+    builds.clear()
+    cli.run_verify_algebra(argparse.Namespace(m=6, trials=2, seed=5))
+    commutator = [live for module, live in builds if module == "fockbound.quadratics"]
+    adjoint = [live for module, live in builds if module == "fockbound.cli"]
+    assert len(commutator) == 2 * 3 * 9 and len(adjoint) == 2 * 2 * 2 * 7
+    assert max(live["Delta"] + live["DeltaPlus"] for live in commutator) <= 6
+    assert max(live["dGamma"] for live in commutator) <= 1
+    assert max(sum(live.values()) for live in adjoint) <= 2
 
 
 @pytest.mark.parametrize("argv, keys", [

@@ -1,6 +1,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -277,16 +278,20 @@ KINDS = ["random", "zero", "one nonzero row", "diagonal", "signed zeros", "nan",
 @pytest.mark.parametrize("name", sorted(fb.fock.LADDERS))
 @np.errstate(invalid="ignore")  # inf * 0 in the products of the inf kind
 def test_sector_blocks_equal_per_sector_builds_bit_for_bit(name, kind):
-    # compared as bits: np.array_equal on floats takes -0.0 for 0.0 and fails on NaN
+    # ladder_matrix on every key of the layout against the oracle's uncached
+    # walk, compared as bits: np.array_equal on floats takes -0.0 for 0.0 and
+    # fails on NaN
     shift = fb.fock.LADDERS[name][1]
     for m in range(1, 9):
         sp = fb.make_space(m)
         coeffs = ladder_coeffs(trial_rng(91, m), m, name, kind)
-        blocks, want = fb.fock.sector_blocks(sp, name, coeffs), jw.sector_blocks(sp, name, coeffs)
-        assert list(blocks) == list(want) == list(range(-abs(shift), m + abs(shift) + 1))
-        for n, block in blocks.items():
-            assert block.shape == want[n].shape == (sector_dim(m, n + shift), sector_dim(m, n))
-            assert np.array_equal(bits(block), bits(want[n])), (m, n)
+        want = jw.sector_blocks(sp, name, coeffs)
+        keys = list(range(-abs(shift), m + abs(shift) + 1))
+        assert list(fb.fock._ladder_pattern(m, name)) == list(want) == keys
+        for n, block in want.items():
+            built = fb.fock.ladder_matrix(sp, name, coeffs, n)
+            assert built.shape == block.shape == (sector_dim(m, n + shift), sector_dim(m, n))
+            assert np.array_equal(bits(built), bits(block)), (m, n)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -334,9 +339,9 @@ def test_cached_pattern_is_read_only_and_never_handed_out():
     first = values.copy()
     block = fb.fock.ladder_matrix(sp, "dGamma", X, sector=2)
     first_block = block.copy()
-    blocks = fb.fock.sector_blocks(sp, "dGamma", X)
+    blocks = [fb.fock.ladder_matrix(sp, "dGamma", X, sector=n) for n in layout]
     arrays = [a for entry in layout.values() for a in entry[:3]]
-    for a in (values, block, *blocks.values()):
+    for a in (values, block, *blocks):
         assert a.flags.writeable
         assert not any(np.shares_memory(a, b) for b in arrays)
         a[...] = 0
@@ -344,7 +349,6 @@ def test_cached_pattern_is_read_only_and_never_handed_out():
     assert all(np.array_equal(a, b) for n in layout for a, b in zip(layout[n], kept[n]))
     assert np.array_equal(fb.fock._gather(sp, "dGamma", X, sector=2)[1], first)
     assert np.array_equal(fb.fock.ladder_matrix(sp, "dGamma", X, sector=2), first_block)
-    assert np.array_equal(fb.fock.sector_blocks(sp, "dGamma", X)[2], first_block)
 
 
 @pytest.mark.parametrize("sector", [2.5, 2.0, "2", math.nan])
@@ -374,7 +378,7 @@ def test_ladder_entries_rejects_a_walked_row_outside_its_block(name, misplace_ro
     builds = [lambda: fb.fock._gather(sp, name, coeffs, 2),
               lambda: fb.fock._gather(sp, name, 0 * coeffs, 2),
               lambda: fb.fock.ladder_matrix(sp, name, coeffs, 9),
-              lambda: fb.fock.sector_blocks(sp, name, coeffs)]
+              lambda: fb.fock.ladder_operator(sp, name, coeffs)]
     for past_end in (False, True):
         for build in builds:
             moved = misplace_row(past_end)
@@ -397,30 +401,40 @@ def test_numpy_integer_and_out_of_range_sectors(name):
 
 
 def test_sector_blocks_reject_an_entry_outside_its_sector(misplace_row):
-    # np.add.at would wrap a row of -1 into the last row of the block
+    # np.add.at would wrap a row of -1 into the last row of the block; the
+    # identity checks build every block with ladder_matrix, which raises
+    sp, rng = fb.make_space(4), trial_rng(4, 0)
+    A, C = skew_matrix(rng, 4), skew_matrix(rng, 4)
     for past_end in (False, True):
-        moved = misplace_row(past_end)
-        with pytest.raises(fb.fock.GradingError, match="sector shift"):
-            fb.fock.sector_blocks(fb.make_space(4), "dGamma", np.ones((4, 4)))
-        assert moved == ["dGamma"]
+        for kind, check in (("creation", lambda: fb.verify_car(sp, trials=1)),
+                            ("dGamma", lambda: fb.check_commutator(sp, A, C))):
+            moved = misplace_row(past_end, kind)
+            with pytest.raises(fb.fock.GradingError, match="sector shift"):
+                check()
+            assert moved == [kind]
 
 
 def test_each_sector_blocks_call_builds_once(block_builds):
-    # one gather and one scatter per sector key of every operator build
+    # one gather and one scatter per block, and each identity check builds
+    # each (operator, sector key) once per trial: the links of a and a+ are
+    # k = 0..m+1, of Delta and DeltaPlus n = -2..m
     def builds(run):
-        block_builds.gathers, block_builds.scatters = [], 0
+        block_builds.gathers, block_builds.operators, block_builds.scatters = [], [], 0
         run()
         assert block_builds.scatters == len(block_builds.gathers)
-        return block_builds.gathers
+        assert max(Counter(zip(block_builds.operators, block_builds.gathers)).values()) == 1
+        return Counter(block_builds.gathers)
 
     sp, rng = fb.make_space(5), trial_rng(4, 0)
     A, C = skew_matrix(rng, 5), skew_matrix(rng, 5)
-    assert builds(lambda: fb.fock.sector_blocks(sp, "Delta", np.zeros((5, 5)))) == \
-        jw.sector_keys("Delta", 5)
-    assert builds(lambda: fb.verify_car(sp, trials=3, seed=2)) == 3 * (
-        3 * jw.sector_keys("annihilation", 5) + 3 * jw.sector_keys("creation", 5))
-    assert builds(lambda: fb.check_commutator(sp, A, C)) == [
-        key for name in ("Delta", "DeltaPlus", "dGamma") for key in jw.sector_keys(name, 5)]
+    # f, g and fbar in each of 3 trials
+    assert builds(lambda: fb.verify_car(sp, trials=3, seed=2)) == {
+        **{("annihilation", k): 9 for k in range(7)},
+        **{("creation", k - 1): 9 for k in range(7)}}
+    assert builds(lambda: fb.check_commutator(sp, A, C)) == {
+        **{("Delta", n + 2): 1 for n in range(-2, 6)},
+        **{("DeltaPlus", n): 1 for n in range(-2, 6)},
+        **{("dGamma", n): 1 for n in range(-2, 6)}}
 
 
 def scaled_draws(monkeypatch, scale):

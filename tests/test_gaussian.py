@@ -389,3 +389,34 @@ def test_zeros_verdict_is_free_of_scale(m, moved, monkeypatch):
     monkeypatch.setattr(gaussian, "_pair_weights", moved_weights)
     for k in (-300, 0):
         assert not fb.gaussian_report(sp, scaled(k)).zeros_matched, k
+
+
+@pytest.mark.parametrize("k", [100, 200])
+def test_a_c_that_overflows_the_z_grid_is_rejected_before_any_product(k, monkeypatch):
+    # at 2^100 C the convention-1 determinant overflows on the grid, at
+    # 2^200 C the series too; both are rejected before a block is built
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("pair power formed from a C that overflows the grid")
+
+    monkeypatch.setattr(gaussian, "ladder_matrix", must_not_build)
+    C = np.ldexp(1.0, k) * skew_matrix(trial_rng(78, 6, 0), 6)
+    with pytest.raises(ValueError, match="overflows the overlap series"):
+        fb.gaussian_report(fb.make_space(6), C)
+
+
+def test_every_cli_draw_is_inside_the_z_grid_range(monkeypatch):
+    # gaussian-check draws C = skew_matrix(trial_rng(seed, t), m); at
+    # m = MAX_MODES, 100 seeds of 100 trials each pass the guard and reach
+    # the unit scaling that follows it, where the test stops the report
+    class Reached(Exception):
+        pass
+
+    def reached(C):
+        raise Reached
+
+    monkeypatch.setattr(gaussian, "unit_scaled", reached)
+    sp = fb.make_space(fb.fock.MAX_MODES)
+    for seed in range(100):
+        for t in range(100):
+            with pytest.raises(Reached):
+                fb.gaussian_report(sp, skew_matrix(trial_rng(seed, t), sp.m))

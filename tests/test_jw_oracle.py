@@ -377,24 +377,23 @@ def identity_report_bodies(capsys) -> list[str]:
 
 def test_identity_reports_equal_the_per_key_builder_byte_for_byte(monkeypatch, capsys):
     # the package's builder and the oracle's uncached walk, each patched in
-    # where fock, quadratics and cli read sector_blocks: the report bodies
+    # where fock, quadratics and cli read ladder_matrix: the report bodies
     # agree byte for byte, and every block the reports read agrees bit for
     # bit, signed zeros included, which no report row shows
     bodies, built = [], []
-    for builder in (fock.sector_blocks, jw.sector_blocks):
+    for builder in (fock.ladder_matrix, jw.sector_block):
         blocks = []
 
-        def recording(space, name, coeffs, builder=builder, blocks=blocks):
-            blocks.append(builder(space, name, coeffs))
+        def recording(space, name, coeffs, sector, builder=builder, blocks=blocks):
+            blocks.append(builder(space, name, coeffs, sector))
             return blocks[-1]
 
         for module in (fock, quadratics, cli):
-            monkeypatch.setattr(module, "sector_blocks", recording)
+            monkeypatch.setattr(module, "ladder_matrix", recording)
         bodies.append(identity_report_bodies(capsys))
         built.append(blocks)
     assert bodies[0] == bodies[1]
     assert len(built[0]) == len(built[1]) > 0
     for got, want in zip(*built):
-        assert list(got) == list(want)
-        assert all(np.array_equal(got[n].view(np.uint64), want[n].view(np.uint64))
-                   for n in got)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

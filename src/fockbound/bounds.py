@@ -187,28 +187,94 @@ def _certificate_shift(gram: np.ndarray, theta: float) -> float:
     return shift * (1.0 + 1e-6)
 
 
-def _cholesky_certifies(gram: np.ndarray, theta: float, shift: float) -> bool:
-    """Whether Cholesky succeeds on (theta + shift) I - gram; `gram` is left as it was.
+_CHOLESKY_BLOCK = 128  # order of the diagonal blocks of `_cholesky_in_place`
 
-    The shifted matrix is formed in the Gram's own buffer: negation is exact,
-    and the diagonal is saved and put back, so the Gram is restored bit for bit.
+
+def _substitute(panel: np.ndarray, lower: np.ndarray) -> None:
+    """Overwrite `panel` with the X that solves X lower* = panel, `lower` lower
+    triangular with a real positive diagonal, by triangular substitution.
+
+    The columns are halved recursively: X_1 from the first half, then the
+    second half of `panel` less X_1 times the conjugate of `lower`'s
+    off-diagonal quarter in one product, then X_2.  At 32 columns or fewer,
+    column substitution, x_j = (p_j - sum_{t<j} x_t conj(l_jt)) / l_jj, on a
+    column-major copy, so each step runs along contiguous memory, not down
+    the rows of the Gram; x_j is divided by the real l_jj part by part, so
+    every entry is rounded once there.
     """
-    diagonal = gram.diagonal().copy()
+    width = len(lower)
+    if width <= 32:
+        conj, work = lower.conj(), np.asfortranarray(panel)
+        for j in range(width):
+            column = work[:, j]
+            column -= work[:, :j] @ conj[j, :j]
+            for part in (column.real, column.imag):
+                part /= lower[j, j].real
+        panel[...] = work
+        return
+    half = width // 2
+    _substitute(panel[:, :half], lower[:half, :half])
+    rest = panel[:, half:]  # a named view: `panel[:, half:] -= x` copies on the store
+    rest -= panel[:, :half] @ lower[half:, :half].conj().T
+    _substitute(rest, lower[half:, half:])
+
+
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Whether Cholesky succeeds on the Hermitian `a`, read from its lower
+    triangle, which then holds the factor L, a = L L*; `a` is consumed.
+
+    Right-looking and blocked, b = _CHOLESKY_BLOCK: for each diagonal block,
+    LAPACK's Cholesky factors it into L_11, `_substitute` solves the panel
+    below it for L_21 = A_21 L_11^-*, and the trailing lower triangle takes
+    - L_21 L_21* in row strips of b rows.  The first block takes the
+    remainder of n / b, so the substitution, one column at a time, runs
+    over n - b columns, not up to n - 1.  A strip's product is formed
+    conjugated, as conj(strip) times the transposed rows, so no transposed
+    panel is copied; beyond `a` this holds at most one strip product (n b
+    numbers) and two b x b blocks.
+    """
+    dim = len(a)
+    for end in range(dim % _CHOLESKY_BLOCK or _CHOLESKY_BLOCK, dim + 1, _CHOLESKY_BLOCK):
+        k = max(end - _CHOLESKY_BLOCK, 0)
+        try:
+            a[k:end, k:end] = np.linalg.cholesky(a[k:end, k:end])
+        except np.linalg.LinAlgError:
+            return False
+        if end == dim:
+            break
+        _substitute(a[end:, k:end], a[k:end, k:end])
+        for i in range(end, dim, _CHOLESKY_BLOCK):
+            stop = i + _CHOLESKY_BLOCK
+            update = np.conj(a[i:stop, k:end]) @ a[end:stop, k:end].T
+            strip = a[i:stop, end:stop]
+            strip -= np.conjugate(update, out=update)
+            del update  # so no two strip products are held at once
+    return True
+
+
+def _cholesky_certifies(gram: np.ndarray, theta: float, shift: float) -> bool:
+    """Whether Cholesky succeeds on (theta + shift) I - gram; `gram` is consumed.
+
+    The shifted matrix A is formed in the Gram's own buffer (negation is
+    exact, then the diagonal takes theta + shift) and `_cholesky_in_place`
+    factors it there, so one Gram-sized array is held, not three.  The
+    blocked factorisation changes only the order in which each sum is
+    taken: every entry of the factor is still (a_ij - sum_t l_it conj(l_jt))
+    / l_jj, or the square root of a_jj - sum_t |l_jt|^2, with the sum over
+    t < j split into the strip products, the halves of the substitution and
+    the column or LAPACK step that ends it.  Higham's Thm 10.3 holds for the
+    sums taken in any order, and the diagonal blocks take the LAPACK routine
+    that factored the whole matrix before, so `_certificate_shift` and its
+    constant stand as they are.
+    """
     gram *= -1.0
     gram.flat[::len(gram) + 1] += theta + shift
-    try:
-        np.linalg.cholesky(gram)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        gram *= -1.0
-        gram.flat[::len(gram) + 1] = diagonal
+    return _cholesky_in_place(gram)
 
 
-def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float, float, float]:
-    """(lambda_min, top, width) of Q_n* Q_n, Q = dGamma(X), from the Gram of the
-    sector block q that `fock.ladder_matrix` builds.
+def _sector_gram(space: FockSpace, X, n: int) -> np.ndarray:
+    """G = Q_n* Q_n, Q = dGamma(X), from the sector block q that
+    `fock.ladder_matrix` builds.
 
     The Gram is formed in real arithmetic, at half the multiplies of the
     complex product q* q: with P = [Re q; Im q], the real stack of q's k
@@ -224,12 +290,6 @@ def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float,
     gives a finite Gram, and the finiteness test runs on P, before the two
     products, in which an inf times 0 would raise numpy's invalid-value
     warning instead of this ValueError.
-
-    With `certify`, the Ritz values (theta_min, theta_max) of `_lanczos` are
-    kept, however wide the bracket, if Cholesky succeeds on
-    (theta_max + c_n) I - G: that proves lambda_max <= top + width,
-    width = 2 c_n (`_certificate_shift`).  Otherwise a dense eigvalsh gives
-    the exact ends and width 0.
     """
     q = fock.ladder_matrix(space, "dGamma", X, sector=n)
     rows = len(q)
@@ -242,13 +302,28 @@ def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float,
     del stacked
     gram = gram.astype(complex)
     np.subtract(skew, skew.T, out=gram.imag)
-    del skew
+    return gram
+
+
+def _sector_extremes(space: FockSpace, X, n: int, certify: bool) -> tuple[float, float, float]:
+    """(lambda_min, top, width) of Q_n* Q_n, Q = dGamma(X), from its Gram
+    G (`_sector_gram`).
+
+    With `certify`, the Ritz values (theta_min, theta_max) of `_lanczos` are
+    kept, however wide the bracket, if Cholesky succeeds on
+    (theta_max + c_n) I - G: that proves lambda_max <= top + width,
+    width = 2 c_n (`_certificate_shift`).  Otherwise a dense eigvalsh gives
+    the exact ends and width 0; the factorisation consumed the Gram, so a
+    failed certificate forms it again, bit for bit, before the eigvalsh.
+    """
     if certify:
+        gram = _sector_gram(space, X, n)
         low, top = _lanczos(gram)
         shift = _certificate_shift(gram, top)
         if _cholesky_certifies(gram, top, shift):
             return low, top, 2.0 * shift
-    eigs = np.linalg.eigvalsh(gram)
+        del gram  # so the Gram formed again is not held beside it
+    eigs = np.linalg.eigvalsh(_sector_gram(space, X, n))
     return eigs[0], eigs[-1], 0.0
 
 

@@ -104,13 +104,27 @@ def _predicted(weights: np.ndarray) -> np.ndarray:
     return e * np.array([float(math.factorial(n)) ** 2 for n in range(e.size)])
 
 
+def _require_in_range(weights: np.ndarray, z_abs2: float, what: str) -> None:
+    """Raise ValueError unless P^2 <= max / 8, P = prod_k (1 + 4 |z|^2 w_k^2) for
+    |z|^2 = z_abs2: P bounds every partial product of the determinant's factors
+    in modulus, P^2 the convention-1 square, and a complex product's parts are
+    at most twice the product of the moduli.  P is formed in Python floats
+    (inf, no warning)."""
+    bound = math.prod(1.0 + 4.0 * z_abs2 * w * w for w in weights.tolist())
+    if not bound * bound <= np.finfo(float).max / 8.0:
+        raise ValueError(f"C overflows {what}")
+
+
 def omega_determinant(C, z: complex,
                       exponent_convention: float = DEFAULT_CONVENTION) -> complex:
-    """det(Id + 4 z^2 C*C)^exponent_convention for a skew C, with exponent 1 or 1/2."""
+    """det(Id + 4 z^2 C*C)^exponent_convention for a skew C, with exponent 1 or 1/2;
+    ValueError, before any product, where the value could overflow at z."""
     if exponent_convention not in (0.5, 1.0):
         raise ValueError(f"exponent convention must be 1 or 1/2, got {exponent_convention}")
-    return complex(_determinant(_pair_weights(require_skew(C, "C")), np.complex128(z),
-                                exponent_convention))
+    weights = _pair_weights(require_skew(C, "C"))
+    size = abs(complex(z))
+    _require_in_range(weights, size * size, f"the determinant at z = {z}")
+    return complex(_determinant(weights, np.complex128(z), exponent_convention))
 
 
 def _rounding_floors(coeffs: np.ndarray, C) -> np.ndarray:
@@ -230,16 +244,15 @@ def gaussian_report(space: FockSpace, C) -> GaussianReport:
     normal range.  C is checked once, as Dp's one-body matrix, and one SVD gives
     its weights; the zeros listed are those of the weights above their error.
 
-    C is rejected unless P^2 <= max / 8, P = prod_k (1 + 32 w_k^2): as |z|^2 <= 8
-    on the grid, the series sum_n e_n(4 w^2) z^2n and the determinant are at most
-    P (convention 1/2) or P^2 (convention 1) in modulus, a coefficient times z^2n
-    at most (7!)^2 P, and a complex product's parts at most twice the product of
-    the moduli: no value overflows.  P is formed in Python floats (inf, no warning)."""
+    C is rejected unless P^2 <= max / 8, P = prod_k (1 + 32 w_k^2)
+    (`_require_in_range` at |z|^2 = 8, the largest on the grid): the series
+    sum_n e_n(4 w^2) z^2n and the determinant are at most P (convention 1/2)
+    or P^2 (convention 1) in modulus, a coefficient times z^2n at most
+    (7!)^2 P, and a complex product's parts at most twice the product of the
+    moduli: no value overflows."""
     C = one_body(space, "DeltaPlus", C)
     weights = _pair_weights(C)
-    grid = math.prod(1.0 + 32.0 * w * w for w in weights.tolist())
-    if not grid * grid <= np.finfo(float).max / 8.0:
-        raise ValueError("C overflows the overlap series or determinant on the z grid")
+    _require_in_range(weights, 8.0, "the overlap series or determinant on the z grid")
     unit, e = unit_scaled(C)
     unit_coeffs = pair_coefficients(space, unit)
     coeffs = np.ldexp(unit_coeffs, 2 * e * np.arange(unit_coeffs.size))

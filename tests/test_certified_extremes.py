@@ -4,6 +4,7 @@ forms, covariance, the dense fallback and the tolerance."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,10 +279,13 @@ def test_extremes_are_covariant(m, operator):
 def test_failed_certificate_falls_back_to_eigvalsh(monkeypatch, dense):
     # a Ritz value below lambda_max by far more than c_n leaves
     # (theta + c_n) I - G indefinite, so the Cholesky test fails and the
-    # sector takes the dense eigvalsh; the Gram was restored after the test
+    # sector takes the dense eigvalsh.  The factorisation consumed the Gram
+    # in its own buffer, so the Gram is rebuilt, not restored: the failing
+    # sector's block is built twice, every other sector's once
     m, operator = 10, "dGamma"
     space, X = fb.make_space(m), complex_matrix(trial_rng(73, m), m)
     lanczos, certify, outcomes = bounds._lanczos, bounds._cholesky_certifies, []
+    build, built = fock.ladder_matrix, []
 
     def recording(*args):
         outcomes.append(certify(*args))
@@ -291,11 +295,68 @@ def test_failed_certificate_falls_back_to_eigvalsh(monkeypatch, dense):
         bottom, top = lanczos(gram)
         return bottom, top * (1 - 1e-6)
 
+    def building(space, operator, X, sector):
+        built.append(sector)
+        return build(space, operator, X, sector=sector)
+
     monkeypatch.setattr(bounds, "_lanczos", low_ritz)
     monkeypatch.setattr(bounds, "_cholesky_certifies", recording)
+    monkeypatch.setattr(fock, "ladder_matrix", building)
     extremes = _gram_extremes(space, operator, X)
-    assert outcomes == [False] * sum(d > _LANCZOS_STEPS for d in jw.gram_dims(m, operator))
+    dims = jw.gram_dims(m, operator)
+    assert outcomes == [False] * sum(d > _LANCZOS_STEPS for d in dims)
+    assert sorted(built) == sorted([n for n, d in enumerate(dims)
+                                    for _ in range(2 if d > _LANCZOS_STEPS else 1)])
+    monkeypatch.setattr(fock, "ladder_matrix", build)
     assert np.array_equal(extremes, dense(space, operator, X))
+
+
+BLOCK = bounds._CHOLESKY_BLOCK
+
+
+@pytest.mark.parametrize("dim", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_blocked_cholesky_matches_lapack(dim):
+    # on a Hermitian matrix with eigenvalues in [1, 2] both factorisations
+    # succeed and the lower triangles agree to 1e-14 relative; with one
+    # eigenvalue moved to -1 both fail
+    U = unitary_matrix(trial_rng(79, dim), dim)
+    spectrum = np.linspace(1.0, 2.0, dim)
+    for definite in (True, False):
+        if not definite:
+            spectrum[-1] = -1.0
+        a = (U * spectrum) @ U.conj().T
+        a = (a + a.conj().T) / 2
+        try:
+            reference = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            reference = None
+        assert (reference is not None) == definite
+        factor = a.copy()
+        assert bounds._cholesky_in_place(factor) == definite
+        if definite:
+            error = np.abs(np.tril(factor) - reference).max()
+            assert error <= 1e-14 * np.abs(reference).max()
+
+
+def test_certificate_holds_one_gram():
+    # the middle sector at m = 12 (dimension 924) is certified in the Gram's
+    # own buffer: beyond it, at most one strip product of n x b and two
+    # b x b blocks, b = _CHOLESKY_BLOCK, where a factor held beside the Gram
+    # alone would take n^2 numbers
+    m, n = 12, 6
+    gram = bounds._sector_gram(fb.make_space(m), complex_matrix(trial_rng(29, 0), m), n)
+    dim = len(gram)
+    assert dim == 924
+    _, top = bounds._lanczos(gram)
+    shift = bounds._certificate_shift(gram, top)
+    tracemalloc.start()
+    try:
+        certified = bounds._cholesky_certifies(gram, top, shift)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert certified
+    assert peak <= (dim * BLOCK + 2 * BLOCK * BLOCK) * 16
 
 
 # the case named Delta ran on Delta's kept blocks at m = 14; pair rows now take

@@ -404,6 +404,21 @@ def test_a_c_that_overflows_the_z_grid_is_rejected_before_any_product(k, monkeyp
         fb.gaussian_report(fb.make_space(6), C)
 
 
+@pytest.mark.parametrize("k", [100, 200])
+def test_omega_determinant_that_would_overflow_is_rejected_before_any_product(k, monkeypatch):
+    # the same C at z = 2 + 2j, the grid's largest |z|, under the same bound
+    # as gaussian_report; without it numpy's overflow warning, an error here,
+    # comes from a scalar multiply (2^100 C) or the product's reduce (2^200 C)
+    def must_not_multiply(*args, **kwargs):
+        raise AssertionError("determinant formed from a C that overflows at z")
+
+    monkeypatch.setattr(gaussian, "_determinant", must_not_multiply)
+    C = np.ldexp(1.0, k) * skew_matrix(trial_rng(78, 6, 0), 6)
+    for convention in (0.5, 1.0):
+        with pytest.raises(ValueError, match="overflows the determinant"):
+            fb.omega_determinant(C, 2 + 2j, convention)
+
+
 def test_every_cli_draw_is_inside_the_z_grid_range(monkeypatch):
     # gaussian-check draws C = skew_matrix(trial_rng(seed, t), m); at
     # m = MAX_MODES, 100 seeds of 100 trials each pass the guard and reach

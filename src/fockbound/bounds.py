@@ -230,8 +230,8 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
     remainder of n / b, so the substitution, one column at a time, runs
     over n - b columns, not up to n - 1.  A strip's product is formed
     conjugated, as conj(strip) times the transposed rows, so no transposed
-    panel is copied; beyond `a` this holds at most one strip product (n b
-    numbers) and two b x b blocks.
+    panel is copied.  Beyond `a` this holds at most n b + 2 b^2 numbers: one
+    strip product and two b x b blocks, or less in the substitution.
     """
     dim = len(a)
     for end in range(dim % _CHOLESKY_BLOCK or _CHOLESKY_BLOCK, dim + 1, _CHOLESKY_BLOCK):
